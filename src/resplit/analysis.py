@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "ChainPrediction",
@@ -69,6 +68,8 @@ def _stage_series(p: float, success_target: int, tol: float) -> tuple[float, flo
     s = success_target
     if p == 1.0:
         return 1.0, 1.0
+    from scipy import stats  # deferred: only the acceptance checks need scipy
+
     # A = s + F with F ~ NegBin(s, p) counting pre-success failures.  Each term
     # carries weight (s/(s+f))^m <= 1, so the truncated tail is bounded by the
     # survival mass, which we grow the cutoff until it certifies below tol.
@@ -188,6 +189,8 @@ def wilson_interval(hits: int, trials: int, conf: float = 0.95) -> tuple[float, 
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits {hits} outside [0, {trials}]")
+    from scipy import stats  # deferred: only the acceptance checks need scipy
+
     z = float(stats.norm.ppf(0.5 + conf / 2.0))
     phat = hits / trials
     denom = 1.0 + z * z / trials
@@ -202,6 +205,8 @@ def normal_interval(estimate: float, rel_sd: float, conf: float = 0.95) -> tuple
     """Normal-approximation interval from an estimate and its relative standard deviation."""
     if estimate < 0.0 or rel_sd < 0.0:
         raise ValueError("estimate and rel_sd must be >= 0")
+    from scipy import stats  # deferred: only the acceptance checks need scipy
+
     z = float(stats.norm.ppf(0.5 + conf / 2.0))
     half = z * rel_sd * estimate
     return max(estimate - half, 0.0), estimate + half

@@ -1,9 +1,10 @@
 """Shared primitives: simulation clock, budget ledger, checkpoints, level schedules, RNG streams.
 
 Everything here is engine-agnostic.  Simulators are restartable state machines
-that advance one step at a time and can be snapshotted and restored by value;
-the splitting and plain Monte Carlo drivers are written against that contract
-only, so any model exposing it can be plugged in.
+that propagate over a buffer of pre-drawn noise, stopping at the first step
+whose reaction coordinate reaches a target, and that can be snapshotted and
+restored by value; the splitting and plain Monte Carlo drivers are written
+against that contract only, so any model exposing it can be plugged in.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ __all__ = [
     "EmptyPoolError",
     "HorizonExceededError",
     "LevelSchedule",
+    "NoiseBuffer",
     "SimTime",
     "Simulator",
     "derive_seed",
@@ -188,15 +190,38 @@ class Simulator(Protocol):
 
     ``snapshot`` must return a value copy: mutating the live simulator never
     changes an existing snapshot, and restoring one must reproduce the saved
-    state bit for bit.  ``step`` consumes randomness only from the generator
-    it is handed, so distinct generators give independent continuations.
+    state bit for bit.
+
+    Randomness comes in as noise: ``draw_noise(rng, n)`` returns ``n`` values
+    from ``rng`` as a list, equal bit for bit to ``n`` one-at-a-time draws, so
+    a buffer refilled in chunks of any size replays the same trajectory.
+    ``advance(noise, pos, stop, target)`` is the propagation kernel: it takes
+    up to ``stop - pos`` steps, reading the noise from ``noise[pos]`` on, and
+    stops early after the first step whose coordinate is at or above
+    ``target``.  It returns the cursor past the last value it read and the
+    coordinate after its last step; the steps taken show in ``step_index``.
+    Every step reads one value, except that a simulator may document steps
+    that draw nothing (a dead ladder).  Asking for more steps than remain to
+    the horizon raises :class:`HorizonExceededError`.  ``step(rng)`` is one
+    step with a fresh draw from ``rng``.
+
+    ``failure_value`` is the coordinate that marks the failure set:
+    ``is_failure()`` holds exactly when the coordinate is at or above it.
     """
+
+    failure_value: float
 
     @property
     def step_index(self) -> int: ...
 
     @property
     def horizon_steps(self) -> int: ...
+
+    def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]: ...
+
+    def advance(
+        self, noise: list[float], pos: int, stop: int, target: float
+    ) -> tuple[int, float]: ...
 
     def step(self, rng: np.random.Generator) -> None: ...
 
@@ -207,6 +232,39 @@ class Simulator(Protocol):
     def coordinate(self) -> float: ...
 
     def is_failure(self) -> bool: ...
+
+
+NOISE_CHUNK_MAX = 1 << 14  # refills grow geometrically up to this many values
+
+
+class NoiseBuffer:
+    """One generator's noise for one simulator, drawn in bulk and read in order.
+
+    ``values[pos:]`` are drawn but unread.  ``reserve(n)`` tops the buffer up
+    so that at least ``n`` unread values follow ``pos``, keeping the unread
+    tail in front of the fresh draws; so the values come out in exactly the
+    order one-at-a-time draws would give them, whatever the chunk sizes.
+    A refill draws at least the ``n`` values asked for, and otherwise twice
+    the previous refill, up to ``NOISE_CHUNK_MAX`` values.
+    """
+
+    __slots__ = ("values", "pos", "_draw", "_rng", "_chunk")
+
+    def __init__(self, sim: Simulator, rng: np.random.Generator) -> None:
+        self.values: list[float] = []
+        self.pos = 0
+        self._draw = sim.draw_noise
+        self._rng = rng
+        self._chunk = 0
+
+    def reserve(self, n: int) -> None:
+        values = self.values
+        pos = self.pos
+        if len(values) - pos >= n:
+            return
+        size = self._chunk = max(n, min(2 * self._chunk, NOISE_CHUNK_MAX))
+        self.values = values[pos:] + self._draw(self._rng, size)
+        self.pos = 0
 
 
 def _purpose_code(purpose: str) -> int:

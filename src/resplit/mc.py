@@ -66,26 +66,29 @@ class McReport:
 def run_mc(
     factory: Callable[[np.random.Generator], Simulator], cfg: McConfig, seed: int
 ) -> McReport:
-    """Run the planned trajectories; each stops at its first absorption or the horizon."""
-    probe = factory(stream(seed, "mc-probe"))
-    count, min_resolvable = mc_plan(cfg, probe.horizon_steps)
+    """Run the planned trajectories; each stops at its first absorption or the horizon.
+
+    Trajectory ``i`` owns the stream ``("mc-traj", i)``: the factory may draw
+    its initial state from it, then the steps read their noise from it.  The
+    horizon that plans the count is read from trajectory 0's simulator.
+    """
+    rng = stream(seed, "mc-traj", 0)
+    sim = factory(rng)
+    count, min_resolvable = mc_plan(cfg, sim.horizon_steps)
 
     hits = 0
     cost = 0
     for i in range(count):
-        rng = stream(seed, "mc-traj", i)
-        sim = factory(rng)
-        horizon = sim.horizon_steps
-        step = sim.step
-        failed = sim.is_failure()
+        if i:
+            rng = stream(seed, "mc-traj", i)
+            sim = factory(rng)
         start = sim.step_index
-        j = start
-        while not failed and j < horizon:
-            step(rng)
-            j += 1
-            failed = sim.is_failure()
-        cost += j - start
-        hits += failed
+        if not sim.is_failure():
+            # one bulk draw covers the horizon; draws past the failure step are never read
+            n = sim.horizon_steps - start
+            sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
+        cost += sim.step_index - start
+        hits += sim.is_failure()
 
     estimate = hits / count
     rel_var = None

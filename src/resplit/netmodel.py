@@ -217,16 +217,21 @@ def step_dynamics(
 class NetSimulator:
     """Stateful, restartable trajectory of the network model.
 
-    The step arithmetic mirrors :func:`step_dynamics` line for line (kept
-    inline for speed; the equivalence is locked by a bit-exactness test).
-    Snapshots are plain value tuples including the active policy, so restoring
-    a checkpoint also restores the mitigation setting that produced it.
+    :meth:`advance` is the one implementation of the dynamics that the engines
+    run: a local-variable loop over a noise list that carries the capacity it
+    computes for each step's coordinate into the next step.  It reproduces
+    :func:`step_dynamics` and :func:`reaction_coordinate`, the test oracle,
+    bit for bit.  Snapshots are plain value tuples including the active
+    policy, so restoring a checkpoint also restores the mitigation setting
+    that produced it.
     """
+
+    failure_value = 2.0
 
     __slots__ = (
         "params", "_j", "_backlog", "_health", "_log_stress", "_exceed",
         "_nu", "_phi", "_horizon", "_grace", "_load", "_dt", "_delta",
-        "_rho", "_mu_blend", "_sigma",
+        "_rho", "_mu_blend", "_sigma", "_c",
     )
 
     def __init__(self, params: NetParams, ctx: PolicyContext | None = None) -> None:
@@ -245,6 +250,7 @@ class NetSimulator:
         self._j = 0
         self._backlog = params.initial_backlog
         self._health = params.initial_health
+        self._c = capacity(self._health)  # kept equal to capacity(health) throughout
         self._log_stress = params.start_log_stress
         self._exceed = 0
 
@@ -287,45 +293,63 @@ class NetSimulator:
             self._j, self._backlog, self._health, self._log_stress, self._exceed,
             self._nu, self._phi,
         ) = snap
+        self._c = capacity(self._health)
+
+    def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]:
+        return rng.standard_normal(n).tolist()
+
+    def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+        j = self._j
+        if stop - pos > self._horizon - j:
+            raise HorizonExceededError(
+                f"{stop - pos} steps from step {j} pass the {self._horizon}-step horizon"
+            )
+        if pos == stop:
+            return pos, self.coordinate()
+        load, dt, delta, grace = self._load, self._dt, self._delta, self._grace
+        nu, phi, rho, mu_blend, sigma = self._nu, self._phi, self._rho, self._mu_blend, self._sigma
+        exp = math.exp
+        b, h, x, e, c = self._backlog, self._health, self._log_stress, self._exceed, self._c
+        i = pos
+        while i < stop:
+            backlog = b + (load - c) * dt
+            if backlog < 0.0:
+                backlog = 0.0
+            h = h + nu * (1.0 - c) ** phi - exp(x)
+            x = rho * x + mu_blend + noise[i] * sigma
+            i += 1
+            # the exceedance counter reads the pre-step delay
+            if b / c >= delta:
+                e += 1
+                if e > grace:
+                    e = grace
+            else:
+                e = 0
+            b = backlog
+            hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
+            c = 1.0 / (1.0 + exp(-hc))
+            if e >= grace:
+                g = 2.0
+            else:
+                g = b / c / delta
+                if g > 1.0:
+                    g = 1.0
+                g = g + e / grace
+            if g >= target:
+                break
+        self._j = j + (i - pos)
+        self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
+        return i, g
 
     def step(self, rng: np.random.Generator) -> None:
-        j = self._j
-        if j >= self._horizon:
-            raise HorizonExceededError(
-                f"step {j} is already at the {self._horizon}-step horizon"
-            )
-        h = self._health
-        hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
-        c = 1.0 / (1.0 + math.exp(-hc))
-        b = self._backlog
-        backlog = b + (self._load - c) * self._dt
-        if backlog < 0.0:
-            backlog = 0.0
-        self._backlog = backlog
-        self._health = h + self._nu * (1.0 - c) ** self._phi - math.exp(self._log_stress)
-        self._log_stress = (
-            self._rho * self._log_stress + self._mu_blend
-            + rng.standard_normal() * self._sigma
-        )
-        delay = b / c
-        if delay >= self._delta:
-            exceed = self._exceed + 1
-            if exceed > self._grace:
-                exceed = self._grace
-            self._exceed = exceed
-        else:
-            self._exceed = 0
-        self._j = j + 1
+        self.advance([rng.standard_normal()], 0, 1, math.inf)
 
     def coordinate(self) -> float:
         exceed = self._exceed
         grace = self._grace
         if exceed >= grace:
             return 2.0
-        h = self._health
-        hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
-        c = 1.0 / (1.0 + math.exp(-hc))
-        ratio = self._backlog / c / self._delta
+        ratio = self._backlog / self._c / self._delta
         if ratio > 1.0:
             ratio = 1.0
         return ratio + exceed / grace

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, stream
+from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, NoiseBuffer, stream
 from resplit.netmodel import NetParams, PolicyContext
 from resplit.smc import (
     LevelRecord,
@@ -261,17 +261,29 @@ def evaluate_candidate(
     the remaining stages score zero, so every candidate reports the same
     number of stages.  Steps are charged to ``ledger``; running dry aborts the
     evaluation with ``truncated`` set and whatever was measured so far.
+
+    The steps read their noise from ``rng``; the start-point picks of later
+    stages come from a generator spawned from ``rng`` on first need, so a
+    myopic lookahead draws nothing but noise.
     """
     n = look.continuations
     estimates: list[float] = []
     successes: list[int] = []
     pool: list[Checkpoint] = [source]
     width = look.last_level + 1 - look.host_level
+    horizon = sim.horizon_steps
+    noise = NoiseBuffer(sim, rng)
+    select_rng = None
     for level in range(look.host_level, look.last_level + 1):
         target = schedule.target(level)
         hits: list[Checkpoint] = []
         for _ in range(n):
-            src = pool[0] if len(pool) == 1 else pool[int(rng.integers(0, len(pool)))]
+            if len(pool) == 1:
+                src = pool[0]
+            else:
+                if select_rng is None:
+                    select_rng = rng.spawn(1)[0]
+                src = pool[int(select_rng.integers(0, len(pool)))]
             g = src.coordinate
             if g >= target:
                 hits.append(Checkpoint(src.snapshot, level + 1, src.hit_step, g))
@@ -279,24 +291,16 @@ def evaluate_candidate(
             sim.restore(src.snapshot)
             sim.set_policy(ctx)
             j = src.hit_step
-            horizon = sim.horizon_steps
-            allowed = ledger.remaining
-            spent = 0
-            crossed = None
-            while j < horizon:
-                if spent >= allowed:
-                    ledger.charge(spent)
+            room = min(horizon - j, ledger.remaining)
+            noise.reserve(room)
+            noise.pos, g = sim.advance(noise.values, noise.pos, noise.pos + room, target)
+            if g >= target:
+                ledger.charge(sim.step_index - j)
+                hits.append(Checkpoint(sim.snapshot(), level + 1, sim.step_index, g))
+            else:
+                ledger.charge(room)  # no crossing: advance took every step it was allowed
+                if room < horizon - j:
                     return CandidateResult(tuple(estimates), tuple(successes), True)
-                sim.step(rng)
-                spent += 1
-                j += 1
-                g = sim.coordinate()
-                if g >= target:
-                    crossed = Checkpoint(sim.snapshot(), level + 1, j, g)
-                    break
-            ledger.charge(spent)
-            if crossed is not None:
-                hits.append(crossed)
         estimates.append(len(hits) / n)
         successes.append(len(hits))
         if not hits:
@@ -432,8 +436,7 @@ def run_smc_with_reconfiguration(
 
     ledger = BudgetLedger(cfg.budget_steps)
     inner_ledger = BudgetLedger(look.inner_budget_steps)
-    pool = _initial_pool(factory, schedule, cfg, seed)
-    sim = factory(stream(seed, "worker"))
+    pool, sim = _initial_pool(factory, schedule, cfg, seed)
 
     records: list[LevelRecord] = []
     selections: list[int] = []

@@ -24,6 +24,7 @@ from resplit.core import (
     Checkpoint,
     EmptyPoolError,
     LevelSchedule,
+    NoiseBuffer,
     Simulator,
     stream,
 )
@@ -170,17 +171,19 @@ def run_level(
     batch = cfg.batch_size
     next_level = level + 1
 
-    # hot path: the attempt loop below runs ~A_tar times per stage and the
-    # step loop up to horizon times per attempt, so per-sim constants are
-    # hoisted and the ledger is kept in a local flushed on every exit
+    # hot path: the attempt loop below runs ~A_tar times per stage, so per-sim
+    # constants are hoisted, the noise buffer's cursor is kept in a local and
+    # the ledger is kept in a local flushed on every exit
     cap = math.inf if ledger.budget is None else ledger.budget
     used = ledger.used
     cost_before = used
     horizon = sim.horizon_steps
-    step = sim.step
-    coordinate = sim.coordinate
+    advance = sim.advance
     restore = sim.restore
     take_snapshot = sim.snapshot
+    noise = NoiseBuffer(sim, prop_rng)
+    values, pos = noise.values, noise.pos
+    n_values = len(values)
 
     sel_buf: list[int] = []
     sel_pos = 0
@@ -210,24 +213,28 @@ def run_level(
                     continue
                 restore(source.snapshot)
                 j = source.hit_step  # snapshots restore to the recorded step
-                hit = None
-                while j < horizon:
-                    if used >= cap:
-                        truncated = True
-                        break
-                    step(prop_rng)
-                    used += 1
-                    j += 1
-                    g = coordinate()
-                    if g >= target:
-                        hit = Checkpoint(take_snapshot(), next_level, j, g)
-                        break
-                if truncated:
-                    break
-                if hit is not None:
-                    checkpoints.append(hit)
+                # propagate to the threshold, the horizon or the end of the budget
+                room = horizon - j
+                if cap - used < room:
+                    room = cap - used
+                if n_values - pos < room:
+                    noise.pos = pos
+                    noise.reserve(room)
+                    values, pos = noise.values, noise.pos
+                    n_values = len(values)
+                pos, g = advance(values, pos, pos + room, target)
+                if g >= target:
+                    hit_step = sim.step_index
+                    used += hit_step - j
+                    checkpoints.append(Checkpoint(take_snapshot(), next_level, hit_step, g))
                     success_attempts.append(attempts)
                     successes += 1
+                else:
+                    # no crossing: advance took every step it was allowed
+                    used += room
+                    if room < horizon - j:
+                        truncated = True  # budget ran out mid-flight: the attempt is void
+                        break
                 attempts += 1
             if truncated:
                 break
@@ -247,6 +254,11 @@ def run_level(
 
 
 def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: int):
+    """Stage 0's pool, one fresh simulator per ``"init"`` stream, and the last simulator.
+
+    Every attempt restores a checkpoint before it steps, so the last initial
+    simulator serves as the run's worker whatever state it was left in.
+    """
     pool = []
     base = schedule.thresholds[0]
     for i in range(cfg.initial_pool):
@@ -257,7 +269,7 @@ def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, 
                 f"fresh initial state has coordinate {g} below the base threshold {base}"
             )
         pool.append(Checkpoint(sim.snapshot(), 0, sim.step_index, g))
-    return pool
+    return pool, sim
 
 
 def run_smc(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: int) -> SmcReport:
@@ -270,8 +282,7 @@ def run_smc(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: 
     """
     stages = schedule.stage_count
     ledger = BudgetLedger(cfg.budget_steps)
-    pool = _initial_pool(factory, schedule, cfg, seed)
-    sim = factory(stream(seed, "worker"))
+    pool, sim = _initial_pool(factory, schedule, cfg, seed)
 
     records: list[LevelRecord] = []
     budget_exhausted = False

@@ -6,6 +6,8 @@ implement the same restartable-simulator contract as the network model.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from resplit.core import HorizonExceededError
@@ -25,10 +27,12 @@ class LadderSim:
     Stage ``k`` of a schedule over ``g = rung`` is then an independent
     Bernoulli trial with probability ``probs[k]``: exactly one decisive step,
     no path dependence.  Reaching the top rung is the failure event, so the
-    overall hitting probability is ``prod(probs)``.
+    overall hitting probability is ``prod(probs)``.  The failure value is
+    the top rung.  Only a live climb below the top draws a uniform: the steps
+    of a dead or finished ladder read no noise.
     """
 
-    __slots__ = ("probs", "_rung", "_dead", "_j", "_top")
+    __slots__ = ("probs", "_rung", "_dead", "_j", "_top", "failure_value")
 
     def __init__(self, probs) -> None:
         self.probs = tuple(float(p) for p in probs)
@@ -38,6 +42,7 @@ class LadderSim:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"rung probability must be in (0, 1], got {p}")
         self._top = len(self.probs)
+        self.failure_value = float(self._top)
         self._rung = 0
         self._dead = False
         self._j = 0
@@ -50,15 +55,34 @@ class LadderSim:
     def horizon_steps(self) -> int:
         return self._top
 
+    def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]:
+        return rng.random(n).tolist()
+
+    def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+        steps = stop - pos
+        if steps > self._top - self._j:
+            raise HorizonExceededError(f"{steps} steps from step {self._j} pass horizon {self._top}")
+        probs, top, rung, dead = self.probs, self._top, self._rung, self._dead
+        g = float(rung)
+        taken = 0
+        while taken < steps:
+            taken += 1
+            if not dead and rung < top:
+                if noise[pos] < probs[rung]:
+                    rung += 1
+                else:
+                    dead = True
+                pos += 1
+                g = float(rung)
+            if g >= target:
+                break
+        self._j += taken
+        self._rung, self._dead = rung, dead
+        return pos, g
+
     def step(self, rng: np.random.Generator) -> None:
-        if self._j >= self._top:
-            raise HorizonExceededError(f"step {self._j} at horizon {self._top}")
-        if not self._dead and self._rung < self._top:
-            if rng.random() < self.probs[self._rung]:
-                self._rung += 1
-            else:
-                self._dead = True
-        self._j += 1
+        noise = [rng.random()] if not self._dead and self._rung < self._top else []
+        self.advance(noise, 0, 1, math.inf)
 
     def snapshot(self) -> tuple:
         return (self._j, self._rung, self._dead)
@@ -91,6 +115,8 @@ class ThreeStateSim:
     tree exhaustively enumerable (see :func:`enumerate_three_state_hitting`).
     """
 
+    failure_value = 2.0
+
     __slots__ = ("advance_lo", "advance_hi", "relapse", "_state", "_j", "_horizon")
 
     def __init__(self, advance_lo: float, advance_hi: float, relapse: float, horizon_steps: int) -> None:
@@ -117,19 +143,38 @@ class ThreeStateSim:
     def horizon_steps(self) -> int:
         return self._horizon
 
+    def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]:
+        return rng.random(n).tolist()
+
+    def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+        if stop - pos > self._horizon - self._j:
+            raise HorizonExceededError(
+                f"{stop - pos} steps from step {self._j} pass horizon {self._horizon}"
+            )
+        lo, hi, back = self.advance_lo, self.advance_hi, self.advance_hi + self.relapse
+        state = self._state
+        g = float(state)
+        i = pos
+        while i < stop:
+            u = noise[i]
+            i += 1
+            if state == 0:
+                if u < lo:
+                    state = 1
+            elif state == 1:
+                if u < hi:
+                    state = 2
+                elif u < back:
+                    state = 0
+            g = float(state)
+            if g >= target:
+                break
+        self._j += i - pos
+        self._state = state
+        return i, g
+
     def step(self, rng: np.random.Generator) -> None:
-        if self._j >= self._horizon:
-            raise HorizonExceededError(f"step {self._j} at horizon {self._horizon}")
-        u = rng.random()
-        if self._state == 0:
-            if u < self.advance_lo:
-                self._state = 1
-        elif self._state == 1:
-            if u < self.advance_hi:
-                self._state = 2
-            elif u < self.advance_hi + self.relapse:
-                self._state = 0
-        self._j += 1
+        self.advance([rng.random()], 0, 1, math.inf)
 
     def snapshot(self) -> tuple:
         return (self._j, self._state)

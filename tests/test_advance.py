@@ -1,0 +1,256 @@
+"""The propagation kernel ``advance`` against independent one-step references.
+
+Each simulator is checked against a plain reimplementation of its step fed
+scalar draws: :func:`step_dynamics` and :func:`reaction_coordinate` for the
+network model, the rules as written in the docstrings for the toys.  Over a
+bulk-drawn noise list, ``advance`` must reproduce the reference bit for bit,
+stop right after the first step at or above its target, take exactly
+``stop - pos`` steps otherwise, refuse to pass the horizon, and agree with
+``is_failure`` through ``failure_value``; ``step`` must match it too.  The
+engines built on it must not depend on how their noise buffers are chunked.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from test_netmodel import _random_params
+
+from resplit import core
+from resplit.core import BudgetLedger, Checkpoint, HorizonExceededError, LevelSchedule, stream
+from resplit.mc import McConfig, run_mc
+from resplit.netmodel import (
+    NetParams,
+    NetSimulator,
+    NetState,
+    PolicyContext,
+    default_levels,
+    is_failure,
+    reaction_coordinate,
+    simulator_factory,
+    step_dynamics,
+)
+from resplit.policy import LookaheadConfig, PolicySet, evaluate_candidate
+from resplit.smc import SmcConfig, run_level, run_smc
+from resplit.toys import LadderSim, ThreeStateSim, ladder_factory, three_state_factory
+
+
+def net_reference(p):
+    def run(rng):
+        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
+        state = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
+        out = []
+        for _ in range(p.horizon_steps):
+            state = step_dynamics(state, p, ctx, rng.standard_normal())
+            snap = (*(getattr(state, f) for f in NetState.__slots__), ctx.recovery_rate,
+                    ctx.recovery_exponent)
+            out.append((snap, reaction_coordinate(state, p), is_failure(state, p)))
+        return out
+
+    return run
+
+
+def ladder_reference(probs):
+    def run(rng):
+        rung, dead, out = 0, False, []
+        for j in range(1, len(probs) + 1):
+            if not dead and rung < len(probs):  # only a live climb draws
+                if rng.random() < probs[rung]:
+                    rung += 1
+                else:
+                    dead = True
+            out.append(((j, rung, dead), float(rung), rung == len(probs)))
+        return out
+
+    return run
+
+
+def three_state_reference(lo, hi, relapse, horizon):
+    def run(rng):
+        state, out = 0, []
+        for j in range(1, horizon + 1):
+            u = rng.random()
+            if state == 0 and u < lo:
+                state = 1
+            elif state == 1 and u < hi:
+                state = 2
+            elif state == 1 and u < hi + relapse:
+                state = 0
+            out.append(((j, state), float(state), state == 2))
+        return out
+
+    return run
+
+
+def check_contract(make, reference, seed, targets=()):
+    rng = stream(seed, "noise")
+    states, coords, fails = map(list, zip(*reference(rng)))
+    next_draw = make().draw_noise(rng, 1)[0]
+    steps = len(states)
+    start = make().step_index
+    noise = make().draw_noise(stream(seed, "noise"), steps + 1)
+
+    # step() with scalar draws follows the reference, and is_failure holds
+    # exactly at or above the failure value
+    value = make().failure_value
+    sim = make()
+    rng = stream(seed, "noise")
+    for want, g, failed in zip(states, coords, fails):
+        sim.step(rng)
+        assert sim.snapshot() == want and sim.coordinate() == g
+        assert sim.is_failure() == failed == (g >= value)
+
+    # one call to the horizon replays the scalar steps; the cursor lands on
+    # the first value the scalar path has not drawn
+    sim = make()
+    pos, g = sim.advance(noise, 0, steps, math.inf)
+    assert sim.snapshot() == states[-1] and sim.step_index == start + steps
+    assert g == coords[-1]
+    assert noise[pos] == next_draw
+
+    # any split of the horizon into calls gives the same states, and each
+    # call takes exactly stop - pos steps
+    sim = make()
+    pos = done = 0
+    for size in (1, 2, 3, 5, 8) * steps:
+        size = min(size, steps - done)
+        if size == 0:
+            break
+        pos, g = sim.advance(noise, pos, pos + size, math.inf)
+        done += size
+        assert sim.step_index == start + done
+        assert sim.snapshot() == states[done - 1] and g == coords[done - 1]
+        assert sim.is_failure() == (g >= value)
+
+    # a target stops the call right after the first step at or above it
+    for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
+        sim = make()
+        pos, g = sim.advance(noise, 0, steps, target)
+        hit = next((k for k, c in enumerate(coords) if c >= target), None)
+        if hit is None:
+            assert sim.step_index == start + steps and g == coords[-1] < target
+        else:
+            assert sim.step_index == start + hit + 1
+            assert sim.snapshot() == states[hit] and g == coords[hit] >= target
+
+    # past the horizon it raises and leaves the state alone
+    sim = make()
+    before = sim.snapshot()
+    with pytest.raises(HorizonExceededError):
+        sim.advance(noise, 0, steps + 1, math.inf)
+    assert sim.snapshot() == before
+    sim.advance(noise, 0, steps, math.inf)
+    with pytest.raises(HorizonExceededError):
+        sim.advance(noise, 0, 1, math.inf)
+    # an empty call takes no step and reports the current coordinate
+    assert sim.advance(noise, 3, 3, math.inf) == (3, coords[-1])
+
+
+class TestKernelMatchesStepping:
+    def test_network_random_params(self):
+        master = np.random.default_rng(2026)
+        for trial in range(8):
+            p = _random_params(master)
+            check_contract(lambda: NetSimulator(p), net_reference(p), 100 + trial,
+                           targets=(0.1, 0.5, 1.0, 1.5))
+
+    def test_network_baseline_from_a_stressed_start(self):
+        p = NetParams(initial_backlog=0.3, initial_health=-1.0, horizon_seconds=20.0)
+        for seed in range(3):
+            check_contract(lambda: NetSimulator(p), net_reference(p), seed,
+                           targets=default_levels().thresholds)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.4, 0.3), (1.0, 1.0), (0.2,), (0.9, 0.9, 0.9, 0.9)])
+    def test_ladder(self, probs):
+        for seed in range(12):
+            check_contract(lambda: LadderSim(probs), ladder_reference(probs), seed,
+                           targets=(1.0, 2.0))
+
+    def test_ladder_dead_steps_read_no_noise(self):
+        sim = LadderSim((0.5, 0.5, 0.5))
+        pos, g = sim.advance([0.9, 0.0, 0.0], 0, 3, math.inf)  # dies on the first step
+        assert (pos, g, sim.step_index) == (1, 0.0, 3)
+
+    def test_three_state(self):
+        for seed in range(12):
+            check_contract(lambda: ThreeStateSim(0.3, 0.2, 0.3, 9),
+                           three_state_reference(0.3, 0.2, 0.3, 9), seed, targets=(1.0, 2.0))
+
+
+CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)
+
+
+def _same_under_chunk_sizes(monkeypatch, run):
+    """``run()``'s repr under several refill caps; 1 makes every refill exactly the need."""
+    reports = []
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(core, "NOISE_CHUNK_MAX", size)
+        reports.append(repr(run()))
+    assert len(set(reports)) == 1
+    return reports[0]
+
+
+class TestEnginesIgnoreChunking:
+    def test_run_level_network_with_truncation(self, monkeypatch):
+        params = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+        sim = NetSimulator(params)
+        pool = [Checkpoint(sim.snapshot(), 0, 0, sim.coordinate())]
+        cfg = SmcConfig(success_target=3, attempt_target=30)
+        # the failure stage from the initial state: crossings, full-horizon
+        # misses and, on the smaller budget, a void attempt cut by the budget
+        for budget, met in ((200_000, True), (20_000, False)):
+            def run():
+                return run_level(sim, pool, 3, default_levels(), cfg, BudgetLedger(budget), 7)
+            _same_under_chunk_sizes(monkeypatch, run)
+            rec = run()
+            assert rec.stopping_met is met and 0 < rec.successes < rec.attempts
+
+    def test_run_smc_ladder_and_three_state(self, monkeypatch):
+        cfg = SmcConfig(success_target=5, attempt_target=10, initial_pool=4, pool_min=3,
+                        pool_max=9, budget_steps=100, batch_size=3)
+        for seed in range(5):
+            _same_under_chunk_sizes(monkeypatch, lambda: run_smc(
+                ladder_factory((0.5, 0.4, 0.3)), LevelSchedule((0.0, 1.0, 2.0, 3.0)), cfg, seed))
+            _same_under_chunk_sizes(monkeypatch, lambda: run_smc(
+                three_state_factory(0.3, 0.2, 0.3, 9), LevelSchedule((0.0, 1.0, 2.0)), cfg, seed))
+
+    @pytest.mark.parametrize("factory", [
+        simulator_factory(NetParams(delay_threshold=0.05, stress_log_sd=0.8)),
+        ladder_factory((0.5, 0.4, 0.3)),
+        three_state_factory(0.3, 0.2, 0.3, 9),
+    ])
+    def test_run_mc_stops_at_first_failure(self, monkeypatch, factory):
+        cfg = McConfig(budget_steps=None, trajectories=40)
+        got = _same_under_chunk_sizes(monkeypatch, lambda: run_mc(factory, cfg, 5))
+        hits = cost = 0
+        for i in range(40):
+            rng = stream(5, "mc-traj", i)
+            sim = factory(rng)
+            while not sim.is_failure() and sim.step_index < sim.horizon_steps:
+                sim.step(rng)
+                cost += 1
+            hits += sim.is_failure()
+        rep = run_mc(factory, cfg, 5)
+        assert repr(rep) == got
+        assert (rep.hits, rep.cost_steps_used) == (hits, cost)
+
+    @pytest.mark.parametrize("depth", [None, 3])
+    @pytest.mark.parametrize("budget", [None, 2_000])
+    def test_evaluate_candidate(self, monkeypatch, depth, budget):
+        params = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+        sim = NetSimulator(params)
+        rng = stream(3, "warm")
+        while sim.coordinate() < 1.0:
+            sim.step(rng)
+        source = Checkpoint(sim.snapshot(), 2, sim.step_index, sim.coordinate())
+        ctx = PolicySet.from_params(params, size=3).context(1)
+        look = LookaheadConfig(host_level=2, continuations=6, depth=depth)
+
+        def run():
+            ledger = BudgetLedger(budget)
+            res = evaluate_candidate(sim, source, ctx, default_levels(), look,
+                                     stream(3, "look"), ledger)
+            return res, ledger.used
+
+        _same_under_chunk_sizes(monkeypatch, run)

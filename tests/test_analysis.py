@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
+
+import resplit
 
 from resplit.analysis import (
     ChainPrediction,
@@ -188,3 +193,14 @@ class TestIntervalHelpers:
             geometric_spread([1.0, -1.0])
         with pytest.raises(ValueError):
             geometric_spread([1.0])
+
+
+def test_engines_import_without_scipy():
+    # scipy backs only the exact oracles and intervals; importing an engine must not load it
+    src = os.path.dirname(os.path.dirname(resplit.__file__))
+    code = (
+        "import sys, resplit.smc, resplit.mc, resplit.policy, resplit.cli; "
+        "sys.exit('scipy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from resplit.analysis import exact_stage_mean
-from resplit.core import BudgetLedger, Checkpoint, EmptyPoolError, LevelSchedule, stream
+from resplit.core import (
+    BudgetLedger,
+    Checkpoint,
+    EmptyPoolError,
+    HorizonExceededError,
+    LevelSchedule,
+    stream,
+)
 from resplit.netmodel import baseline_params, default_levels, simulator_factory
 from resplit.smc import (
     LevelRecord,
@@ -33,13 +40,15 @@ def _small_cfg(**over):
 
 
 class CountingLadder(LadderSim):
-    """Ladder that tallies its own step() invocations."""
+    """Ladder that tallies every step its propagation kernel takes."""
 
     calls = 0
 
-    def step(self, rng):
-        CountingLadder.calls += 1
-        super().step(rng)
+    def advance(self, noise, pos, stop, target):
+        before = self.step_index
+        out = super().advance(noise, pos, stop, target)
+        CountingLadder.calls += self.step_index - before
+        return out
 
 
 class TestConfig:
@@ -253,11 +262,21 @@ class TestRunSmc:
 
             step_index = property(lambda self: self._j)
             horizon_steps = 3
+            failure_value = 2.0
 
-            def step(self, rng):
-                rng.random()
-                self._g = 2.0
-                self._j += 1
+            def draw_noise(self, rng, n):
+                return rng.random(n).tolist()
+
+            def advance(self, noise, pos, stop, target):
+                if stop - pos > self.horizon_steps - self._j:
+                    raise HorizonExceededError("past the horizon")
+                while pos < stop:
+                    pos += 1  # reads one value and jumps to the failure set
+                    self._j += 1
+                    self._g = 2.0
+                    if self._g >= target:
+                        break
+                return pos, self._g
 
             def snapshot(self):
                 return (self._j, self._g)
