@@ -2,7 +2,7 @@
 
 Subpackages by role:
 
-- :mod:`resplit.core`      engine-agnostic primitives (clock, budget, checkpoints, RNG streams)
+- :mod:`resplit.core`      engine-agnostic primitives (budget, checkpoints, RNG streams)
 - :mod:`resplit.netmodel`  delay-critical network model with persistence-triggered failure
 - :mod:`resplit.smc`       the splitting estimator and its budget/stopping machinery
 - :mod:`resplit.mc`        naive Monte Carlo baseline at matched step budget
@@ -20,7 +20,6 @@ from resplit.core import (
     EmptyPoolError,
     HorizonExceededError,
     LevelSchedule,
-    SimTime,
     Simulator,
     derive_seed,
     stream,
@@ -34,7 +33,6 @@ __all__ = [
     "EmptyPoolError",
     "HorizonExceededError",
     "LevelSchedule",
-    "SimTime",
     "Simulator",
     "derive_seed",
     "stream",

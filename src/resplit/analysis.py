@@ -23,7 +23,6 @@ __all__ = [
     "exact_stage_mean",
     "exact_stage_moments",
     "geometric_spread",
-    "normal_interval",
     "stage_prediction",
     "wilson_interval",
 ]
@@ -199,17 +198,6 @@ def wilson_interval(hits: int, trials: int, conf: float = 0.95) -> tuple[float, 
     lo = 0.0 if hits == 0 else max(centre - half, 0.0)
     hi = 1.0 if hits == trials else min(centre + half, 1.0)
     return lo, hi
-
-
-def normal_interval(estimate: float, rel_sd: float, conf: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval from an estimate and its relative standard deviation."""
-    if estimate < 0.0 or rel_sd < 0.0:
-        raise ValueError("estimate and rel_sd must be >= 0")
-    from scipy import stats  # deferred: only the acceptance checks need scipy
-
-    z = float(stats.norm.ppf(0.5 + conf / 2.0))
-    half = z * rel_sd * estimate
-    return max(estimate - half, 0.0), estimate + half
 
 
 def geometric_spread(values: Sequence[float]) -> float:

@@ -8,6 +8,7 @@ the point's own coordinates, so any emitted row can be re-run on its own.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -284,12 +285,7 @@ def sweep_points(cfg: ExperimentConfig):
             raw = apply_axis_value(raw, name, value)
         return config_from_dict(raw)
 
-    if len(cfg.axes) == 1:
-        for v0 in cfg.axes[0].values:
-            coords = {cfg.axes[0].name: v0}
-            yield coords, rebuild(coords)
-    else:
-        for v0 in cfg.axes[0].values:
-            for v1 in cfg.axes[1].values:
-                coords = {cfg.axes[0].name: v0, cfg.axes[1].name: v1}
-                yield coords, rebuild(coords)
+    names = [axis.name for axis in cfg.axes]
+    for values in itertools.product(*(axis.values for axis in cfg.axes)):
+        coords = dict(zip(names, values))
+        yield coords, rebuild(coords)

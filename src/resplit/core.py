@@ -1,4 +1,4 @@
-"""Shared primitives: simulation clock, budget ledger, checkpoints, level schedules, RNG streams.
+"""Shared primitives: budget ledger, checkpoints, level schedules, RNG streams.
 
 Everything here is engine-agnostic.  Simulators are restartable state machines
 that propagate over a buffer of pre-drawn noise, stopping at the first step
@@ -22,7 +22,6 @@ __all__ = [
     "HorizonExceededError",
     "LevelSchedule",
     "NoiseBuffer",
-    "SimTime",
     "Simulator",
     "derive_seed",
     "stream",
@@ -35,37 +34,6 @@ class HorizonExceededError(RuntimeError):
 
 class EmptyPoolError(RuntimeError):
     """Raised when a checkpoint pool would be resampled from zero survivors."""
-
-
-@dataclass(frozen=True, slots=True)
-class SimTime:
-    """Discrete simulation clock: step ``j`` of ``horizon_steps``, each ``step_seconds`` long."""
-
-    step_index: int
-    step_seconds: float
-    horizon_steps: int
-
-    def __post_init__(self) -> None:
-        if self.step_seconds <= 0.0:
-            raise ValueError(f"step_seconds must be positive, got {self.step_seconds}")
-        if self.horizon_steps < 1:
-            raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if not 0 <= self.step_index <= self.horizon_steps:
-            raise ValueError(
-                f"step_index {self.step_index} outside [0, {self.horizon_steps}]"
-            )
-
-    @property
-    def seconds(self) -> float:
-        return self.step_index * self.step_seconds
-
-    @property
-    def horizon_seconds(self) -> float:
-        return self.horizon_steps * self.step_seconds
-
-    @property
-    def at_horizon(self) -> bool:
-        return self.step_index >= self.horizon_steps
 
 
 def horizon_step_count(horizon_seconds: float, step_seconds: float) -> int:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from resplit.core import HorizonExceededError, LevelSchedule, SimTime, horizon_step_count
+from resplit.core import HorizonExceededError, LevelSchedule, horizon_step_count
 
 __all__ = [
     "NetParams",
@@ -263,10 +263,6 @@ class NetSimulator:
         return self._horizon
 
     @property
-    def time(self) -> SimTime:
-        return SimTime(self._j, self._dt, self._horizon)
-
-    @property
     def policy(self) -> PolicyContext:
         return PolicyContext(self._nu, self._phi)
 
@@ -353,9 +349,6 @@ class NetSimulator:
         if ratio > 1.0:
             ratio = 1.0
         return ratio + exceed / grace
-
-    def delay(self) -> float:
-        return service_delay(self.state())
 
     def is_failure(self) -> bool:
         return self._exceed >= self._grace

@@ -20,16 +20,8 @@ import numpy as np
 
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, NoiseBuffer, stream
 from resplit.netmodel import NetParams, PolicyContext
-from resplit.smc import (
-    LevelRecord,
-    SimFactory,
-    SmcConfig,
-    SmcReport,
-    _initial_pool,
-    next_pool_size,
-    resample_pool,
-    run_level,
-)
+from resplit.smc import LevelRecord, SimFactory, SmcConfig, SmcReport, run_smc
+from resplit.smc import resample_pool, run_level  # not called here; benchmark/spans.py wraps them
 
 __all__ = [
     "CandidateResult",
@@ -364,7 +356,11 @@ def _select_for_checkpoints(
     inner_seed: int,
     ledger: BudgetLedger,
 ):
-    """Run the lookahead at every host-level checkpoint and stamp the winners."""
+    """Run the lookahead at every host-level checkpoint and stamp the winners.
+
+    Returns the stamped checkpoints and ``(selections, evaluations, fallbacks,
+    degenerates)``.
+    """
     stamped: list[Checkpoint] = []
     selections: list[int] = []
     evaluations: list[PolicyEvaluation] = []
@@ -395,7 +391,7 @@ def _select_for_checkpoints(
         selections.append(ev.selected)
         evaluations.append(ev)
         stamped.append(_stamp(sim, cp, policies.context(ev.selected)))
-    return stamped, selections, evaluations, fallbacks, degenerates
+    return stamped, (selections, evaluations, fallbacks, degenerates)
 
 
 def run_smc_with_reconfiguration(
@@ -409,10 +405,10 @@ def run_smc_with_reconfiguration(
 ) -> PolicySmcReport:
     """Splitting run that may switch the mitigation policy at ``host_level``.
 
-    Identical to the plain splitting run until the stage feeding
-    ``host_level`` completes; each checkpoint captured there is then scored by
-    lookahead, gets its winning policy written into its snapshot, and all its
-    resampled descendants inherit the choice.  The simulator must support
+    The plain splitting run with the selection as its per-stage hook: once
+    the stage feeding ``host_level`` completes, each checkpoint captured there
+    is scored by lookahead, gets its winning policy written into its snapshot,
+    and all its resampled descendants inherit the choice.  The simulator must support
     ``set_policy`` and carry the policy inside snapshots.  With a single
     candidate the layer does nothing at all: no inner simulation runs and the
     report wraps the bit-identical plain run.  ``inner_seed`` defaults to
@@ -434,70 +430,29 @@ def run_smc_with_reconfiguration(
     if inner_seed is None:
         inner_seed = seed
 
-    ledger = BudgetLedger(cfg.budget_steps)
     inner_ledger = BudgetLedger(look.inner_budget_steps)
-    pool, sim = _initial_pool(factory, schedule, cfg, seed)
+    picks = ([], [], 0, 0)  # selections, evaluations, fallbacks, degenerates
 
-    records: list[LevelRecord] = []
-    selections: list[int] = []
-    evaluations: list[PolicyEvaluation] = []
-    fallbacks = 0
-    degenerates = 0
-    budget_exhausted = False
-    extinction_level: int | None = None
-    completed = True
-
-    for level in range(stages):
-        rec = run_level(sim, pool, level, schedule, cfg, ledger, seed)
-        if not rec.stopping_met:
-            records.append(rec)
-            budget_exhausted = True
-            if rec.successes == 0:
-                extinction_level = level
-            completed = False
-            break
-        if level == host - 1 and policies.size > 1:
-            stamped, selections, evaluations, fallbacks, degenerates = (
-                _select_for_checkpoints(
-                    sim, rec.checkpoints, schedule, policies, look,
-                    inner_seed, inner_ledger,
-                )
-            )
-            rec = replace(rec, checkpoints=tuple(stamped))
-        elif level == host - 1:
+    def select_at_host(level: int, rec: LevelRecord, sim) -> LevelRecord:
+        nonlocal picks
+        if level != host - 1:
+            return rec
+        if policies.size == 1:
             # singleton set: the baseline is already in every snapshot
-            selections = [0] * len(rec.checkpoints)
-        if level < stages - 1:
-            size = next_pool_size(rec.p_hat, cfg)
-            rec = replace(rec, next_pool_size=size)
-            records.append(rec)
-            pool = resample_pool(rec.checkpoints, size, stream(seed, "resample", level))
-            if ledger.exhausted:
-                budget_exhausted = True
-                completed = False
-                break
-        else:
-            records.append(rec)
+            picks = ([0] * len(rec.checkpoints), [], 0, 0)
+            return rec
+        stamped, picks = _select_for_checkpoints(
+            sim, rec.checkpoints, schedule, policies, look, inner_seed, inner_ledger
+        )
+        return replace(rec, checkpoints=tuple(stamped))
 
-    estimate = 0.0
-    if completed:
-        estimate = 1.0
-        for rec in records:
-            estimate *= rec.p_hat
-
-    counts = tuple(selections.count(i) for i in range(policies.size))
+    report = run_smc(factory, schedule, cfg, seed, on_stage=select_at_host)
+    selections, evaluations, fallbacks, degenerates = picks
     return PolicySmcReport(
-        smc=SmcReport(
-            levels=tuple(records),
-            estimate=estimate,
-            cost_steps_used=ledger.used,
-            budget_exhausted=budget_exhausted,
-            extinction_level=extinction_level,
-            resolution_floor=1.0 / (cfg.attempt_target**stages),
-        ),
+        smc=report,
         host_level=host,
         selections=tuple(selections),
-        selection_counts=counts,
+        selection_counts=tuple(selections.count(i) for i in range(policies.size)),
         evaluations=tuple(evaluations),
         fallback_count=fallbacks,
         degenerate_count=degenerates,

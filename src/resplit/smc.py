@@ -56,7 +56,6 @@ class SmcConfig:
     safety_factor: float = 1.5
     prob_floor: float = 0.05
     budget_steps: int = 5_000_000
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if self.success_target < 1:
@@ -75,8 +74,6 @@ class SmcConfig:
             raise ValueError(f"prob_floor must be in (0, 1], got {self.prob_floor}")
         if self.budget_steps < 1:
             raise ValueError(f"budget_steps must be >= 1, got {self.budget_steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,9 @@ class LevelRecord:
     next_pool_size: int | None = None
     checkpoints: tuple[Checkpoint, ...] = ()
     success_attempts: tuple[int, ...] = ()  # attempt index that produced each checkpoint
+
+
+StageHook = Callable[[int, LevelRecord, Simulator], LevelRecord]
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,25 @@ def run_level(
     until it crosses the stage threshold (success, new checkpoint captured),
     reaches the horizon (failure), or the budget runs out mid-flight (attempt
     void: cost paid, counted as neither).  The absorbing failure set sits at
-    the top threshold, so crossing checks subsume absorption.  Attempts run in
-    batches of ``cfg.batch_size``; the stopping condition (success and attempt
-    targets both met) is evaluated only at batch boundaries.
+    the top threshold, so crossing checks subsume absorption.  The stopping
+    condition (success and attempt targets both met) is checked before every
+    attempt.
     """
     if len(pool) == 0:
         raise EmptyPoolError(f"stage {level} started with an empty pool")
     target = schedule.target(level)
     prop_rng = stream(seed, "level-propagate", level)
-    select_rng = stream(seed, "level-select", level)
     pool = list(pool)
     n_pool = len(pool)
+    # a one-checkpoint pool only ever picks index 0, so it needs no select stream
+    select_rng = stream(seed, "level-select", level) if n_pool > 1 else None
 
     attempts = 0
     successes = 0
     checkpoints: list[Checkpoint] = []
     success_attempts: list[int] = []
-    stopping_met = False
     s_tar = cfg.success_target
     a_tar = cfg.attempt_target
-    batch = cfg.batch_size
     next_level = level + 1
 
     # hot path: the attempt loop below runs ~A_tar times per stage, so per-sim
@@ -187,57 +186,51 @@ def run_level(
 
     sel_buf: list[int] = []
     sel_pos = 0
-    truncated = False
     try:
-        while True:
-            if successes >= s_tar and attempts >= a_tar:
-                stopping_met = True
+        while successes < s_tar or attempts < a_tar:
+            if used >= cap:
                 break
-            for _ in range(batch):
-                if used >= cap:
-                    truncated = True
-                    break
+            if select_rng is None:
+                source = pool[0]
+            else:
                 if sel_pos == len(sel_buf):
                     sel_buf = select_rng.integers(0, n_pool, size=512).tolist()
                     sel_pos = 0
                 source = pool[sel_buf[sel_pos]]
                 sel_pos += 1
-                g = source.coordinate  # recorded at capture; restore reproduces it
-                if g >= target:
-                    # source already past this threshold (multi-level jump or
-                    # checkpointed failure): immediate success, zero steps
-                    checkpoints.append(Checkpoint(source.snapshot, next_level, source.hit_step, g))
-                    success_attempts.append(attempts)
-                    successes += 1
-                    attempts += 1
-                    continue
-                restore(source.snapshot)
-                j = source.hit_step  # snapshots restore to the recorded step
-                # propagate to the threshold, the horizon or the end of the budget
-                room = horizon - j
-                if cap - used < room:
-                    room = cap - used
-                if n_values - pos < room:
-                    noise.pos = pos
-                    noise.reserve(room)
-                    values, pos = noise.values, noise.pos
-                    n_values = len(values)
-                pos, g = advance(values, pos, pos + room, target)
-                if g >= target:
-                    hit_step = sim.step_index
-                    used += hit_step - j
-                    checkpoints.append(Checkpoint(take_snapshot(), next_level, hit_step, g))
-                    success_attempts.append(attempts)
-                    successes += 1
-                else:
-                    # no crossing: advance took every step it was allowed
-                    used += room
-                    if room < horizon - j:
-                        truncated = True  # budget ran out mid-flight: the attempt is void
-                        break
+            g = source.coordinate  # recorded at capture; restore reproduces it
+            if g >= target:
+                # source already past this threshold (multi-level jump or
+                # checkpointed failure): immediate success, zero steps
+                checkpoints.append(Checkpoint(source.snapshot, next_level, source.hit_step, g))
+                success_attempts.append(attempts)
+                successes += 1
                 attempts += 1
-            if truncated:
-                break
+                continue
+            restore(source.snapshot)
+            j = source.hit_step  # snapshots restore to the recorded step
+            # propagate to the threshold, the horizon or the end of the budget
+            room = horizon - j
+            if cap - used < room:
+                room = cap - used
+            if n_values - pos < room:
+                noise.pos = pos
+                noise.reserve(room)
+                values, pos = noise.values, noise.pos
+                n_values = len(values)
+            pos, g = advance(values, pos, pos + room, target)
+            if g >= target:
+                hit_step = sim.step_index
+                used += hit_step - j
+                checkpoints.append(Checkpoint(take_snapshot(), next_level, hit_step, g))
+                success_attempts.append(attempts)
+                successes += 1
+            else:
+                # no crossing: advance took every step it was allowed
+                used += room
+                if room < horizon - j:
+                    break  # budget ran out mid-flight: the attempt is void
+            attempts += 1
     finally:
         ledger.used = used
 
@@ -247,7 +240,7 @@ def run_level(
         successes=successes,
         p_hat=successes / attempts if attempts else 0.0,
         cost_steps=used - cost_before,
-        stopping_met=stopping_met,
+        stopping_met=successes >= s_tar and attempts >= a_tar,
         checkpoints=tuple(checkpoints),
         success_attempts=tuple(success_attempts),
     )
@@ -272,13 +265,25 @@ def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, 
     return pool, sim
 
 
-def run_smc(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: int) -> SmcReport:
+def run_smc(
+    factory: SimFactory,
+    schedule: LevelSchedule,
+    cfg: SmcConfig,
+    seed: int,
+    *,
+    on_stage: StageHook | None = None,
+) -> SmcReport:
     """Full splitting run over the schedule; estimate is the product of stage ratios.
 
     Returns an estimate of zero, with flags, when some stage lost every
     trajectory (extinction) or the step budget ran out before the final stage
     finished.  Identical ``(factory, schedule, cfg, seed)`` give an identical
     report, bit for bit.
+
+    ``on_stage(level, record, sim)`` is called after every stage that met its
+    stopping targets, before the next pool is sized and resampled; the record
+    it returns is the one resampled from and reported.  ``sim`` is the run's
+    worker simulator, free to use until the hook returns.
     """
     stages = schedule.stage_count
     ledger = BudgetLedger(cfg.budget_steps)
@@ -299,6 +304,8 @@ def run_smc(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: 
                 extinction_level = level
             completed = False
             break
+        if on_stage is not None:
+            rec = on_stage(level, rec, sim)
         if level < stages - 1:
             size = next_pool_size(rec.p_hat, cfg)
             rec = replace(rec, next_pool_size=size)

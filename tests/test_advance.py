@@ -208,7 +208,7 @@ class TestEnginesIgnoreChunking:
 
     def test_run_smc_ladder_and_three_state(self, monkeypatch):
         cfg = SmcConfig(success_target=5, attempt_target=10, initial_pool=4, pool_min=3,
-                        pool_max=9, budget_steps=100, batch_size=3)
+                        pool_max=9, budget_steps=100)
         for seed in range(5):
             _same_under_chunk_sizes(monkeypatch, lambda: run_smc(
                 ladder_factory((0.5, 0.4, 0.3)), LevelSchedule((0.0, 1.0, 2.0, 3.0)), cfg, seed))

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import resplit
 
@@ -16,7 +15,6 @@ from resplit.analysis import (
     exact_stage_mean,
     exact_stage_moments,
     geometric_spread,
-    normal_interval,
     stage_prediction,
     wilson_interval,
 )
@@ -175,14 +173,6 @@ class TestIntervalHelpers:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(7, 5)
-
-    def test_normal_interval(self):
-        lo, hi = normal_interval(1e-4, 0.2, conf=0.95)
-        z = stats.norm.ppf(0.975)
-        assert hi == pytest.approx(1e-4 * (1 + z * 0.2))
-        assert lo == pytest.approx(1e-4 * (1 - z * 0.2))
-        lo, _ = normal_interval(1.0, 3.0)
-        assert lo == 0.0  # clamped
 
     def test_geometric_spread(self):
         assert geometric_spread([2.0, 2.0, 2.0]) == pytest.approx(1.0)

@@ -68,6 +68,10 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"smc\.succes_target"):
             config_from_dict({"smc": {"succes_target": 10}})
 
+    def test_retired_batch_size_rejected(self):
+        with pytest.raises(ConfigError, match=r"smc\.batch_size: unknown key"):
+            config_from_dict({"smc": {"batch_size": 1}})
+
     def test_invalid_value_cites_constraint_and_path(self):
         with pytest.raises(ConfigError, match=r"model.*arrival_load.*\(0, 1\)"):
             config_from_dict({"model": {"arrival_load": 1.2}})

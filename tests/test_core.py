@@ -7,32 +7,18 @@ from resplit.core import (
     BudgetLedger,
     Checkpoint,
     LevelSchedule,
-    SimTime,
     derive_seed,
     horizon_step_count,
     stream,
 )
 
 
-class TestSimTime:
-    def test_fields_and_seconds(self):
-        t = SimTime(step_index=3, step_seconds=0.05, horizon_steps=1200)
-        assert t.seconds == pytest.approx(0.15)
-        assert t.horizon_seconds == pytest.approx(60.0)
-        assert not t.at_horizon
-        assert SimTime(1200, 0.05, 1200).at_horizon
-
-    @pytest.mark.parametrize("j", [-1, 1201])
-    def test_step_index_bounds(self, j):
-        with pytest.raises(ValueError):
-            SimTime(step_index=j, step_seconds=0.05, horizon_steps=1200)
-
-    def test_horizon_step_count(self):
-        assert horizon_step_count(60.0, 0.05) == 1200
-        with pytest.raises(ValueError):
-            horizon_step_count(1.0, 0.3)  # not an integral number of steps
-        with pytest.raises(ValueError):
-            horizon_step_count(1.0, -0.1)
+def test_horizon_step_count():
+    assert horizon_step_count(60.0, 0.05) == 1200
+    with pytest.raises(ValueError):
+        horizon_step_count(1.0, 0.3)  # not an integral number of steps
+    with pytest.raises(ValueError):
+        horizon_step_count(1.0, -0.1)
 
 
 class TestBudgetLedger:

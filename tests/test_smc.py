@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import resplit.smc as smc
 from resplit.analysis import exact_stage_mean
 from resplit.core import (
     BudgetLedger,
@@ -10,6 +12,7 @@ from resplit.core import (
     EmptyPoolError,
     HorizonExceededError,
     LevelSchedule,
+    Simulator,
     stream,
 )
 from resplit.netmodel import baseline_params, default_levels, simulator_factory
@@ -59,7 +62,6 @@ class TestConfig:
         assert cfg.safety_factor == 1.5
         assert cfg.prob_floor == 0.05
         assert cfg.budget_steps == 5_000_000
-        assert cfg.batch_size == 1
 
     @pytest.mark.parametrize(
         "kw",
@@ -73,7 +75,7 @@ class TestConfig:
             dict(prob_floor=0.0),
             dict(prob_floor=1.5),
             dict(budget_steps=0),
-            dict(batch_size=0),
+            dict(prob_floor=float("nan")),
         ],
     )
     def test_validation(self, kw):
@@ -147,15 +149,15 @@ class TestRunLevel:
         assert rec.cost_steps == 0 and led.used == 0
         assert all(cp.coordinate == 1.0 for cp in rec.checkpoints)
 
-    def test_batch_boundary_stopping(self):
+    def test_two_checkpoint_pool_draws_both(self):
         sim = LadderSim((0.5, 0.5))
-        pool = [Checkpoint((1, 1, False), 1, 1, 1.0)]
-        cfg = _small_cfg(success_target=5, attempt_target=1, batch_size=4)
+        pool = [Checkpoint((1, 1, False), 1, 1, 1.0), Checkpoint((1, 2, False), 1, 2, 1.0)]
+        cfg = _small_cfg(success_target=200, attempt_target=1)
         rec = run_level(
             sim, pool, 0, LevelSchedule((0.0, 1.0, 2.0)), cfg, BudgetLedger(10), seed=11
         )
-        # 5 immediate successes needed, but counts are only checked every 4 attempts
-        assert rec.attempts == 8 and rec.successes == 8
+        picks = [cp.hit_step for cp in rec.checkpoints]
+        assert len(picks) == 200 and 60 < picks.count(1) < 140
 
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPoolError):
@@ -330,6 +332,59 @@ class TestRunSmc:
         assert report.stage_estimates == (1.0, 1.0)
 
 
+class TestStageHook:
+    ARGS = (ladder_factory((0.5, 0.4, 0.3)), LevelSchedule((0.0, 1.0, 2.0, 3.0)))
+
+    def test_identity_hook_is_the_plain_run(self):
+        for seed in range(5):
+            plain = run_smc(*self.ARGS, _small_cfg(), seed)
+            hooked = run_smc(*self.ARGS, _small_cfg(), seed, on_stage=lambda level, rec, sim: rec)
+            assert hooked == plain
+
+    def test_called_once_per_completed_stage_in_order(self):
+        calls = []
+
+        def record(level, rec, sim):
+            assert isinstance(sim, Simulator)
+            calls.append((level, rec))
+            return rec
+
+        report = run_smc(*self.ARGS, _small_cfg(), 3, on_stage=record)
+        assert [level for level, _ in calls] == [0, 1, 2]
+        # the hook sees each record before the next pool is sized
+        for (_, seen), kept in zip(calls, report.levels):
+            assert seen.next_pool_size is None
+            assert seen == replace(kept, next_pool_size=None)
+
+        # stage 1 is cut short by the budget: only stage 0 reaches the hook
+        calls.clear()
+        cut = run_smc(ladder_factory((1.0, 1e-9)), LevelSchedule((0.0, 1.0, 2.0)),
+                      _small_cfg(budget_steps=300), 9, on_stage=record)
+        assert cut.budget_exhausted and not cut.levels[1].stopping_met
+        assert [level for level, _ in calls] == [0]
+
+    def test_returned_record_is_resampled_and_reported(self, monkeypatch):
+        pools = {}
+        real_run_level = smc.run_level
+
+        def spy(sim, pool, level, *args):
+            pools[level] = list(pool)
+            return real_run_level(sim, pool, level, *args)
+
+        def keep_first(level, rec, sim):
+            return replace(rec, checkpoints=rec.checkpoints[:1])
+
+        monkeypatch.setattr(smc, "run_level", spy)
+        report = run_smc(*self.ARGS, _small_cfg(), 5, on_stage=keep_first)
+        assert len(report.levels) == 3
+        for level, rec in enumerate(report.levels):
+            assert len(rec.checkpoints) == 1
+            if level < 2:
+                nxt = pools[level + 1]
+                assert len(nxt) == rec.next_pool_size
+                assert all(cp is rec.checkpoints[0] for cp in nxt)
+
+
 class TestStageBias:
     def test_success_stopped_stage_matches_exact_oracle(self):
         # single Bernoulli stage, stopping driven by successes only
@@ -347,23 +402,6 @@ class TestStageBias:
         se = float(np.std(vals, ddof=1)) / math.sqrt(reps)
         want = exact_stage_mean(p, s_tar)
         assert abs(mean - want) < 4 * se
-
-    def test_larger_batches_do_not_increase_bias(self):
-        p, s_tar, reps = 0.3, 10, 2000
-        sched = LevelSchedule((0.0, 1.0))
-        means = {}
-        for batch in (1, 16):
-            cfg = SmcConfig(
-                success_target=s_tar, attempt_target=1, initial_pool=1, pool_min=1,
-                pool_max=1, budget_steps=10**9, batch_size=batch,
-            )
-            vals = [
-                run_smc(ladder_factory((p,)), sched, cfg, seed=9000 + i).estimate
-                for i in range(reps)
-            ]
-            means[batch] = float(np.mean(vals))
-        se = p * math.sqrt((1 - p) / s_tar / reps)
-        assert abs(means[16] - p) <= abs(means[1] - p) + 3 * se
 
 
 class TestDiagnostics:
