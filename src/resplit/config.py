@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -113,6 +114,18 @@ def _reject_unknown(data: dict, allowed, path: str) -> None:
             )
 
 
+def _reject_non_finite(value, path: str) -> None:
+    """Reject NaN and infinities anywhere in the raw document: ``json`` reads them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{i}]")
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
@@ -120,7 +133,7 @@ def _build_section(cls, data: dict, path: str):
     _reject_unknown(data, allowed, f"{path}.")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -166,6 +179,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config root: expected an object, got {type(raw).__name__}")
     _reject_unknown(raw, _TOP_KEYS, "")
+    _reject_non_finite(raw, "")
 
     mc_raw = dict(raw.get("mc", {}))
     # an explicit trajectory count replaces the default budget

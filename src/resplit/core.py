@@ -141,10 +141,6 @@ class LevelSchedule:
     def stage_count(self) -> int:
         return len(self.thresholds) - 1
 
-    @property
-    def top(self) -> float:
-        return self.thresholds[-1]
-
     def target(self, stage: int) -> float:
         """Threshold a stage-``stage`` attempt must reach."""
         if not 0 <= stage < self.stage_count:
@@ -170,11 +166,11 @@ class Simulator(Protocol):
     coordinate after its last step; the steps taken show in ``step_index``.
     Every step reads one value, except that a simulator may document steps
     that draw nothing (a dead ladder).  Asking for more steps than remain to
-    the horizon raises :class:`HorizonExceededError`.  ``step(rng)`` is one
-    step with a fresh draw from ``rng``.
+    the horizon raises :class:`HorizonExceededError`.
 
-    ``failure_value`` is the coordinate that marks the failure set:
-    ``is_failure()`` holds exactly when the coordinate is at or above it.
+    ``failure_value`` is the coordinate that marks the failure set: a
+    trajectory has failed exactly when its coordinate is at or above it.
+    These members are all the engines call.
     """
 
     failure_value: float
@@ -191,15 +187,11 @@ class Simulator(Protocol):
         self, noise: list[float], pos: int, stop: int, target: float
     ) -> tuple[int, float]: ...
 
-    def step(self, rng: np.random.Generator) -> None: ...
-
     def snapshot(self) -> Any: ...
 
     def restore(self, snap: Any) -> None: ...
 
     def coordinate(self) -> float: ...
-
-    def is_failure(self) -> bool: ...
 
 
 NOISE_CHUNK_MAX = 1 << 14  # refills grow geometrically up to this many values

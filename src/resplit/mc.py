@@ -83,12 +83,13 @@ def run_mc(
             rng = stream(seed, "mc-traj", i)
             sim = factory(rng)
         start = sim.step_index
-        if not sim.is_failure():
+        g = sim.coordinate()
+        if g < sim.failure_value:
             # one bulk draw covers the horizon; draws past the failure step are never read
             n = sim.horizon_steps - start
-            sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
+            _, g = sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
         cost += sim.step_index - start
-        hits += sim.is_failure()
+        hits += g >= sim.failure_value
 
     estimate = hits / count
     rel_var = None

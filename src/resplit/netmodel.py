@@ -25,16 +25,10 @@ from resplit.core import HorizonExceededError, LevelSchedule, horizon_step_count
 __all__ = [
     "NetParams",
     "NetSimulator",
-    "NetState",
     "PolicyContext",
-    "baseline_params",
     "capacity",
     "default_levels",
-    "is_failure",
-    "reaction_coordinate",
-    "service_delay",
     "simulator_factory",
-    "step_dynamics",
 ]
 
 _HEALTH_CLIP = 50.0  # logistic input clamp; capacity saturates far before this
@@ -62,26 +56,26 @@ class NetParams:
         if not 0.0 < self.arrival_load < 1.0:
             raise ValueError(f"arrival_load must be in (0, 1), got {self.arrival_load}")
         horizon_step_count(self.horizon_seconds, self.step_seconds)  # validates both
-        if self.initial_backlog < 0.0:
+        if not self.initial_backlog >= 0.0:
             raise ValueError(f"initial_backlog must be >= 0, got {self.initial_backlog}")
-        if self.recovery_rate <= 0.0:
+        if not self.recovery_rate > 0.0:
             raise ValueError(f"recovery_rate must be > 0, got {self.recovery_rate}")
         if self.recovery_rate * self.step_seconds > 1.0:
             raise ValueError(
                 f"recovery_rate {self.recovery_rate} unstable for step {self.step_seconds} s"
             )
-        if self.recovery_exponent <= 1.0:
+        if not self.recovery_exponent > 1.0:
             raise ValueError(f"recovery_exponent must be > 1, got {self.recovery_exponent}")
         if not 0.0 <= self.stress_persistence < 1.0:
             raise ValueError(
                 f"stress_persistence must be in [0, 1), got {self.stress_persistence}"
             )
-        if self.stress_log_sd < 0.0:
+        if not self.stress_log_sd >= 0.0:
             # 0 is allowed: it freezes the stress at its mean, handy for exact tests
             raise ValueError(f"stress_log_sd must be >= 0, got {self.stress_log_sd}")
-        if self.delay_threshold <= 0.0:
+        if not self.delay_threshold > 0.0:
             raise ValueError(f"delay_threshold must be > 0, got {self.delay_threshold}")
-        if self.grace_seconds <= 0.0:
+        if not self.grace_seconds > 0.0:
             raise ValueError(f"grace_seconds must be > 0, got {self.grace_seconds}")
 
     @property
@@ -101,17 +95,6 @@ class NetParams:
 
 
 @dataclass(frozen=True, slots=True)
-class NetState:
-    """Full model state at one step: enough to restart the trajectory exactly."""
-
-    step_index: int
-    backlog: float
-    health: float
-    log_stress: float
-    exceed_count: int
-
-
-@dataclass(frozen=True, slots=True)
 class PolicyContext:
     """Active mitigation setting: the recovery rate (and its exponent) in force."""
 
@@ -119,15 +102,10 @@ class PolicyContext:
     recovery_exponent: float
 
     def __post_init__(self) -> None:
-        if self.recovery_rate <= 0.0:
+        if not self.recovery_rate > 0.0:
             raise ValueError(f"recovery_rate must be > 0, got {self.recovery_rate}")
-        if self.recovery_exponent <= 1.0:
+        if not self.recovery_exponent > 1.0:
             raise ValueError(f"recovery_exponent must be > 1, got {self.recovery_exponent}")
-
-
-def baseline_params() -> NetParams:
-    """The documented default operating point."""
-    return NetParams()
 
 
 def default_levels() -> LevelSchedule:
@@ -144,86 +122,17 @@ def capacity(health: float) -> float:
     return 1.0 / (1.0 + math.exp(-h))
 
 
-def service_delay(state: NetState) -> float:
-    """Current backlog expressed in time units at the current capacity."""
-    return state.backlog / capacity(state.health)
-
-
-def is_failure(state: NetState, params: NetParams) -> bool:
-    """True once the delay threshold has been exceeded for the whole grace window."""
-    return state.exceed_count >= params.grace_steps
-
-
-def reaction_coordinate(state: NetState, params: NetParams) -> float:
-    """Progress towards failure in [0, 2]; exactly 2 on the failure set.
-
-    Sum of the delay's closeness to threshold (capped at 1) and the filled
-    fraction of the grace window.  The failure branch is pinned to 2 so the
-    equivalence ``g == 2  <=>  failed`` holds even if the queue drains on the
-    very step the window fills.
-    """
-    grace = params.grace_steps
-    if state.exceed_count >= grace:
-        return 2.0
-    ratio = service_delay(state) / params.delay_threshold
-    if ratio > 1.0:
-        ratio = 1.0
-    return ratio + state.exceed_count / grace
-
-
-def step_dynamics(
-    state: NetState, params: NetParams, ctx: PolicyContext, gamma: float
-) -> NetState:
-    """One step of the dynamics, as a pure function of the pre-step state.
-
-    The queue, health and persistence updates all read the time-``j`` values:
-    in particular the delay that feeds the exceedance counter is the pre-step
-    one.  ``gamma`` is the standard-normal stress innovation.
-    """
-    if state.step_index >= params.horizon_steps:
-        raise HorizonExceededError(
-            f"step {state.step_index} is already at the {params.horizon_steps}-step horizon"
-        )
-    c = capacity(state.health)
-    backlog = state.backlog + (params.arrival_load - c) * params.step_seconds
-    if backlog < 0.0:
-        backlog = 0.0
-    health = (
-        state.health
-        + ctx.recovery_rate * (1.0 - c) ** ctx.recovery_exponent
-        - math.exp(state.log_stress)
-    )
-    log_stress = (
-        params.stress_persistence * state.log_stress
-        + (1.0 - params.stress_persistence) * params.stress_log_mean
-        + gamma * params.stress_log_sd
-    )
-    delay = state.backlog / c
-    if delay >= params.delay_threshold:
-        exceed = state.exceed_count + 1
-        if exceed > params.grace_steps:
-            exceed = params.grace_steps
-    else:
-        exceed = 0
-    return NetState(
-        step_index=state.step_index + 1,
-        backlog=backlog,
-        health=health,
-        log_stress=log_stress,
-        exceed_count=exceed,
-    )
-
-
 class NetSimulator:
     """Stateful, restartable trajectory of the network model.
 
-    :meth:`advance` is the one implementation of the dynamics that the engines
-    run: a local-variable loop over a noise list that carries the capacity it
-    computes for each step's coordinate into the next step.  It reproduces
-    :func:`step_dynamics` and :func:`reaction_coordinate`, the test oracle,
-    bit for bit.  Snapshots are plain value tuples including the active
-    policy, so restoring a checkpoint also restores the mitigation setting
-    that produced it.
+    :meth:`advance` is the one implementation of the dynamics: a
+    local-variable loop over a noise list that carries the capacity it
+    computes for each step's coordinate into the next step.  The test suite
+    holds a plain one-step reimplementation of the model (``tests/oracle.py``)
+    that it must match bit for bit.  Snapshots are plain value tuples
+    ``(step, backlog, health, log_stress, exceed_count, recovery_rate,
+    recovery_exponent)``, so restoring a checkpoint also restores the
+    mitigation setting that produced it.
     """
 
     failure_value = 2.0
@@ -274,9 +183,6 @@ class NetSimulator:
             )
         self._nu = ctx.recovery_rate
         self._phi = ctx.recovery_exponent
-
-    def state(self) -> NetState:
-        return NetState(self._j, self._backlog, self._health, self._log_stress, self._exceed)
 
     def snapshot(self) -> tuple:
         return (
@@ -337,6 +243,7 @@ class NetSimulator:
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
         return i, g
 
+    # only benchmark/worker.py's l0_figures probe calls this
     def step(self, rng: np.random.Generator) -> None:
         self.advance([rng.standard_normal()], 0, 1, math.inf)
 
@@ -349,9 +256,6 @@ class NetSimulator:
         if ratio > 1.0:
             ratio = 1.0
         return ratio + exceed / grace
-
-    def is_failure(self) -> bool:
-        return self._exceed >= self._grace
 
 
 def simulator_factory(params: NetParams) -> Callable[[np.random.Generator], NetSimulator]:

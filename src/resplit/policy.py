@@ -57,20 +57,20 @@ class PolicySet:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"need at least one candidate, got size {self.size}")
-        if self.base_rate <= 0.0:
+        if not self.base_rate > 0.0:
             raise ValueError(f"base_rate must be > 0, got {self.base_rate}")
         if not 0.0 < self.increment_fraction <= 1.0:
             raise ValueError(
                 f"increment_fraction must be in (0, 1], got {self.increment_fraction}"
             )
-        if self.cost_scale < 0.0:
+        if not self.cost_scale >= 0.0:
             raise ValueError(f"cost_scale must be >= 0, got {self.cost_scale}")
-        if self.recovery_exponent <= 1.0:
+        if not self.recovery_exponent > 1.0:
             raise ValueError(
                 f"recovery_exponent must be > 1, got {self.recovery_exponent}"
             )
         if self.step_seconds is not None:
-            if self.step_seconds <= 0.0:
+            if not self.step_seconds > 0.0:
                 raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
             top = self.rate(self.size - 1)
             if top * self.step_seconds > 1.0:
@@ -111,9 +111,6 @@ class PolicySet:
 
     def context(self, index: int) -> PolicyContext:
         return PolicyContext(self.rate(index), self.recovery_exponent)
-
-    def rates(self) -> tuple[float, ...]:
-        return tuple(self.rate(i) for i in range(self.size))
 
     def costs(self) -> tuple[float, ...]:
         return tuple(self.cost(i) for i in range(self.size))

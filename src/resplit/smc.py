@@ -68,7 +68,7 @@ class SmcConfig:
             raise ValueError(
                 f"need 1 <= pool_min <= pool_max, got {self.pool_min}, {self.pool_max}"
             )
-        if self.safety_factor <= 0.0:
+        if not self.safety_factor > 0.0:
             raise ValueError(f"safety_factor must be > 0, got {self.safety_factor}")
         if not 0.0 < self.prob_floor <= 1.0:
             raise ValueError(f"prob_floor must be in (0, 1], got {self.prob_floor}")
@@ -104,10 +104,6 @@ class SmcReport:
     budget_exhausted: bool
     extinction_level: int | None
     resolution_floor: float
-
-    @property
-    def stage_estimates(self) -> tuple[float, ...]:
-        return tuple(rec.p_hat for rec in self.levels)
 
 
 def next_pool_size(p_hat: float, cfg: SmcConfig) -> int:

@@ -80,6 +80,7 @@ class LadderSim:
         self._rung, self._dead = rung, dead
         return pos, g
 
+    # only benchmark/worker.py's l0_figures probe calls this
     def step(self, rng: np.random.Generator) -> None:
         noise = [rng.random()] if not self._dead and self._rung < self._top else []
         self.advance(noise, 0, 1, math.inf)
@@ -92,9 +93,6 @@ class LadderSim:
 
     def coordinate(self) -> float:
         return float(self._rung)
-
-    def is_failure(self) -> bool:
-        return self._rung == self._top
 
 
 def ladder_factory(probs):
@@ -173,9 +171,6 @@ class ThreeStateSim:
         self._state = state
         return i, g
 
-    def step(self, rng: np.random.Generator) -> None:
-        self.advance([rng.random()], 0, 1, math.inf)
-
     def snapshot(self) -> tuple:
         return (self._j, self._state)
 
@@ -184,9 +179,6 @@ class ThreeStateSim:
 
     def coordinate(self) -> float:
         return float(self._state)
-
-    def is_failure(self) -> bool:
-        return self._state == 2
 
 
 def three_state_factory(advance_lo: float, advance_hi: float, relapse: float, horizon_steps: int):

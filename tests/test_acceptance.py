@@ -2,7 +2,8 @@
 
 These are the same functions ``resplit verify`` runs.  Each is seeded, so a
 failure here reproduces exactly under the CLI and vice versa.  The statistical
-ones take seconds to minutes each; the whole module is around ten minutes.
+ones take seconds to minutes each; the whole module is around six minutes on
+a 2-core Xeon, most of it in checks 9, 6 and 7.
 """
 from __future__ import annotations
 

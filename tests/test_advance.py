@@ -1,13 +1,15 @@
 """The propagation kernel ``advance`` against independent one-step references.
 
 Each simulator is checked against a plain reimplementation of its step fed
-scalar draws: :func:`step_dynamics` and :func:`reaction_coordinate` for the
-network model, the rules as written in the docstrings for the toys.  Over a
-bulk-drawn noise list, ``advance`` must reproduce the reference bit for bit,
-stop right after the first step at or above its target, take exactly
-``stop - pos`` steps otherwise, refuse to pass the horizon, and agree with
-``is_failure`` through ``failure_value``; ``step`` must match it too.  The
-engines built on it must not depend on how their noise buffers are chunked.
+scalar draws: ``step_dynamics`` and ``reaction_coordinate`` from
+``tests/oracle.py`` for the network model, the rules as written in the
+docstrings for the toys.  Stepped one draw at a time, and over a bulk-drawn
+noise list, ``advance`` must reproduce the reference bit for bit, stop right
+after the first step at or above its target, take exactly ``stop - pos``
+steps otherwise and refuse to pass the horizon; the reference's failure set
+must be exactly the coordinates at or above ``failure_value``.  Each
+simulator must satisfy the ``Simulator`` protocol, and the engines built on
+it must not depend on how their noise buffers are chunked.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import NetState, is_failure, reaction_coordinate, step, step_dynamics
 from test_netmodel import _random_params
 
 from resplit import core
@@ -23,13 +26,9 @@ from resplit.mc import McConfig, run_mc
 from resplit.netmodel import (
     NetParams,
     NetSimulator,
-    NetState,
     PolicyContext,
     default_levels,
-    is_failure,
-    reaction_coordinate,
     simulator_factory,
-    step_dynamics,
 )
 from resplit.policy import LookaheadConfig, PolicySet, evaluate_candidate
 from resplit.smc import SmcConfig, run_level, run_smc
@@ -91,15 +90,16 @@ def check_contract(make, reference, seed, targets=()):
     start = make().step_index
     noise = make().draw_noise(stream(seed, "noise"), steps + 1)
 
-    # step() with scalar draws follows the reference, and is_failure holds
-    # exactly at or above the failure value
+    # one-step calls on scalar draws follow the reference, whose failure set
+    # is exactly the coordinates at or above the failure value
+    assert isinstance(make(), core.Simulator)
     value = make().failure_value
     sim = make()
     rng = stream(seed, "noise")
     for want, g, failed in zip(states, coords, fails):
-        sim.step(rng)
+        step(sim, rng)
         assert sim.snapshot() == want and sim.coordinate() == g
-        assert sim.is_failure() == failed == (g >= value)
+        assert failed == (g >= value)
 
     # one call to the horizon replays the scalar steps; the cursor lands on
     # the first value the scalar path has not drawn
@@ -121,7 +121,6 @@ def check_contract(make, reference, seed, targets=()):
         done += size
         assert sim.step_index == start + done
         assert sim.snapshot() == states[done - 1] and g == coords[done - 1]
-        assert sim.is_failure() == (g >= value)
 
     # a target stops the call right after the first step at or above it
     for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
@@ -227,10 +226,10 @@ class TestEnginesIgnoreChunking:
         for i in range(40):
             rng = stream(5, "mc-traj", i)
             sim = factory(rng)
-            while not sim.is_failure() and sim.step_index < sim.horizon_steps:
-                sim.step(rng)
+            while sim.coordinate() < sim.failure_value and sim.step_index < sim.horizon_steps:
+                step(sim, rng)
                 cost += 1
-            hits += sim.is_failure()
+            hits += sim.coordinate() >= sim.failure_value
         rep = run_mc(factory, cfg, 5)
         assert repr(rep) == got
         assert (rep.hits, rep.cost_steps_used) == (hits, cost)
@@ -242,7 +241,7 @@ class TestEnginesIgnoreChunking:
         sim = NetSimulator(params)
         rng = stream(3, "warm")
         while sim.coordinate() < 1.0:
-            sim.step(rng)
+            step(sim, rng)
         source = Checkpoint(sim.snapshot(), 2, sim.step_index, sim.coordinate())
         ctx = PolicySet.from_params(params, size=3).context(1)
         look = LookaheadConfig(host_level=2, continuations=6, depth=depth)

@@ -1,5 +1,7 @@
 """Config schema: defaults, strict loading, overrides, per-point seeds."""
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +18,14 @@ from resplit.config import (
     sweep_points,
 )
 from resplit.netmodel import NetParams
+from resplit.smc import SmcConfig
+
+_FLOAT_FIELDS = [
+    (section, f.name)
+    for section, cls in (("model", NetParams), ("smc", SmcConfig), ("policy", PolicyStudy))
+    for f in fields(cls)
+    if "float" in f.type
+]
 
 
 class TestDefaults:
@@ -121,6 +131,23 @@ class TestStrictLoading:
             )
         with pytest.raises(ConfigError, match=r"axes\[0\]"):
             config_from_dict({"sweep": {"axes": [{"nmae": "x", "values": [1]}]}})
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("section, name", [
+        *_FLOAT_FIELDS, ("lookahead", "continuations"), ("smc", "budget_steps"),
+    ])
+    def test_field_rejected_with_its_path(self, section, name, value):
+        raw = json.loads(json.dumps({section: {name: value}}))  # a bare NaN, as json reads it
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: must be finite"):
+            config_from_dict(raw)
+
+    def test_list_entry_and_step_count_overflow(self):
+        with pytest.raises(ConfigError, match=r"^sweep\.axes\[0\]\.values\[1\]: must be"):
+            config_from_dict({"sweep": {"axes": [{"name": "engine", "values": [1, math.nan]}]}})
+        with pytest.raises(ConfigError, match="^model: "):
+            config_from_dict({"model": {"horizon_seconds": 1e308, "step_seconds": 1e-10}})
 
 
 class TestLoadFile:

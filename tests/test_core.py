@@ -50,7 +50,6 @@ class TestLevelSchedule:
     def test_default_shape(self):
         sched = LevelSchedule(thresholds=(0.0, 0.1, 1.0, 1.5, 2.0))
         assert sched.stage_count == 4
-        assert sched.top == 2.0
         assert sched.target(0) == 0.1
         assert sched.target(3) == 2.0
 

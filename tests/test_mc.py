@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resplit.mc import McConfig, McReport, mc_plan, run_mc
-from resplit.netmodel import baseline_params, simulator_factory
+from resplit.netmodel import NetParams, simulator_factory
 from resplit.toys import ladder_factory, three_state_factory
 
 
@@ -77,10 +77,7 @@ class TestRunMc:
 
     def test_budget_mode_on_network_model(self):
         # tiny budget: 25 trajectories of 40 steps each
-        params = baseline_params()
-        from dataclasses import replace
-
-        params = replace(params, horizon_seconds=2.0)
+        params = NetParams(horizon_seconds=2.0)
         report = run_mc(simulator_factory(params), McConfig(budget_steps=1000), 7)
         assert report.trajectories == 25
         assert report.cost_steps_used <= 1000

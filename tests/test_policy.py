@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, stream
-from resplit.netmodel import NetParams, PolicyContext, baseline_params
+from resplit.netmodel import NetParams, PolicyContext
 from resplit.policy import (
     LookaheadConfig,
     PolicySet,
@@ -68,7 +68,7 @@ def fresh_checkpoint(sim):
 class TestPolicySet:
     def test_arithmetic_rate_and_cost_ladder(self):
         ps = PolicySet(size=5, base_rate=0.2, increment_fraction=0.5, cost_scale=0.5)
-        assert ps.rates() == pytest.approx((0.2, 0.3, 0.4, 0.5, 0.6))
+        assert [ps.rate(i) for i in range(5)] == pytest.approx([0.2, 0.3, 0.4, 0.5, 0.6])
         assert ps.costs() == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0))
 
     def test_baseline_is_candidate_zero(self):
@@ -80,7 +80,7 @@ class TestPolicySet:
         assert ctx.recovery_exponent == 2.0
 
     def test_from_params_anchors_at_model_baseline(self):
-        params = baseline_params()
+        params = NetParams()
         ps = PolicySet.from_params(params, size=5)
         assert ps.base_rate == params.recovery_rate
         assert ps.recovery_exponent == params.recovery_exponent
@@ -89,8 +89,14 @@ class TestPolicySet:
     def test_stability_bound_checked_up_front(self):
         # top candidate rate 20.1 against a 50 ms step: 1.005 > 1
         with pytest.raises(ValueError, match="stability"):
-            PolicySet.from_params(baseline_params(), size=200)
-        PolicySet.from_params(baseline_params(), size=199)  # exactly at the bound
+            PolicySet.from_params(NetParams(), size=200)
+        PolicySet.from_params(NetParams(), size=199)  # exactly at the bound
+
+    def test_range_checks_reject_nan(self):
+        for kw in ({"base_rate": math.nan}, {"cost_scale": math.nan},
+                   {"recovery_exponent": math.nan}, {"step_seconds": math.nan}):
+            with pytest.raises(ValueError):
+                PolicySet(**{"size": 2, "base_rate": 0.2, **kw})
 
     def test_index_bounds(self):
         ps = PolicySet(size=2, base_rate=1.0)
@@ -364,7 +370,7 @@ class TestRunWithReconfiguration:
         assert len(rep.selections) == host_rec.successes
         assert sum(rep.selection_counts) == len(rep.selections)
         assert len(rep.evaluations) == len(rep.selections)
-        rates = policies.rates()
+        rates = [policies.rate(i) for i in range(policies.size)]
         for cp, chosen in zip(host_rec.checkpoints, rep.selections):
             assert cp.snapshot[3] == rates[chosen]  # stamped into the snapshot
         # descendants at the next stage inherit a stamped rate, never something else
@@ -489,6 +495,6 @@ class TestRunWithReconfiguration:
         assert rep.smc.estimate >= 0.0
         assert sum(rep.selection_counts) == len(rep.selections)
         if rep.selections:
-            rates = policies.rates()
+            rates = [policies.rate(i) for i in range(policies.size)]
             for cp in rep.levels[1].checkpoints:
                 assert cp.snapshot[5] in rates

@@ -15,7 +15,8 @@ from resplit.core import (
     Simulator,
     stream,
 )
-from resplit.netmodel import baseline_params, default_levels, simulator_factory
+from resplit.mc import McConfig, run_mc
+from resplit.netmodel import NetParams, default_levels, simulator_factory
 from resplit.smc import (
     LevelRecord,
     SmcConfig,
@@ -76,6 +77,7 @@ class TestConfig:
             dict(prob_floor=1.5),
             dict(budget_steps=0),
             dict(prob_floor=float("nan")),
+            dict(safety_factor=float("nan")),
         ],
     )
     def test_validation(self, kw):
@@ -232,7 +234,7 @@ class TestRunSmc:
 
     def test_budget_one_step(self):
         report = run_smc(
-            simulator_factory(baseline_params()),
+            simulator_factory(NetParams()),
             default_levels(),
             SmcConfig(budget_steps=1),
             seed=1,
@@ -289,9 +291,8 @@ class TestRunSmc:
             def coordinate(self):
                 return self._g
 
-            def is_failure(self):
-                return self._g >= 2.0
-
+        # no more than the protocol drives both engines
+        assert isinstance(JumpSim(), Simulator)
         report = run_smc(
             lambda rng: JumpSim(), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), seed=3
         )
@@ -300,6 +301,8 @@ class TestRunSmc:
         assert report.levels[1].cost_steps == 0
         assert report.levels[1].p_hat == 1.0
         assert all(cp.coordinate == 2.0 for cp in report.levels[0].checkpoints)
+        mc_report = run_mc(lambda rng: JumpSim(), McConfig(budget_steps=None, trajectories=5), 3)
+        assert (mc_report.hits, mc_report.cost_steps_used) == (5, 5)
 
     def test_cost_conservation_exact(self):
         CountingLadder.calls = 0
@@ -324,12 +327,6 @@ class TestRunSmc:
             seed=2,
         ).resolution_floor
         assert floor == 1e-8
-
-    def test_stage_estimates_property(self):
-        report = run_smc(
-            ladder_factory((1.0, 1.0)), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), seed=4
-        )
-        assert report.stage_estimates == (1.0, 1.0)
 
 
 class TestStageHook:

@@ -1,0 +1,76 @@
+"""Print one ``shape seed digest`` line per seeded engine run.
+
+A refactor that must keep every seeded report bit-identical is checked by
+running this script in two checkouts, the old and the new, and diffing the
+outputs::
+
+    python3 tools/report_digests.py > new.txt
+    (cd ../old && python3 tools/report_digests.py) > old.txt
+    diff old.txt new.txt
+
+The runs are seed lists 1 and 2 of the four benchmark workloads (read from
+``benchmark/workloads.py``, so the shapes stay those the benchmark times),
+then a multi-stage ladder, the three-state chain through splitting and plain
+Monte Carlo, network runs cut short by their step budget, and lookahead runs
+with ``depth`` set.  Each digest is a hash of the report's ``repr``.  The
+script takes no options and imports ``resplit`` from the checkout it sits in.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+
+from workloads import WORKLOADS, digest  # noqa: E402
+
+from resplit import mc, policy, smc  # noqa: E402
+from resplit.core import LevelSchedule  # noqa: E402
+from resplit.netmodel import NetParams, default_levels, simulator_factory  # noqa: E402
+from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
+
+NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+SMALL = smc.SmcConfig(success_target=5, attempt_target=12, initial_pool=4, pool_min=3,
+                      pool_max=12, budget_steps=2_000)
+
+
+def extra_shapes():
+    """``(shape, seeds, run)`` for the engine paths the workloads leave out."""
+    ladder = ladder_factory((0.5, 0.4, 0.3, 0.6))
+    rungs = LevelSchedule((0.0, 1.0, 2.0, 3.0, 4.0))
+    chain = three_state_factory(0.3, 0.2, 0.3, 9)
+    walk = LevelSchedule((0.0, 1.0, 2.0))
+    noisy = simulator_factory(NOISY)
+    truncated = smc.SmcConfig(budget_steps=60_000)
+    policies = policy.PolicySet.from_params(NOISY, size=3)
+    deep = policy.LookaheadConfig(host_level=2, continuations=4, depth=3,
+                                  inner_budget_steps=150_000)
+    outer = smc.SmcConfig(success_target=8, attempt_target=30, initial_pool=10, pool_min=10,
+                          pool_max=30, budget_steps=200_000)
+    return (
+        ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
+        ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
+        ("three-state-mc", range(10),
+         lambda s: mc.run_mc(chain, mc.McConfig(budget_steps=None, trajectories=200), s)),
+        ("net-truncated", range(4),
+         lambda s: smc.run_smc(noisy, default_levels(), truncated, s)),
+        ("net-policy-depth", range(2),
+         lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
+                                                       policies, deep, s)),
+    )
+
+
+def main() -> None:
+    for name, workload in WORKLOADS.items():
+        for list_seed in (1, 2):
+            w = workload(list_seed)
+            for s in w.seeds:
+                print(name, s, digest(w.call(s)).hex(), flush=True)
+    for shape, seeds, run in extra_shapes():
+        for s in seeds:
+            print(shape, s, digest(run(s)).hex(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
