@@ -36,30 +36,19 @@ class StagePrediction:
     success_target: int
     rel_bias: float
     rel_var: float
-    mean_attempts: float
-    var_attempts: float
 
 
 def stage_prediction(p: float, success_target: int) -> StagePrediction:
     """Predicted relative bias/variance of ``p_hat`` for a stage stopped at ``success_target`` successes.
 
-    Both the relative bias and the relative variance are ``(1 - p) / success_target``;
-    the attempt count has mean ``success_target / p`` and variance
-    ``success_target * (1 - p) / p**2``.
+    Both the relative bias and the relative variance are ``(1 - p) / success_target``.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"stage probability must be in (0, 1], got {p}")
     if success_target < 1:
         raise ValueError(f"success_target must be >= 1, got {success_target}")
     q = (1.0 - p) / success_target
-    return StagePrediction(
-        p=p,
-        success_target=success_target,
-        rel_bias=q,
-        rel_var=q,
-        mean_attempts=success_target / p,
-        var_attempts=success_target * (1.0 - p) / (p * p),
-    )
+    return StagePrediction(p=p, success_target=success_target, rel_bias=q, rel_var=q)
 
 
 def _stage_series(p: float, success_target: int, tol: float) -> tuple[float, float]:
@@ -157,21 +146,17 @@ def chain_prediction(stages: Iterable[StagePrediction | tuple[float, float]]) ->
     )
 
 
-def classical_rel_variance(stage_probs: Sequence[float], pool_sizes: int | Sequence[int]) -> float:
-    """Fixed-effort splitting variance ``sum (1 - p_k) / (p_k * M_k)``.
+def classical_rel_variance(stage_probs: Sequence[float], pool_sizes: Sequence[int]) -> float:
+    """Fixed-effort splitting variance ``sum (1 - p_k) / (p_k * M_k)``, one effort per stage.
 
-    ``pool_sizes`` may be a single common effort or one value per stage.  This
-    ignores stopping effects entirely and is reported as a diagnostic only.
+    This ignores stopping effects entirely and is reported as a diagnostic only.
     """
     probs = list(stage_probs)
     if not probs:
         raise ValueError("need at least one stage probability")
-    if isinstance(pool_sizes, (int, np.integer)):
-        sizes: list[int] = [int(pool_sizes)] * len(probs)
-    else:
-        sizes = [int(m) for m in pool_sizes]
-        if len(sizes) != len(probs):
-            raise ValueError(f"{len(sizes)} pool sizes for {len(probs)} stages")
+    sizes = [int(m) for m in pool_sizes]
+    if len(sizes) != len(probs):
+        raise ValueError(f"{len(sizes)} pool sizes for {len(probs)} stages")
     total = 0.0
     for p, m in zip(probs, sizes):
         if not 0.0 < p <= 1.0:
@@ -182,15 +167,15 @@ def classical_rel_variance(stage_probs: Sequence[float], pool_sizes: int | Seque
     return total
 
 
-def wilson_interval(hits: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (well-behaved at 0 hits)."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion (well-behaved at 0 hits)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits {hits} outside [0, {trials}]")
     from scipy import stats  # deferred: only the acceptance checks need scipy
 
-    z = float(stats.norm.ppf(0.5 + conf / 2.0))
+    z = float(stats.norm.ppf(0.975))
     phat = hits / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom

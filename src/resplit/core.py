@@ -40,7 +40,12 @@ def horizon_step_count(horizon_seconds: float, step_seconds: float) -> int:
     """Number of steps in a horizon; the horizon must be an integer number of steps."""
     if step_seconds <= 0.0:
         raise ValueError(f"step_seconds must be positive, got {step_seconds}")
-    steps = round(horizon_seconds / step_seconds)
+    ratio = horizon_seconds / step_seconds
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"horizon_seconds / step_seconds = {horizon_seconds} / {step_seconds} is not finite"
+        )
+    steps = round(ratio)
     if steps < 1 or not math.isclose(steps * step_seconds, horizon_seconds, rel_tol=1e-9):
         raise ValueError(
             f"horizon {horizon_seconds} s is not an integral number of {step_seconds} s steps"
@@ -52,8 +57,8 @@ class BudgetLedger:
     """Counts simulation steps against a hard cap.
 
     ``budget=None`` means unlimited (used by side computations that are
-    accounted but not capped).  Charging never overshoots: callers check
-    ``remaining`` before spending.
+    accounted but not capped).  Callers add to ``used`` directly and never
+    past ``budget``.
     """
 
     __slots__ = ("budget", "used")
@@ -67,24 +72,8 @@ class BudgetLedger:
         self.used = 0
 
     @property
-    def remaining(self) -> float:
-        if self.budget is None:
-            return math.inf
-        return self.budget - self.used
-
-    @property
     def exhausted(self) -> bool:
         return self.budget is not None and self.used >= self.budget
-
-    def charge(self, steps: int = 1) -> None:
-        if steps < 0:
-            raise ValueError("cannot charge a negative step count")
-        new_used = self.used + steps
-        if self.budget is not None and new_used > self.budget:
-            raise ValueError(
-                f"charge of {steps} steps overruns budget ({self.used}/{self.budget} used)"
-            )
-        self.used = new_used
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.budget is None else str(self.budget)

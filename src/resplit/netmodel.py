@@ -77,6 +77,11 @@ class NetParams:
             raise ValueError(f"delay_threshold must be > 0, got {self.delay_threshold}")
         if not self.grace_seconds > 0.0:
             raise ValueError(f"grace_seconds must be > 0, got {self.grace_seconds}")
+        if not math.isfinite(self.grace_seconds / self.step_seconds):
+            raise ValueError(
+                f"grace_seconds / step_seconds = {self.grace_seconds} / {self.step_seconds}"
+                " is not finite"
+            )
 
     @property
     def horizon_steps(self) -> int:

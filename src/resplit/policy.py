@@ -5,10 +5,11 @@ with a price proportional to how far it pushes past the baseline.  When an
 outer trajectory first reaches a designated level, a short lookahead branches
 the stored checkpoint into fresh continuations under every candidate, scores
 each by accumulated log stage probability plus cost, and fixes the cheapest
-adequate candidate for that trajectory's continuation.  Lookahead simulation
-is charged to its own budget so the outer estimator's accounting is untouched,
-and its random streams are disjoint from the outer ones, so the resumed
-trajectory never depends on how the decision was reached.
+adequate candidate for that trajectory's continuation.  Each lookahead stage
+is one pass of the splitting attempt loop, ``smc.run_attempts``.  Lookahead
+simulation is charged to its own budget so the outer estimator's accounting
+is untouched, and its random streams are disjoint from the outer ones, so the
+resumed trajectory never depends on how the decision was reached.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, NoiseBuffer, stream
 from resplit.netmodel import NetParams, PolicyContext
-from resplit.smc import LevelRecord, SimFactory, SmcConfig, SmcReport, run_smc
+from resplit.smc import LevelRecord, SimFactory, SmcConfig, SmcReport, run_attempts, run_smc
 from resplit.smc import resample_pool, run_level  # not called here; benchmark/spans.py wraps them
 
 __all__ = [
@@ -244,12 +245,15 @@ def evaluate_candidate(
 ) -> CandidateResult:
     """Branch ``source`` into fresh continuations under one candidate policy.
 
-    Runs ``look.continuations`` attempts per stage from ``host_level`` through
-    ``last_level``; stages past the first draw their start points uniformly
-    from the previous stage's hits.  A stage with zero hits ends the chain and
-    the remaining stages score zero, so every candidate reports the same
-    number of stages.  Steps are charged to ``ledger``; running dry aborts the
-    evaluation with ``truncated`` set and whatever was measured so far.
+    Each stage from ``host_level`` through ``last_level`` is one pass of the
+    splitting attempt loop (:func:`resplit.smc.run_attempts`) with exactly
+    ``look.continuations`` attempts; stages past the first draw their start
+    points uniformly from the previous stage's hits, which inherit the policy
+    through their snapshots.  A stage with zero hits ends the chain and the
+    remaining stages score zero, so every candidate reports the same number
+    of stages.  Steps are charged to ``ledger``, which is checked before every
+    attempt; running dry aborts the evaluation with ``truncated`` set and
+    whatever was measured so far.
 
     The steps read their noise from ``rng``; the start-point picks of later
     stages come from a generator spawned from ``rng`` on first need, so a
@@ -258,38 +262,19 @@ def evaluate_candidate(
     n = look.continuations
     estimates: list[float] = []
     successes: list[int] = []
-    pool: list[Checkpoint] = [source]
+    pool = [_stamp(sim, source, ctx)]
     width = look.last_level + 1 - look.host_level
-    horizon = sim.horizon_steps
     noise = NoiseBuffer(sim, rng)
     select_rng = None
     for level in range(look.host_level, look.last_level + 1):
-        target = schedule.target(level)
-        hits: list[Checkpoint] = []
-        for _ in range(n):
-            if len(pool) == 1:
-                src = pool[0]
-            else:
-                if select_rng is None:
-                    select_rng = rng.spawn(1)[0]
-                src = pool[int(select_rng.integers(0, len(pool)))]
-            g = src.coordinate
-            if g >= target:
-                hits.append(Checkpoint(src.snapshot, level + 1, src.hit_step, g))
-                continue
-            sim.restore(src.snapshot)
-            sim.set_policy(ctx)
-            j = src.hit_step
-            room = min(horizon - j, ledger.remaining)
-            noise.reserve(room)
-            noise.pos, g = sim.advance(noise.values, noise.pos, noise.pos + room, target)
-            if g >= target:
-                ledger.charge(sim.step_index - j)
-                hits.append(Checkpoint(sim.snapshot(), level + 1, sim.step_index, g))
-            else:
-                ledger.charge(room)  # no crossing: advance took every step it was allowed
-                if room < horizon - j:
-                    return CandidateResult(tuple(estimates), tuple(successes), True)
+        if len(pool) > 1 and select_rng is None:
+            select_rng = rng.spawn(1)[0]
+        attempts, hits, _ = run_attempts(
+            sim, pool, schedule.target(level), level + 1, 0, n, ledger, noise,
+            select_rng if len(pool) > 1 else None,
+        )
+        if attempts < n:
+            return CandidateResult(tuple(estimates), tuple(successes), True)
         estimates.append(len(hits) / n)
         successes.append(len(hits))
         if not hits:
@@ -350,7 +335,7 @@ def _select_for_checkpoints(
     schedule: LevelSchedule,
     policies: PolicySet,
     look: LookaheadConfig,
-    inner_seed: int,
+    seed: int,
     ledger: BudgetLedger,
 ):
     """Run the lookahead at every host-level checkpoint and stamp the winners.
@@ -368,7 +353,7 @@ def _select_for_checkpoints(
         truncated = ledger.exhausted
         if not truncated:
             for cand in range(policies.size):
-                rng = stream(inner_seed, "lookahead", ordinal, cand)
+                rng = stream(seed, "lookahead", ordinal, cand)
                 res = evaluate_candidate(
                     sim, cp, policies.context(cand), schedule, look, rng, ledger
                 )
@@ -398,7 +383,6 @@ def run_smc_with_reconfiguration(
     policies: PolicySet,
     look: LookaheadConfig,
     seed: int,
-    inner_seed: int | None = None,
 ) -> PolicySmcReport:
     """Splitting run that may switch the mitigation policy at ``host_level``.
 
@@ -408,10 +392,9 @@ def run_smc_with_reconfiguration(
     and all its resampled descendants inherit the choice.  The simulator must support
     ``set_policy`` and carry the policy inside snapshots.  With a single
     candidate the layer does nothing at all: no inner simulation runs and the
-    report wraps the bit-identical plain run.  ``inner_seed`` defaults to
-    ``seed``; inner streams are disjoint from outer ones either way, so the
-    resumed trajectories depend only on the selected policies, never on the
-    lookahead draws themselves.
+    report wraps the bit-identical plain run.  The lookahead's streams are
+    disjoint from the outer ones, so the resumed trajectories depend only on
+    the selected policies, never on the lookahead draws themselves.
     """
     stages = schedule.stage_count
     host = look.host_level
@@ -424,8 +407,6 @@ def run_smc_with_reconfiguration(
         raise ValueError(
             f"lookahead depth {look.last_level} past the last stage {stages - 1}"
         )
-    if inner_seed is None:
-        inner_seed = seed
 
     inner_ledger = BudgetLedger(look.inner_budget_steps)
     picks = ([], [], 0, 0)  # selections, evaluations, fallbacks, degenerates
@@ -439,7 +420,7 @@ def run_smc_with_reconfiguration(
             picks = ([0] * len(rec.checkpoints), [], 0, 0)
             return rec
         stamped, picks = _select_for_checkpoints(
-            sim, rec.checkpoints, schedule, policies, look, inner_seed, inner_ledger
+            sim, rec.checkpoints, schedule, policies, look, seed, inner_ledger
         )
         return replace(rec, checkpoints=tuple(stamped))
 

@@ -37,6 +37,7 @@ __all__ = [
     "next_pool_size",
     "predict_diagnostics",
     "resample_pool",
+    "run_attempts",
     "run_level",
     "run_smc",
 ]
@@ -130,67 +131,59 @@ def resample_pool(
     return [checkpoints[i] for i in indices]
 
 
-def run_level(
+def run_attempts(
     sim: Simulator,
     pool: Sequence[Checkpoint],
-    level: int,
-    schedule: LevelSchedule,
-    cfg: SmcConfig,
+    target: float,
+    next_level: int,
+    success_target: int,
+    attempt_target: int,
     ledger: BudgetLedger,
-    seed: int,
-) -> LevelRecord:
-    """Estimate one stage probability from ``pool`` by repeated attempts.
+    noise: NoiseBuffer,
+    select_rng: np.random.Generator | None,
+) -> tuple[int, list[Checkpoint], list[int]]:
+    """Attempt from ``pool`` until both targets are met or the budget runs out.
 
-    Each attempt restores a uniformly drawn checkpoint and steps it forward
-    until it crosses the stage threshold (success, new checkpoint captured),
-    reaches the horizon (failure), or the budget runs out mid-flight (attempt
-    void: cost paid, counted as neither).  The absorbing failure set sits at
-    the top threshold, so crossing checks subsume absorption.  The stopping
-    condition (success and attempt targets both met) is checked before every
-    attempt.
+    Each attempt restores a checkpoint drawn uniformly with ``select_rng``
+    (None for a one-checkpoint pool) and steps it on ``noise`` until it
+    crosses ``target`` (success: captured at ``next_level``), reaches the
+    horizon (failure) or runs out of budget mid-flight (void: cost paid,
+    counted as neither).  Targets and budget are checked before every
+    attempt.  Returns the attempt count, the captures and the attempt index
+    of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
     """
-    if len(pool) == 0:
-        raise EmptyPoolError(f"stage {level} started with an empty pool")
-    target = schedule.target(level)
-    prop_rng = stream(seed, "level-propagate", level)
-    pool = list(pool)
-    n_pool = len(pool)
-    # a one-checkpoint pool only ever picks index 0, so it needs no select stream
-    select_rng = stream(seed, "level-select", level) if n_pool > 1 else None
-
     attempts = 0
     successes = 0
     checkpoints: list[Checkpoint] = []
     success_attempts: list[int] = []
-    s_tar = cfg.success_target
-    a_tar = cfg.attempt_target
-    next_level = level + 1
+    n_pool = len(pool)
 
-    # hot path: the attempt loop below runs ~A_tar times per stage, so per-sim
-    # constants are hoisted, the noise buffer's cursor is kept in a local and
-    # the ledger is kept in a local flushed on every exit
+    # hot path: the loop below runs ~attempt_target times per stage, so
+    # per-sim constants are hoisted, and the noise cursor and the ledger are
+    # kept in locals flushed on every exit
     cap = math.inf if ledger.budget is None else ledger.budget
     used = ledger.used
-    cost_before = used
     horizon = sim.horizon_steps
     advance = sim.advance
     restore = sim.restore
     take_snapshot = sim.snapshot
-    noise = NoiseBuffer(sim, prop_rng)
     values, pos = noise.values, noise.pos
     n_values = len(values)
 
     sel_buf: list[int] = []
     sel_pos = 0
     try:
-        while successes < s_tar or attempts < a_tar:
+        while successes < success_target or attempts < attempt_target:
             if used >= cap:
                 break
             if select_rng is None:
                 source = pool[0]
             else:
                 if sel_pos == len(sel_buf):
-                    sel_buf = select_rng.integers(0, n_pool, size=512).tolist()
+                    # the first batch is just what attempt_target needs, so a caller
+                    # that stops there leaves select_rng where one-at-a-time picks would
+                    size = attempt_target - attempts if attempts < attempt_target else 512
+                    sel_buf = select_rng.integers(0, n_pool, size=size).tolist()
                     sel_pos = 0
                 source = pool[sel_buf[sel_pos]]
                 sel_pos += 1
@@ -229,14 +222,44 @@ def run_level(
             attempts += 1
     finally:
         ledger.used = used
+        noise.pos = pos
+    return attempts, checkpoints, success_attempts
 
+
+def run_level(
+    sim: Simulator,
+    pool: Sequence[Checkpoint],
+    level: int,
+    schedule: LevelSchedule,
+    cfg: SmcConfig,
+    ledger: BudgetLedger,
+    seed: int,
+) -> LevelRecord:
+    """Estimate one stage probability from ``pool`` by repeated attempts.
+
+    The attempts (see :func:`run_attempts`) read their noise from the stage's
+    ``"level-propagate"`` stream and their picks from its ``"level-select"``
+    stream.  The absorbing failure set sits at the top threshold, so crossing
+    checks subsume absorption.
+    """
+    if len(pool) == 0:
+        raise EmptyPoolError(f"stage {level} started with an empty pool")
+    noise = NoiseBuffer(sim, stream(seed, "level-propagate", level))
+    # a one-checkpoint pool only ever picks index 0, so it needs no select stream
+    select_rng = stream(seed, "level-select", level) if len(pool) > 1 else None
+    cost_before = ledger.used
+    attempts, checkpoints, success_attempts = run_attempts(
+        sim, pool, schedule.target(level), level + 1, cfg.success_target, cfg.attempt_target,
+        ledger, noise, select_rng,
+    )
+    successes = len(checkpoints)
     return LevelRecord(
         level=level,
         attempts=attempts,
         successes=successes,
         p_hat=successes / attempts if attempts else 0.0,
-        cost_steps=used - cost_before,
-        stopping_met=successes >= s_tar and attempts >= a_tar,
+        cost_steps=ledger.used - cost_before,
+        stopping_met=successes >= cfg.success_target and attempts >= cfg.attempt_target,
         checkpoints=tuple(checkpoints),
         success_attempts=tuple(success_attempts),
     )

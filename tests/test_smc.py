@@ -12,6 +12,7 @@ from resplit.core import (
     EmptyPoolError,
     HorizonExceededError,
     LevelSchedule,
+    NoiseBuffer,
     Simulator,
     stream,
 )
@@ -24,6 +25,7 @@ from resplit.smc import (
     next_pool_size,
     predict_diagnostics,
     resample_pool,
+    run_attempts,
     run_level,
     run_smc,
 )
@@ -193,6 +195,23 @@ class TestRunLevel:
         assert all(cp.hit_step == 1 for cp in rec.checkpoints)
         assert all(cp.level_index == 1 for cp in rec.checkpoints)
         assert rec.success_attempts == tuple(range(rec.attempts))
+
+
+class TestRunAttempts:
+    def test_stopping_at_the_attempt_target_draws_one_pick_per_attempt(self):
+        # the lookahead shares one select generator across its stages, so a
+        # pass that stops at attempt_target must leave it where one-at-a-time
+        # picks would
+        sim = LadderSim((1.0, 1.0))
+        pool = [Checkpoint((1, j, False), 1, j, 1.0) for j in (1, 2, 3)]
+        select = stream(2, "select")
+        attempts, hits, _ = run_attempts(sim, pool, 1.0, 2, 0, 7, BudgetLedger(None),
+                                         NoiseBuffer(sim, stream(1, "noise")), select)
+        ref = stream(2, "select")
+        picks = [int(ref.integers(0, 3)) for _ in range(7)]
+        assert attempts == 7
+        assert [cp.hit_step for cp in hits] == [pool[i].hit_step for i in picks]
+        assert select.integers(0, 3, size=20).tolist() == ref.integers(0, 3, size=20).tolist()
 
 
 class TestRunSmc:

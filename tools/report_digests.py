@@ -11,9 +11,11 @@ outputs::
 The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
-Monte Carlo, network runs cut short by their step budget, and lookahead runs
-with ``depth`` set.  Each digest is a hash of the report's ``repr``.  The
-script takes no options and imports ``resplit`` from the checkout it sits in.
+Monte Carlo, network runs cut short by their step budget, lookahead runs
+with ``depth`` set, and myopic lookahead runs whose inner budget runs dry, so
+that some checkpoints fall back to the baseline.  Each digest is a hash of
+the report's ``repr``.  The script takes no options and imports ``resplit``
+from the checkout it sits in.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ def extra_shapes():
     policies = policy.PolicySet.from_params(NOISY, size=3)
     deep = policy.LookaheadConfig(host_level=2, continuations=4, depth=3,
                                   inner_budget_steps=150_000)
+    dry = policy.LookaheadConfig(host_level=2, continuations=4, inner_budget_steps=20_000)
     outer = smc.SmcConfig(success_target=8, attempt_target=30, initial_pool=10, pool_min=10,
                           pool_max=30, budget_steps=200_000)
     return (
@@ -58,6 +61,9 @@ def extra_shapes():
         ("net-policy-depth", range(2),
          lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
                                                        policies, deep, s)),
+        ("net-policy-dry", range(10),
+         lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
+                                                       policies, dry, s)),
     )
 
 
