@@ -23,7 +23,6 @@ from scipy import stats
 
 from resplit.analysis import (
     chain_prediction,
-    exact_stage_mean,
     exact_stage_moments,
     geometric_spread,
     wilson_interval,
@@ -133,7 +132,7 @@ def check_stage_estimator_law(work: Path) -> tuple[bool, str]:
         for r in range(100_000)
     ])
     elapsed = time.perf_counter() - t0
-    oracle = exact_stage_mean(0.2, 20)
+    oracle = exact_stage_moments(0.2, 20)[0]
     approx = 0.2 * (1.0 + 0.8 / 20)
     se = ests.std(ddof=1) / math.sqrt(len(ests))
     z = (ests.mean() - oracle) / se

@@ -3,8 +3,8 @@
 A stage that keeps drawing attempts until it has seen ``s`` successes reports
 ``p_hat = s / A`` with ``A`` the (random) attempt count.  The prediction
 formulas here give the leading-order relative bias and variance of that ratio
-and of products of independent stages; the ``exact_stage_*`` functions sum the
-underlying negative-binomial series directly and serve as an independent
+and of products of independent stages; ``exact_stage_moments`` sums the
+underlying negative-binomial series directly and serves as an independent
 reference the sampling engines can be checked against.
 """
 from __future__ import annotations
@@ -17,50 +17,32 @@ import numpy as np
 
 __all__ = [
     "ChainPrediction",
-    "StagePrediction",
     "chain_prediction",
     "classical_rel_variance",
-    "exact_stage_mean",
     "exact_stage_moments",
     "geometric_spread",
-    "stage_prediction",
     "wilson_interval",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class StagePrediction:
-    """Leading-order behaviour of one success-stopped stage estimator."""
+def exact_stage_moments(p: float, success_target: int, *, tol: float = 1e-12) -> tuple[float, float]:
+    """Exact ``(mean, variance)`` of ``s / A`` by series summation, tail-certified below ``tol``.
 
-    p: float
-    success_target: int
-    rel_bias: float
-    rel_var: float
-
-
-def stage_prediction(p: float, success_target: int) -> StagePrediction:
-    """Predicted relative bias/variance of ``p_hat`` for a stage stopped at ``success_target`` successes.
-
-    Both the relative bias and the relative variance are ``(1 - p) / success_target``.
+    For ``success_target=1`` the mean is the geometric-law value ``-p ln p / (1-p)``.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"stage probability must be in (0, 1], got {p}")
     if success_target < 1:
         raise ValueError(f"success_target must be >= 1, got {success_target}")
-    q = (1.0 - p) / success_target
-    return StagePrediction(p=p, success_target=success_target, rel_bias=q, rel_var=q)
-
-
-def _stage_series(p: float, success_target: int, tol: float) -> tuple[float, float]:
-    """Sum ``E[(s/A)^m]`` for m = 1, 2 over the attempt-count law, tail-certified below ``tol``."""
     s = success_target
     if p == 1.0:
-        return 1.0, 1.0
+        return 1.0, 0.0
     from scipy import stats  # deferred: only the acceptance checks need scipy
 
     # A = s + F with F ~ NegBin(s, p) counting pre-success failures.  Each term
-    # carries weight (s/(s+f))^m <= 1, so the truncated tail is bounded by the
-    # survival mass, which we grow the cutoff until it certifies below tol.
+    # of E[(s/A)^m], m = 1, 2, carries weight (s/(s+f))^m <= 1, so the
+    # truncated tail is bounded by the survival mass, which we grow the cutoff
+    # until it certifies below tol.
     cutoff = int(stats.nbinom.isf(tol / 4.0, s, p)) + 16
     for _ in range(64):
         if float(stats.nbinom.sf(cutoff, s, p)) < tol:
@@ -71,29 +53,7 @@ def _stage_series(p: float, success_target: int, tol: float) -> tuple[float, flo
     f = np.arange(cutoff + 1)
     weights = np.exp(stats.nbinom.logpmf(f, s, p))
     ratio = s / (s + f)
-    return float(weights @ ratio), float(weights @ (ratio * ratio))
-
-
-def exact_stage_mean(p: float, success_target: int, *, tol: float = 1e-12) -> float:
-    """Exact ``E[s / A]`` for a stage stopped at its ``s``-th success, by series summation.
-
-    For ``success_target=1`` this is the geometric-law value ``-p ln p / (1-p)``.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"stage probability must be in (0, 1], got {p}")
-    if success_target < 1:
-        raise ValueError(f"success_target must be >= 1, got {success_target}")
-    mean, _ = _stage_series(p, success_target, tol)
-    return mean
-
-
-def exact_stage_moments(p: float, success_target: int, *, tol: float = 1e-12) -> tuple[float, float]:
-    """Exact ``(mean, variance)`` of ``s / A`` by series summation."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"stage probability must be in (0, 1], got {p}")
-    if success_target < 1:
-        raise ValueError(f"success_target must be >= 1, got {success_target}")
-    mean, second = _stage_series(p, success_target, tol)
+    mean, second = float(weights @ ratio), float(weights @ (ratio * ratio))
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -107,10 +67,9 @@ class ChainPrediction:
     rel_var_first_order: float
 
 
-def chain_prediction(stages: Iterable[StagePrediction | tuple[float, float]]) -> ChainPrediction:
-    """Compose per-stage relative bias/variance into the product estimator's.
+def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
+    """Compose per-stage ``(rel_bias, rel_var)`` pairs into the product estimator's.
 
-    Accepts ``StagePrediction`` objects or bare ``(rel_bias, rel_var)`` pairs.
     Exact under stage independence:
 
     - bias factor: ``prod(1 + b_k) - 1``
@@ -123,11 +82,7 @@ def chain_prediction(stages: Iterable[StagePrediction | tuple[float, float]]) ->
     bias_sum = 0.0
     var_sum = 0.0
     count = 0
-    for stage in stages:
-        if isinstance(stage, StagePrediction):
-            b, v = stage.rel_bias, stage.rel_var
-        else:
-            b, v = stage
+    for b, v in stages:
         if v < 0.0:
             raise ValueError(f"relative variance must be >= 0, got {v}")
         m = 1.0 + b

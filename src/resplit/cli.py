@@ -334,6 +334,13 @@ def _cmd_verify(args) -> int:
     return run_acceptance(Path(_out_dir(cfg)), quick=args.quick)
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a whole number of processes, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="resplit",
@@ -346,7 +353,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--out", help="output directory (default 'out')")
         if workers:
-            p.add_argument("--workers", type=int, default=1,
+            p.add_argument("--workers", type=_worker_count, default=1,
                            help="parallel sweep workers (default 1)")
         if quick:
             p.add_argument("--quick", action="store_true",

@@ -49,11 +49,6 @@ class PolicyStudy:
     increment_fraction: float = 0.5
     cost_scale: float = 0.5
 
-    def build(self, params: NetParams) -> PolicySet:
-        return PolicySet.from_params(
-            params, self.size, self.increment_fraction, self.cost_scale
-        )
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -97,7 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep axes overlap: {names}")
 
     def policy_set(self) -> PolicySet:
-        return self.policy.build(self.model)
+        p = self.policy
+        return PolicySet.from_params(self.model, p.size, p.increment_fraction, p.cost_scale)
 
 
 _TOP_KEYS = (
@@ -126,11 +122,24 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
+def _reject_non_integer(cls, data: dict, prefix: str) -> None:
+    """Fields annotated ``int`` take JSON integers only: ``20.0`` and ``true`` are not counts."""
+    for f in fields(cls):
+        if f.type not in ("int", "int | None") or f.name not in data:
+            continue
+        value = data[f.name]
+        if value is None and f.type == "int | None":
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{prefix}{f.name}: must be an integer, got {value!r}")
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
     _reject_unknown(data, allowed, f"{path}.")
+    _reject_non_integer(cls, data, f"{path}.")
     try:
         return cls(**data)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -180,6 +189,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config root: expected an object, got {type(raw).__name__}")
     _reject_unknown(raw, _TOP_KEYS, "")
     _reject_non_finite(raw, "")
+    _reject_non_integer(ExperimentConfig, raw, "")
 
     mc_raw = dict(raw.get("mc", {}))
     # an explicit trajectory count replaces the default budget

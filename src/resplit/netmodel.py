@@ -25,7 +25,6 @@ from resplit.core import HorizonExceededError, LevelSchedule, horizon_step_count
 __all__ = [
     "NetParams",
     "NetSimulator",
-    "PolicyContext",
     "capacity",
     "default_levels",
     "simulator_factory",
@@ -99,20 +98,6 @@ class NetParams:
         return self.initial_log_stress
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyContext:
-    """Active mitigation setting: the recovery rate (and its exponent) in force."""
-
-    recovery_rate: float
-    recovery_exponent: float
-
-    def __post_init__(self) -> None:
-        if not self.recovery_rate > 0.0:
-            raise ValueError(f"recovery_rate must be > 0, got {self.recovery_rate}")
-        if not self.recovery_exponent > 1.0:
-            raise ValueError(f"recovery_exponent must be > 1, got {self.recovery_exponent}")
-
-
 def default_levels() -> LevelSchedule:
     """Default splitting schedule over ``g``: faint congestion, onset, critical, failed."""
     return LevelSchedule(
@@ -135,23 +120,22 @@ class NetSimulator:
     computes for each step's coordinate into the next step.  The test suite
     holds a plain one-step reimplementation of the model (``tests/oracle.py``)
     that it must match bit for bit.  Snapshots are plain value tuples
-    ``(step, backlog, health, log_stress, exceed_count, recovery_rate,
-    recovery_exponent)``, so restoring a checkpoint also restores the
-    mitigation setting that produced it.
+    ``(step, backlog, health, log_stress, exceed_count, recovery_rate)``, so
+    restoring a checkpoint also restores the mitigation setting, the recovery
+    rate, that produced it.  The recovery exponent is a model constant and
+    stays out of snapshots.
     """
 
     failure_value = 2.0
 
     __slots__ = (
-        "params", "_j", "_backlog", "_health", "_log_stress", "_exceed",
+        "_j", "_backlog", "_health", "_log_stress", "_exceed",
         "_nu", "_phi", "_horizon", "_grace", "_load", "_dt", "_delta",
         "_rho", "_mu_blend", "_sigma", "_c",
     )
 
-    def __init__(self, params: NetParams, ctx: PolicyContext | None = None) -> None:
-        self.params = params
-        if ctx is None:
-            ctx = PolicyContext(params.recovery_rate, params.recovery_exponent)
+    def __init__(self, params: NetParams) -> None:
+        self._phi = params.recovery_exponent
         self._horizon = params.horizon_steps
         self._grace = params.grace_steps
         self._load = params.arrival_load
@@ -160,7 +144,7 @@ class NetSimulator:
         self._rho = params.stress_persistence
         self._mu_blend = (1.0 - params.stress_persistence) * params.stress_log_mean
         self._sigma = params.stress_log_sd
-        self.set_policy(ctx)
+        self.set_policy(params.recovery_rate)
         self._j = 0
         self._backlog = params.initial_backlog
         self._health = params.initial_health
@@ -176,30 +160,19 @@ class NetSimulator:
     def horizon_steps(self) -> int:
         return self._horizon
 
-    @property
-    def policy(self) -> PolicyContext:
-        return PolicyContext(self._nu, self._phi)
-
-    def set_policy(self, ctx: PolicyContext) -> None:
-        """Switch the active mitigation setting (takes effect from the next step)."""
-        if ctx.recovery_rate * self._dt > 1.0:
+    def set_policy(self, rate: float) -> None:
+        """Switch the recovery rate in force (takes effect from the next step)."""
+        if not 0.0 < rate * self._dt <= 1.0:
             raise ValueError(
-                f"recovery_rate {ctx.recovery_rate} unstable for step {self._dt} s"
+                f"recovery_rate must be > 0 and stable for step {self._dt} s, got {rate}"
             )
-        self._nu = ctx.recovery_rate
-        self._phi = ctx.recovery_exponent
+        self._nu = rate
 
     def snapshot(self) -> tuple:
-        return (
-            self._j, self._backlog, self._health, self._log_stress, self._exceed,
-            self._nu, self._phi,
-        )
+        return (self._j, self._backlog, self._health, self._log_stress, self._exceed, self._nu)
 
     def restore(self, snap: tuple) -> None:
-        (
-            self._j, self._backlog, self._health, self._log_stress, self._exceed,
-            self._nu, self._phi,
-        ) = snap
+        self._j, self._backlog, self._health, self._log_stress, self._exceed, self._nu = snap
         self._c = capacity(self._health)
 
     def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, NoiseBuffer, stream
-from resplit.netmodel import NetParams, PolicyContext
+from resplit.netmodel import NetParams
 from resplit.smc import LevelRecord, SimFactory, SmcConfig, SmcReport, run_attempts, run_smc
 from resplit.smc import resample_pool, run_level  # not called here; benchmark/spans.py wraps them
 
@@ -42,17 +42,15 @@ class PolicySet:
 
     Candidate 0 is always the do-nothing baseline.  The cost of candidate ``i``
     is ``cost_scale * i * increment_fraction``, the relative acceleration of
-    recovery scaled by the price knob.  The response exponent is shared by all
-    candidates.  When ``step_seconds`` is given the strongest candidate is
-    checked against the one-step stability bound up front instead of blowing
-    up mid-run.
+    recovery scaled by the price knob.  When ``step_seconds`` is given the
+    strongest candidate is checked against the one-step stability bound up
+    front instead of blowing up mid-run.
     """
 
     size: int
     base_rate: float
     increment_fraction: float = 0.5
     cost_scale: float = 0.5
-    recovery_exponent: float = 2.0
     step_seconds: float | None = None
 
     def __post_init__(self) -> None:
@@ -66,10 +64,6 @@ class PolicySet:
             )
         if not self.cost_scale >= 0.0:
             raise ValueError(f"cost_scale must be >= 0, got {self.cost_scale}")
-        if not self.recovery_exponent > 1.0:
-            raise ValueError(
-                f"recovery_exponent must be > 1, got {self.recovery_exponent}"
-            )
         if self.step_seconds is not None:
             if not self.step_seconds > 0.0:
                 raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
@@ -88,13 +82,12 @@ class PolicySet:
         increment_fraction: float = 0.5,
         cost_scale: float = 0.5,
     ) -> "PolicySet":
-        """Family anchored at the model's own baseline rate and exponent."""
+        """Family anchored at the model's own baseline rate."""
         return cls(
             size=size,
             base_rate=params.recovery_rate,
             increment_fraction=increment_fraction,
             cost_scale=cost_scale,
-            recovery_exponent=params.recovery_exponent,
             step_seconds=params.step_seconds,
         )
 
@@ -109,9 +102,6 @@ class PolicySet:
     def cost(self, index: int) -> float:
         self._check(index)
         return self.cost_scale * index * self.increment_fraction
-
-    def context(self, index: int) -> PolicyContext:
-        return PolicyContext(self.rate(index), self.recovery_exponent)
 
     def costs(self) -> tuple[float, ...]:
         return tuple(self.cost(i) for i in range(self.size))
@@ -237,13 +227,13 @@ def select_policy(
 def evaluate_candidate(
     sim,
     source: Checkpoint,
-    ctx: PolicyContext,
+    rate: float,
     schedule: LevelSchedule,
     look: LookaheadConfig,
     rng: np.random.Generator,
     ledger: BudgetLedger,
 ) -> CandidateResult:
-    """Branch ``source`` into fresh continuations under one candidate policy.
+    """Branch ``source`` into fresh continuations under one candidate recovery rate.
 
     Each stage from ``host_level`` through ``last_level`` is one pass of the
     splitting attempt loop (:func:`resplit.smc.run_attempts`) with exactly
@@ -262,7 +252,7 @@ def evaluate_candidate(
     n = look.continuations
     estimates: list[float] = []
     successes: list[int] = []
-    pool = [_stamp(sim, source, ctx)]
+    pool = [_stamp(sim, source, rate)]
     width = look.last_level + 1 - look.host_level
     noise = NoiseBuffer(sim, rng)
     select_rng = None
@@ -286,10 +276,10 @@ def evaluate_candidate(
     return CandidateResult(tuple(estimates), tuple(successes), False)
 
 
-def _stamp(sim, cp: Checkpoint, ctx: PolicyContext) -> Checkpoint:
-    """Rewrite a checkpoint's snapshot with the selected policy in force."""
+def _stamp(sim, cp: Checkpoint, rate: float) -> Checkpoint:
+    """Rewrite a checkpoint's snapshot with the selected recovery rate in force."""
     sim.restore(cp.snapshot)
-    sim.set_policy(ctx)
+    sim.set_policy(rate)
     return Checkpoint(sim.snapshot(), cp.level_index, cp.hit_step, cp.coordinate)
 
 
@@ -355,7 +345,7 @@ def _select_for_checkpoints(
             for cand in range(policies.size):
                 rng = stream(seed, "lookahead", ordinal, cand)
                 res = evaluate_candidate(
-                    sim, cp, policies.context(cand), schedule, look, rng, ledger
+                    sim, cp, policies.rate(cand), schedule, look, rng, ledger
                 )
                 if res.truncated:
                     truncated = True
@@ -365,14 +355,14 @@ def _select_for_checkpoints(
             # not enough inner budget to finish scoring: keep the baseline
             fallbacks += 1
             selections.append(0)
-            stamped.append(_stamp(sim, cp, policies.context(0)))
+            stamped.append(_stamp(sim, cp, policies.rate(0)))
             continue
         ev = select_policy(results, policies.costs(), look.continuations)
         if ev.degenerate:
             degenerates += 1
         selections.append(ev.selected)
         evaluations.append(ev)
-        stamped.append(_stamp(sim, cp, policies.context(ev.selected)))
+        stamped.append(_stamp(sim, cp, policies.rate(ev.selected)))
     return stamped, (selections, evaluations, fallbacks, degenerates)
 
 
@@ -389,12 +379,13 @@ def run_smc_with_reconfiguration(
     The plain splitting run with the selection as its per-stage hook: once
     the stage feeding ``host_level`` completes, each checkpoint captured there
     is scored by lookahead, gets its winning policy written into its snapshot,
-    and all its resampled descendants inherit the choice.  The simulator must support
-    ``set_policy`` and carry the policy inside snapshots.  With a single
-    candidate the layer does nothing at all: no inner simulation runs and the
-    report wraps the bit-identical plain run.  The lookahead's streams are
-    disjoint from the outer ones, so the resumed trajectories depend only on
-    the selected policies, never on the lookahead draws themselves.
+    and all its resampled descendants inherit the choice.  The simulator must
+    support ``set_policy(rate)`` and carry the recovery rate inside snapshots.
+    With a single candidate the layer does nothing at all: no inner simulation
+    runs and the report wraps the bit-identical plain run.  The lookahead's
+    streams are disjoint from the outer ones, so the resumed trajectories
+    depend only on the selected policies, never on the lookahead draws
+    themselves.
     """
     stages = schedule.stage_count
     host = look.host_level

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from resplit.analysis import chain_prediction, classical_rel_variance, stage_prediction
+from resplit.analysis import chain_prediction, classical_rel_variance
 from resplit.core import (
     BudgetLedger,
     Checkpoint,
@@ -311,7 +311,6 @@ def run_smc(
     records: list[LevelRecord] = []
     budget_exhausted = False
     extinction_level: int | None = None
-    completed = True
 
     for level in range(stages):
         rec = run_level(sim, pool, level, schedule, cfg, ledger, seed)
@@ -321,7 +320,6 @@ def run_smc(
             budget_exhausted = True
             if rec.successes == 0:
                 extinction_level = level
-            completed = False
             break
         if on_stage is not None:
             rec = on_stage(level, rec, sim)
@@ -332,13 +330,12 @@ def run_smc(
             pool = resample_pool(rec.checkpoints, size, stream(seed, "resample", level))
             if ledger.exhausted:
                 budget_exhausted = True
-                completed = False
                 break
         else:
             records.append(rec)
 
     estimate = 0.0
-    if completed:
+    if not budget_exhausted:
         estimate = 1.0
         for rec in records:
             estimate *= rec.p_hat
@@ -377,15 +374,15 @@ def predict_diagnostics(report: SmcReport, cfg: SmcConfig) -> SmcDiagnostics:
     """
     if report.estimate <= 0.0 or any(rec.p_hat <= 0.0 for rec in report.levels):
         return SmcDiagnostics(defined=False)
-    stages = [stage_prediction(rec.p_hat, cfg.success_target) for rec in report.levels]
-    chain = chain_prediction(stages)
+    q = tuple((1.0 - rec.p_hat) / cfg.success_target for rec in report.levels)
+    chain = chain_prediction((q_k, q_k) for q_k in q)
     classical = classical_rel_variance(
         [rec.p_hat for rec in report.levels], [rec.attempts for rec in report.levels]
     )
     return SmcDiagnostics(
         defined=True,
-        stage_rel_bias=tuple(s.rel_bias for s in stages),
-        stage_rel_var=tuple(s.rel_var for s in stages),
+        stage_rel_bias=q,
+        stage_rel_var=q,
         rel_bias=chain.rel_bias,
         rel_var=chain.rel_var,
         rel_bias_first_order=chain.rel_bias_first_order,

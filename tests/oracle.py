@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from resplit.core import HorizonExceededError
-from resplit.netmodel import NetParams, PolicyContext, capacity
+from resplit.netmodel import NetParams, capacity
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,14 +56,14 @@ def reaction_coordinate(state: NetState, params: NetParams) -> float:
     return ratio + state.exceed_count / grace
 
 
-def step_dynamics(
-    state: NetState, params: NetParams, ctx: PolicyContext, gamma: float
-) -> NetState:
+def step_dynamics(state: NetState, params: NetParams, rate: float, gamma: float) -> NetState:
     """One step of the dynamics, as a pure function of the pre-step state.
 
-    The queue, health and persistence updates all read the time-``j`` values:
-    in particular the delay that feeds the exceedance counter is the pre-step
-    one.  ``gamma`` is the standard-normal stress innovation.
+    Health recovers at ``rate``, the mitigation setting in force, with the
+    model's own ``params.recovery_exponent``.  The queue, health and
+    persistence updates all read the time-``j`` values: in particular the
+    delay that feeds the exceedance counter is the pre-step one.  ``gamma``
+    is the standard-normal stress innovation.
     """
     if state.step_index >= params.horizon_steps:
         raise HorizonExceededError(
@@ -75,7 +75,7 @@ def step_dynamics(
         backlog = 0.0
     health = (
         state.health
-        + ctx.recovery_rate * (1.0 - c) ** ctx.recovery_exponent
+        + rate * (1.0 - c) ** params.recovery_exponent
         - math.exp(state.log_stress)
     )
     log_stress = (

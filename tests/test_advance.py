@@ -26,7 +26,6 @@ from resplit.mc import McConfig, run_mc
 from resplit.netmodel import (
     NetParams,
     NetSimulator,
-    PolicyContext,
     default_levels,
     simulator_factory,
 )
@@ -37,13 +36,11 @@ from resplit.toys import LadderSim, ThreeStateSim, ladder_factory, three_state_f
 
 def net_reference(p):
     def run(rng):
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
         state = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
         out = []
         for _ in range(p.horizon_steps):
-            state = step_dynamics(state, p, ctx, rng.standard_normal())
-            snap = (*(getattr(state, f) for f in NetState.__slots__), ctx.recovery_rate,
-                    ctx.recovery_exponent)
+            state = step_dynamics(state, p, p.recovery_rate, rng.standard_normal())
+            snap = (*(getattr(state, f) for f in NetState.__slots__), p.recovery_rate)
             out.append((snap, reaction_coordinate(state, p), is_failure(state, p)))
         return out
 
@@ -243,12 +240,12 @@ class TestEnginesIgnoreChunking:
         while sim.coordinate() < 1.0:
             step(sim, rng)
         source = Checkpoint(sim.snapshot(), 2, sim.step_index, sim.coordinate())
-        ctx = PolicySet.from_params(params, size=3).context(1)
+        rate = PolicySet.from_params(params, size=3).rate(1)
         look = LookaheadConfig(host_level=2, continuations=6, depth=depth)
 
         def run():
             ledger = BudgetLedger(budget)
-            res = evaluate_candidate(sim, source, ctx, default_levels(), look,
+            res = evaluate_candidate(sim, source, rate, default_levels(), look,
                                      stream(3, "look"), ledger)
             return res, ledger.used
 

@@ -12,33 +12,29 @@ from resplit.analysis import (
     ChainPrediction,
     chain_prediction,
     classical_rel_variance,
-    exact_stage_mean,
     exact_stage_moments,
     geometric_spread,
-    stage_prediction,
     wilson_interval,
 )
+from resplit.smc import LevelRecord, SmcConfig, SmcReport, predict_diagnostics
 
 
 class TestStagePrediction:
     def test_hand_values(self):
-        pred = stage_prediction(0.2, 20)
-        assert pred.rel_bias == pytest.approx(0.04)
-        assert pred.rel_var == pytest.approx(0.04)
-
-    def test_sure_stage_is_exact(self):
-        pred = stage_prediction(1.0, 5)
-        assert pred.rel_bias == 0.0
-        assert pred.rel_var == 0.0
-
-    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
-    def test_rejects_bad_probability(self, p):
-        with pytest.raises(ValueError):
-            stage_prediction(p, 10)
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            stage_prediction(0.5, 0)
+        # one stage at p = 0.2 stopped at s = 20 successes: (1 - p) / s = 0.04
+        report = SmcReport(
+            levels=(LevelRecord(0, 100, 20, 0.2, 0, True),),
+            estimate=0.2,
+            cost_steps_used=0,
+            budget_exhausted=False,
+            extinction_level=None,
+            resolution_floor=1e-4,
+        )
+        diag = predict_diagnostics(report, SmcConfig(success_target=20))
+        assert diag.stage_rel_bias == pytest.approx((0.04,))
+        assert diag.stage_rel_var == pytest.approx((0.04,))
+        assert diag.rel_bias == pytest.approx(0.04)
+        assert diag.rel_var == pytest.approx(0.04)
 
 
 class TestExactStageOracle:
@@ -46,7 +42,7 @@ class TestExactStageOracle:
         # single-success stopping: E[1/A] for A ~ Geometric(p) is -p ln p / (1 - p)
         for p in (0.1, 0.25, 0.5, 0.9):
             closed = -p * math.log(p) / (1.0 - p)
-            assert exact_stage_mean(p, 1) == pytest.approx(closed, rel=1e-10)
+            assert exact_stage_moments(p, 1)[0] == pytest.approx(closed, rel=1e-10)
 
     def test_matches_brute_force_summation(self):
         # independent route: direct PMF accumulation with a fixed huge cutoff
@@ -62,14 +58,14 @@ class TestExactStageOracle:
         assert var == pytest.approx(second - total * total, abs=1e-11)
 
     def test_cutoff_stability(self):
-        a = exact_stage_mean(0.05, 20, tol=1e-12)
-        b = exact_stage_mean(0.05, 20, tol=1e-14)
+        a = exact_stage_moments(0.05, 20, tol=1e-12)[0]
+        b = exact_stage_moments(0.05, 20, tol=1e-14)[0]
         assert a == pytest.approx(b, abs=5e-12)
 
     def test_close_to_leading_order(self):
         # exact value sits near p * (1 + (1-p)/s) once s is moderately large
         p, s = 0.2, 20
-        mean = exact_stage_mean(p, s)
+        mean = exact_stage_moments(p, s)[0]
         approx = p * (1.0 + (1.0 - p) / s)
         assert mean == pytest.approx(approx, rel=2e-3)
         assert mean > p  # stopping at successes overshoots upward
@@ -80,7 +76,7 @@ class TestExactStageOracle:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            exact_stage_mean(0.0, 5)
+            exact_stage_moments(0.0, 5)
         with pytest.raises(ValueError):
             exact_stage_moments(0.5, 0)
 
@@ -93,10 +89,12 @@ class TestChainPrediction:
         assert got.rel_bias_first_order == pytest.approx(0.08)
         assert got.rel_var_first_order == pytest.approx(0.08)
 
-    def test_accepts_stage_predictions(self):
-        preds = [stage_prediction(0.2, 20), stage_prediction(0.2, 20)]
-        got = chain_prediction(preds)
+    def test_accepts_a_generator_of_pairs(self):
+        # per-stage (q, q) pairs, q = (1 - p) / s, streamed from a generator
+        # as predict_diagnostics passes them
+        got = chain_prediction(((1.0 - p) / 20, (1.0 - p) / 20) for p in (0.2, 0.2))
         assert got.rel_bias == pytest.approx(1.04**2 - 1.0)
+        assert got.rel_var == pytest.approx((1.04**2 + 0.04) ** 2 - 1.04**4)
 
     def test_single_stage_passthrough(self):
         got = chain_prediction([(0.03, 0.05)])

@@ -258,3 +258,26 @@ class TestMain:
         rc = main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "modle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"smc": {"initial_pool": 20.0}}, "smc.initial_pool"),
+        ({"engine": "smc+policy", "policy": {"size": 3.0}}, "policy.size"),
+        ({"replications": 1.5}, "replications"),
+        ({"smc": {"pool_max": 50.5}}, "smc.pool_max"),
+        ({"smc": {"success_target": True}}, "smc.success_target"),
+    ])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, raw, key):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(raw))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config error: {key}: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "policy"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "2.5"])
+    def test_workers_below_one_rejected(self, capsys, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--workers={workers}"])
+        assert exc.value.code == 2
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err

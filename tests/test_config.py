@@ -153,6 +153,28 @@ class TestNonFinite:
                                         "horizon_seconds": 1.0}})
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("raw, key", [
+        ({"smc": {"initial_pool": 20.0}}, "smc.initial_pool"),
+        ({"engine": "smc+policy", "policy": {"size": 3.0}}, "policy.size"),
+        ({"replications": 1.5}, "replications"),
+        ({"smc": {"pool_max": 50.5}}, "smc.pool_max"),
+        ({"smc": {"success_target": True}}, "smc.success_target"),
+        ({"master_seed": "3"}, "master_seed"),
+        ({"lookahead": {"depth": 3.0}}, "lookahead.depth"),
+        ({"mc": {"trajectories": 10.0}}, "mc.trajectories"),
+        ({"smc": {"budget_steps": None}}, "smc.budget_steps"),
+    ])
+    def test_non_integer_rejected_with_its_path(self, raw, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be an integer"):
+            config_from_dict(raw)
+
+    def test_null_allowed_where_optional(self):
+        cfg = config_from_dict({"lookahead": {"depth": None, "inner_budget_steps": None},
+                                "mc": {"trajectories": 10}})
+        assert cfg.lookahead.depth is None and cfg.mc.budget_steps is None
+
+
 class TestLoadFile:
     def test_valid_file(self, tmp_path):
         path = tmp_path / "exp.json"

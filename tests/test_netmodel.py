@@ -16,7 +16,6 @@ from resplit.core import HorizonExceededError, stream
 from resplit.netmodel import (
     NetParams,
     NetSimulator,
-    PolicyContext,
     capacity,
     default_levels,
     simulator_factory,
@@ -71,9 +70,6 @@ class TestParams:
                      "delay_threshold", "grace_seconds"):
             with pytest.raises(ValueError):
                 NetParams(**{name: math.nan})
-        for args in ((math.nan, 2.0), (0.2, math.nan)):
-            with pytest.raises(ValueError):
-                PolicyContext(*args)
 
     def test_default_levels(self):
         sched = default_levels()
@@ -148,8 +144,7 @@ class TestStepDynamics:
     def test_first_step_hand_computed(self):
         p = NetParams(stress_log_sd=0.0)
         s0 = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
-        s1 = step_dynamics(s0, p, ctx, gamma=0.0)
+        s1 = step_dynamics(s0, p, p.recovery_rate, gamma=0.0)
         # capacity(0.95) > arrival load, queue stays empty
         assert s1.backlog == 0.0
         c = 1.0 / (1.0 + math.exp(-0.95))
@@ -161,45 +156,41 @@ class TestStepDynamics:
     def test_exceed_counts_to_failure_and_resets(self):
         p = NetParams(grace_seconds=0.15)  # grace window of 3 steps
         assert p.grace_steps == 3
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
         state = NetState(0, backlog=5.0, health=0.0, log_stress=-30.0, exceed_count=0)
         counts = []
         for _ in range(3):
-            state = step_dynamics(state, p, ctx, 0.0)
+            state = step_dynamics(state, p, p.recovery_rate, 0.0)
             counts.append(state.exceed_count)
         assert counts == [1, 2, 3]
         assert is_failure(state, p)
         # a drained queue resets the window
         calm = NetState(4, 0.0, 0.0, -30.0, 2)
-        after = step_dynamics(calm, p, ctx, 0.0)
+        after = step_dynamics(calm, p, p.recovery_rate, 0.0)
         assert after.exceed_count == 0
 
     def test_exceed_uses_prestep_delay(self):
         # backlog drains below threshold during the step, but the pre-step
         # delay was at threshold, so the counter still advances
         p = NetParams(grace_seconds=0.25, delay_threshold=0.1)
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
         state = NetState(0, backlog=0.1 * capacity(8.0), health=8.0, log_stress=-30.0, exceed_count=0)
-        nxt = step_dynamics(state, p, ctx, 0.0)
+        nxt = step_dynamics(state, p, p.recovery_rate, 0.0)
         assert nxt.exceed_count == 1
 
     def test_horizon_guard(self):
         p = NetParams(horizon_seconds=0.1)  # two steps
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
         state = NetState(2, 0.0, 0.0, -5.0, 0)
         with pytest.raises(HorizonExceededError):
-            step_dynamics(state, p, ctx, 0.0)
+            step_dynamics(state, p, p.recovery_rate, 0.0)
 
     def test_deterministic_straight_line_reimplementation(self):
         # independent plain-loop version of the noise-free dynamics
         p = NetParams(stress_log_sd=0.0, horizon_seconds=10.0, initial_health=-0.5,
                       initial_backlog=0.05)
-        ctx = PolicyContext(p.recovery_rate, p.recovery_exponent)
         state = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
 
         b, h, f, n = p.initial_backlog, p.initial_health, p.stress_log_mean, 0
         for _ in range(p.horizon_steps):
-            state = step_dynamics(state, p, ctx, 0.0)
+            state = step_dynamics(state, p, p.recovery_rate, 0.0)
 
             cap = 1.0 / (1.0 + math.exp(-np.clip(h, -50.0, 50.0)))
             d = b / cap
@@ -261,23 +252,30 @@ class TestSimulatorContract:
 
     def test_policy_switch_and_snapshot_roundtrip(self):
         sim = NetSimulator(NetParams())
-        sim.set_policy(PolicyContext(0.4, 2.0))
+        sim.set_policy(0.4)
         snap = sim.snapshot()
-        sim.set_policy(PolicyContext(0.6, 2.0))
-        assert sim.policy.recovery_rate == 0.6
+        assert len(snap) == 6 and snap[5] == 0.4
+        sim.set_policy(0.6)
+        assert sim.snapshot()[5] == 0.6
         sim.restore(snap)
-        assert sim.policy.recovery_rate == 0.4
+        assert sim.snapshot()[5] == 0.4
 
     def test_policy_stability_guard(self):
         sim = NetSimulator(NetParams())
-        with pytest.raises(ValueError):
-            sim.set_policy(PolicyContext(25.0, 2.0))
+        before = sim.snapshot()
+        for rate in (math.nan, 0.0, -1.0, 25.0):  # 25.0 * 0.05 s > 1: unstable
+            with pytest.raises(ValueError):
+                sim.set_policy(rate)
+        assert sim.snapshot() == before
+        sim.set_policy(20.0)  # exactly at the one-step bound
+        assert sim.snapshot()[5] == 20.0
 
     def test_stronger_recovery_heals_faster(self):
         # same noise, higher recovery rate: health is pointwise >= at every step
         p = NetParams(initial_health=-1.0, initial_backlog=0.5)
         weak = NetSimulator(p)
-        strong = NetSimulator(p, PolicyContext(0.8, 2.0))
+        strong = NetSimulator(p)
+        strong.set_policy(0.8)
         ra, rb = stream(11, "noise"), stream(11, "noise")
         for _ in range(p.horizon_steps):
             step(weak, ra)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from oracle import NetState, step_dynamics
 
 from resplit import policy
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, stream
-from resplit.netmodel import NetParams, PolicyContext
+from resplit.netmodel import NetParams, NetSimulator, default_levels, simulator_factory
 from resplit.policy import (
     LookaheadConfig,
     PolicySet,
@@ -24,10 +25,10 @@ class PolicyLadder(LadderSim):
     ``set_policy`` scales every rung probability by
     ``(base_rate / rate) ** sensitivity``, so candidate 0 leaves the ladder
     untouched and ``sensitivity=0`` makes it policy-immune.  Snapshots carry
-    the active policy, as the reconfiguring run requires.
+    the active rate, as the reconfiguring run requires.
     """
 
-    __slots__ = ("base_probs", "base_rate", "sensitivity", "_rate", "_exp")
+    __slots__ = ("base_probs", "base_rate", "sensitivity", "_rate")
 
     def __init__(self, probs, base_rate=1.0, sensitivity=1.0):
         super().__init__(probs)
@@ -35,24 +36,18 @@ class PolicyLadder(LadderSim):
         self.base_rate = base_rate
         self.sensitivity = sensitivity
         self._rate = base_rate
-        self._exp = 2.0
 
-    @property
-    def policy(self):
-        return PolicyContext(self._rate, self._exp)
-
-    def set_policy(self, ctx):
-        self._rate = ctx.recovery_rate
-        self._exp = ctx.recovery_exponent
+    def set_policy(self, rate):
+        self._rate = rate
         scale = (self.base_rate / self._rate) ** self.sensitivity
         self.probs = tuple(min(1.0, p * scale) for p in self.base_probs)
 
     def snapshot(self):
-        return (*super().snapshot(), self._rate, self._exp)
+        return (*super().snapshot(), self._rate)
 
     def restore(self, snap):
         super().restore(snap[:3])
-        self.set_policy(PolicyContext(snap[3], snap[4]))
+        self.set_policy(snap[3])
 
 
 def policy_ladder_factory(probs, base_rate=1.0, sensitivity=1.0):
@@ -76,15 +71,11 @@ class TestPolicySet:
         ps = PolicySet(size=3, base_rate=0.7)
         assert ps.rate(0) == 0.7
         assert ps.cost(0) == 0.0
-        ctx = ps.context(0)
-        assert ctx.recovery_rate == 0.7
-        assert ctx.recovery_exponent == 2.0
 
     def test_from_params_anchors_at_model_baseline(self):
         params = NetParams()
         ps = PolicySet.from_params(params, size=5)
         assert ps.base_rate == params.recovery_rate
-        assert ps.recovery_exponent == params.recovery_exponent
         assert ps.step_seconds == params.step_seconds
 
     def test_stability_bound_checked_up_front(self):
@@ -94,8 +85,7 @@ class TestPolicySet:
         PolicySet.from_params(NetParams(), size=199)  # exactly at the bound
 
     def test_range_checks_reject_nan(self):
-        for kw in ({"base_rate": math.nan}, {"cost_scale": math.nan},
-                   {"recovery_exponent": math.nan}, {"step_seconds": math.nan}):
+        for kw in ({"base_rate": math.nan}, {"cost_scale": math.nan}, {"step_seconds": math.nan}):
             with pytest.raises(ValueError):
                 PolicySet(**{"size": 2, "base_rate": 0.2, **kw})
 
@@ -114,7 +104,7 @@ class TestPolicySet:
             dict(size=2, base_rate=1.0, increment_fraction=0.0),
             dict(size=2, base_rate=1.0, increment_fraction=1.5),
             dict(size=2, base_rate=1.0, cost_scale=-0.1),
-            dict(size=2, base_rate=1.0, recovery_exponent=1.0),
+            dict(size=2, base_rate=1.0, step_seconds=1.0),  # top rate 1.5 breaks stability
             dict(size=2, base_rate=1.0, step_seconds=0.0),
         ],
     )
@@ -226,10 +216,10 @@ class TestEvaluateCandidate:
         look = LookaheadConfig(host_level=1, continuations=25)
         for rate in (1.0, 2.0, 4.0):
             sim = PolicyLadder((1.0, 1.0), sensitivity=0.0)
-            sim.restore((1, 1, False, 1.0, 2.0))  # at rung 1, one step left
+            sim.restore((1, 1, False, 1.0))  # at rung 1, one step left
             source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
             res = evaluate_candidate(
-                sim, source, PolicyContext(rate, 2.0), sched, look,
+                sim, source, rate, sched, look,
                 stream(1, "t", 0), BudgetLedger(None),
             )
             assert res.estimates == (1.0,)
@@ -240,10 +230,10 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0))
         look = LookaheadConfig(host_level=1, continuations=25)
         sim = PolicyLadder((1.0, 0.4))
-        sim.restore((1, 1, False, 1.0, 2.0))
+        sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
         res = evaluate_candidate(
-            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            sim, source, 1.0, sched, look,
             stream(3, "t", 0), BudgetLedger(None),
         )
         assert 0.0 < res.estimates[0] < 1.0
@@ -260,10 +250,10 @@ class TestEvaluateCandidate:
             total = 0.0
             for rep in range(40):
                 sim = PolicyLadder((0.5, 0.5), sensitivity=1.0)
-                sim.restore((1, 1, False, 1.0, 2.0))
+                sim.restore((1, 1, False, 1.0))
                 source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
                 res = evaluate_candidate(
-                    sim, source, PolicyContext(rate, 2.0), sched, look,
+                    sim, source, rate, sched, look,
                     stream(100 + rep, "t", cand), BudgetLedger(None),
                 )
                 total += res.estimates[0]
@@ -276,11 +266,11 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0))
         look = LookaheadConfig(host_level=1, continuations=10)
         sim = PolicyLadder((1.0, 1.0))
-        sim.restore((2, 2, False, 1.0, 2.0))
+        sim.restore((2, 2, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
         ledger = BudgetLedger(None)
         res = evaluate_candidate(
-            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
         assert res.estimates == (1.0,)
@@ -290,10 +280,10 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
         look = LookaheadConfig(host_level=1, depth=2, continuations=10)
         sim = PolicyLadder((1.0, 1.0, 1.0), sensitivity=0.0)
-        sim.restore((1, 1, False, 1.0, 2.0))
+        sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
         res = evaluate_candidate(
-            sim, source, PolicyContext(3.0, 2.0), sched, look,
+            sim, source, 3.0, sched, look,
             stream(5, "t", 0), BudgetLedger(None),
         )
         assert res.estimates == (1.0, 1.0)
@@ -305,11 +295,11 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
         look = LookaheadConfig(host_level=1, depth=2, continuations=10)
         sim = PolicyLadder((1.0, 1e-12, 1.0))
-        sim.restore((1, 1, False, 1.0, 2.0))
+        sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
         ledger = BudgetLedger(None)
         res = evaluate_candidate(
-            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            sim, source, 1.0, sched, look,
             stream(6, "t", 0), ledger,
         )
         assert res.estimates == (0.0, 0.0)
@@ -322,11 +312,11 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0))
         look = LookaheadConfig(host_level=1, continuations=25)
         sim = PolicyLadder((1.0, 0.5))
-        sim.restore((1, 1, False, 1.0, 2.0))
+        sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
         ledger = BudgetLedger(5)
         res = evaluate_candidate(
-            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            sim, source, 1.0, sched, look,
             stream(7, "t", 0), ledger,
         )
         assert res.truncated
@@ -338,12 +328,12 @@ class TestEvaluateCandidate:
         sched = LevelSchedule((0.0, 1.0, 2.0))
         look = LookaheadConfig(host_level=1, continuations=10)
         sim = PolicyLadder((1.0, 1.0))
-        sim.restore((2, 2, False, 1.0, 2.0))
+        sim.restore((2, 2, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
         ledger = BudgetLedger(5)
         ledger.used = 5
         res = evaluate_candidate(
-            sim, source, PolicyContext(1.0, 2.0), sched, look,
+            sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
         assert res.truncated
@@ -509,8 +499,6 @@ class TestRunWithReconfiguration:
             horizon_seconds=2.0, grace_seconds=0.25, delay_threshold=0.02,
             stress_log_sd=1.0, stress_log_mean=-3.0,
         )
-        from resplit.netmodel import default_levels, simulator_factory
-
         cfg = SmcConfig(
             success_target=5, attempt_target=10, initial_pool=5,
             pool_min=5, pool_max=50, budget_steps=100_000,
@@ -526,3 +514,30 @@ class TestRunWithReconfiguration:
             rates = [policies.rate(i) for i in range(policies.size)]
             for cp in rep.levels[1].checkpoints:
                 assert cp.snapshot[5] in rates
+
+    def test_stamped_network_checkpoint_steps_like_the_oracle_at_its_rate(self):
+        # a non-default exponent, so stepping under the wrong one would show
+        params = NetParams(delay_threshold=0.08, stress_log_sd=0.7, recovery_exponent=3.0)
+        cfg = SmcConfig(
+            success_target=4, attempt_target=8, initial_pool=4,
+            pool_min=4, pool_max=8, budget_steps=200_000,
+        )
+        policies = PolicySet.from_params(params, size=3, increment_fraction=1.0,
+                                         cost_scale=0.01)
+        look = LookaheadConfig(host_level=2, continuations=6, depth=3)
+        rep = run_smc_with_reconfiguration(
+            simulator_factory(params), default_levels(), cfg, policies, look, 0
+        )
+        assert 0 < max(rep.selections)  # some checkpoint runs off the baseline
+        for ordinal, (cp, chosen) in enumerate(zip(rep.levels[1].checkpoints, rep.selections)):
+            rate = policies.rate(chosen)
+            assert cp.snapshot[5] == rate
+            sim = NetSimulator(params)
+            sim.restore(cp.snapshot)
+            state = NetState(*cp.snapshot[:5])
+            n = min(200, params.horizon_steps - state.step_index)
+            noise = stream(21, "after", ordinal).standard_normal(n).tolist()
+            for j in range(n):
+                sim.advance(noise, j, j + 1, math.inf)
+                state = step_dynamics(state, params, rate, noise[j])
+                assert sim.snapshot() == (*(getattr(state, f) for f in NetState.__slots__), rate)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resplit.smc as smc
-from resplit.analysis import exact_stage_mean
+from resplit.analysis import exact_stage_moments
 from resplit.core import (
     BudgetLedger,
     Checkpoint,
@@ -416,7 +416,7 @@ class TestStageBias:
         ]
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(reps)
-        want = exact_stage_mean(p, s_tar)
+        want = exact_stage_moments(p, s_tar)[0]
         assert abs(mean - want) < 4 * se
 
 
@@ -435,11 +435,26 @@ class TestDiagnostics:
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=20))
         assert diag.defined
-        assert diag.stage_rel_bias == pytest.approx((0.04, 0.04))
+        assert diag.stage_rel_bias == pytest.approx((0.04, 0.04))  # (1 - 0.2) / 20
+        assert diag.stage_rel_var == pytest.approx((0.04, 0.04))
         assert diag.rel_bias == pytest.approx(1.04**2 - 1.0)
         assert diag.rel_var == pytest.approx((1.04**2 + 0.04) ** 2 - 1.04**4)
         assert diag.rel_bias_first_order == pytest.approx(0.08)
         assert diag.classical_rel_var == pytest.approx(0.8 / (0.2 * 100) + 0.8 / (0.2 * 50))
+
+    def test_sure_stage_is_exact(self):
+        report = SmcReport(
+            levels=(LevelRecord(0, 5, 5, 1.0, 0, True), LevelRecord(1, 100, 20, 0.2, 0, True)),
+            estimate=0.2,
+            cost_steps_used=0,
+            budget_exhausted=False,
+            extinction_level=None,
+            resolution_floor=1e-4,
+        )
+        diag = predict_diagnostics(report, SmcConfig(success_target=5))
+        assert diag.stage_rel_bias == (0.0, pytest.approx(0.16))
+        assert diag.stage_rel_var == (0.0, pytest.approx(0.16))
+        assert diag.rel_bias == pytest.approx(0.16)
 
     def test_undefined_on_zero(self):
         report = SmcReport(

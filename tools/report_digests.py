@@ -12,14 +12,16 @@ The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
 Monte Carlo, network runs cut short by their step budget, lookahead runs
-with ``depth`` set, and myopic lookahead runs whose inner budget runs dry, so
-that some checkpoints fall back to the baseline.  Each digest is a hash of
+with ``depth`` set, myopic lookahead runs whose inner budget runs dry, so
+that some checkpoints fall back to the baseline, and myopic lookahead runs on
+a model whose recovery exponent is not the default 2.0.  Each digest is a hash of
 the report's ``repr``.  The script takes no options and imports ``resplit``
 from the checkout it sits in.
 """
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +51,9 @@ def extra_shapes():
     deep = policy.LookaheadConfig(host_level=2, continuations=4, depth=3,
                                   inner_budget_steps=150_000)
     dry = policy.LookaheadConfig(host_level=2, continuations=4, inner_budget_steps=20_000)
+    steep = replace(NOISY, recovery_exponent=3.0)
+    steep_policies = policy.PolicySet.from_params(steep, size=3)
+    myopic = policy.LookaheadConfig(host_level=2, continuations=4)
     outer = smc.SmcConfig(success_target=8, attempt_target=30, initial_pool=10, pool_min=10,
                           pool_max=30, budget_steps=200_000)
     return (
@@ -64,6 +69,9 @@ def extra_shapes():
         ("net-policy-dry", range(10),
          lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
                                                        policies, dry, s)),
+        ("net-policy-exponent", range(4),
+         lambda s: policy.run_smc_with_reconfiguration(simulator_factory(steep), default_levels(),
+                                                       outer, steep_policies, myopic, s)),
     )
 
 
