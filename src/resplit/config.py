@@ -122,16 +122,31 @@ def _reject_non_finite(value, path: str) -> None:
             _reject_non_finite(item, f"{path}[{i}]")
 
 
-def _reject_non_integer(cls, data: dict, prefix: str) -> None:
-    """Fields annotated ``int`` take JSON integers only: ``20.0`` and ``true`` are not counts."""
+# annotation -> the JSON values it takes and their name; ``true`` is never a number
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+}
+
+
+def _check_kind(value, kind: str, path: str) -> None:
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: must be {name}, got {value!r}")
+
+
+def _reject_wrong_kind(cls, data: dict, prefix: str) -> None:
+    """Fields annotated ``int``, ``float`` or ``str`` (or ``... | None``, which also
+    take null) take only JSON values of that kind: ``20.0`` is not a count and
+    ``true`` is not a number."""
     for f in fields(cls):
-        if f.type not in ("int", "int | None") or f.name not in data:
+        kind, _, rest = f.type.partition(" | ")
+        if kind not in _KINDS or f.name not in data:
             continue
-        value = data[f.name]
-        if value is None and f.type == "int | None":
+        if data[f.name] is None and rest == "None":
             continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{prefix}{f.name}: must be an integer, got {value!r}")
+        _check_kind(data[f.name], kind, f"{prefix}{f.name}")
 
 
 def _build_section(cls, data: dict, path: str):
@@ -139,7 +154,7 @@ def _build_section(cls, data: dict, path: str):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
     _reject_unknown(data, allowed, f"{path}.")
-    _reject_non_integer(cls, data, f"{path}.")
+    _reject_wrong_kind(cls, data, f"{path}.")
     try:
         return cls(**data)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -152,10 +167,15 @@ def _build_levels(data: dict, path: str) -> LevelSchedule:
     _reject_unknown(data, {"thresholds", "labels"}, f"{path}.")
     if "thresholds" not in data:
         raise ConfigError(f"{path}.thresholds: required when levels are given")
+    thresholds = data["thresholds"]
+    if not isinstance(thresholds, list):
+        raise ConfigError(f"{path}.thresholds: expected a list")
+    for i, value in enumerate(thresholds):
+        _check_kind(value, "float", f"{path}.thresholds[{i}]")
     labels = data.get("labels")
     try:
         return LevelSchedule(
-            thresholds=tuple(data["thresholds"]),
+            thresholds=tuple(thresholds),
             labels=tuple(labels) if labels is not None else None,
         )
     except (TypeError, ValueError) as exc:
@@ -174,10 +194,11 @@ def _build_axes(data: dict, path: str) -> tuple[SweepAxis, ...]:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}.axes[{i}]: expected an object")
         _reject_unknown(entry, {"name", "values"}, f"{path}.axes[{i}].")
+        values = entry.get("values", [])
+        if not isinstance(values, list):
+            raise ConfigError(f"{path}.axes[{i}].values: expected a list")
         try:
-            axes.append(
-                SweepAxis(entry.get("name", ""), tuple(entry.get("values", ())))
-            )
+            axes.append(SweepAxis(entry.get("name", ""), tuple(values)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.axes[{i}]: {exc}") from exc
     return tuple(axes)
@@ -189,7 +210,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config root: expected an object, got {type(raw).__name__}")
     _reject_unknown(raw, _TOP_KEYS, "")
     _reject_non_finite(raw, "")
-    _reject_non_integer(ExperimentConfig, raw, "")
+    _reject_wrong_kind(ExperimentConfig, raw, "")
 
     mc_raw = dict(raw.get("mc", {}))
     # an explicit trajectory count replaces the default budget

@@ -4,12 +4,13 @@ A policy set is a family of recovery rates, one knob stronger per index, each
 with a price proportional to how far it pushes past the baseline.  When an
 outer trajectory first reaches a designated level, a short lookahead branches
 the stored checkpoint into fresh continuations under every candidate, scores
-each by accumulated log stage probability plus cost, and fixes the cheapest
-adequate candidate for that trajectory's continuation.  Each lookahead stage
-is one pass of the splitting attempt loop, ``smc.run_attempts``.  Lookahead
-simulation is charged to its own budget so the outer estimator's accounting
-is untouched, and its random streams are disjoint from the outer ones, so the
-resumed trajectory never depends on how the decision was reached.
+each by the log of the fraction that goes on to reach the next level plus
+cost, and fixes the cheapest adequate candidate for that trajectory's
+continuation.  The lookahead is one pass of the splitting attempt loop,
+``smc.run_attempts``, at the host stage.  Lookahead simulation is charged to
+its own budget so the outer estimator's accounting is untouched, and its
+random streams are disjoint from the outer ones, so the resumed trajectory
+never depends on how the decision was reached.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from resplit.smc import LevelRecord, SimFactory, SmcConfig, SmcReport, run_attem
 from resplit.smc import resample_pool, run_level  # not called here; benchmark/spans.py wraps them
 
 __all__ = [
-    "CandidateResult",
     "LookaheadConfig",
     "PolicyEvaluation",
     "PolicySet",
@@ -111,16 +111,14 @@ class PolicySet:
 class LookaheadConfig:
     """Where selection triggers and how much evidence it gathers.
 
-    ``host_level`` is the level whose first hit triggers selection;
-    ``continuations`` is the branch count per candidate and stage.  ``depth``
-    is the last stage the lookahead scores (inclusive); None means myopic, the
-    host stage only.  ``inner_budget_steps`` caps total lookahead simulation;
-    None leaves it uncapped.
+    ``host_level`` is the level whose first hit triggers selection, and the
+    stage the lookahead runs; ``continuations`` is the branch count per
+    candidate.  ``inner_budget_steps`` caps total lookahead simulation; None
+    leaves it uncapped.
     """
 
     host_level: int = 2
     continuations: int = 25
-    depth: int | None = None
     inner_budget_steps: int | None = None
 
     def __post_init__(self) -> None:
@@ -131,42 +129,26 @@ class LookaheadConfig:
             )
         if self.continuations < 1:
             raise ValueError(f"continuations must be >= 1, got {self.continuations}")
-        if self.depth is not None and self.depth < self.host_level:
-            raise ValueError(
-                f"depth {self.depth} is above (before) host_level {self.host_level}"
-            )
         if self.inner_budget_steps is not None and self.inner_budget_steps < 1:
             raise ValueError(
                 f"inner_budget_steps must be >= 1 or None, got {self.inner_budget_steps}"
             )
-
-    @property
-    def last_level(self) -> int:
-        return self.host_level if self.depth is None else self.depth
-
-
-@dataclass(frozen=True)
-class CandidateResult:
-    """Stage estimates from one candidate's continuations at one checkpoint."""
-
-    estimates: tuple[float, ...]
-    successes: tuple[int, ...]
-    truncated: bool
 
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
     """Scored candidates at one checkpoint and the selection they produced.
 
-    ``objectives`` is the per-candidate sum of log stage estimates plus cost,
-    with zero estimates scored as half a count (``1 / (2 * continuations)``)
-    so the argmin stays finite; candidates that needed the substitution are
-    flagged in ``zero_adjusted``.  When every candidate needed it the ranking
-    is meaningless and ``degenerate`` selection falls back to the raw failure
-    counts (fewest threshold crossings wins) with the price as tie-break.
+    ``estimates`` holds each candidate's lookahead crossing fraction (see
+    :func:`evaluate_candidate`) and ``objectives`` its log plus cost, with a
+    zero estimate scored as half a count (``1 / (2 * continuations)``) so the
+    argmin stays finite; candidates that needed the substitution are flagged
+    in ``zero_adjusted``.
+    When every candidate needed it the evaluation is ``degenerate``: no
+    continuation crossed under any candidate, and the argmin is the cheapest.
     """
 
-    stage_estimates: tuple[tuple[float, ...], ...]
+    estimates: tuple[float, ...]
     costs: tuple[float, ...]
     continuations: int
     objectives: tuple[float, ...]
@@ -176,7 +158,7 @@ class PolicyEvaluation:
 
 
 def select_policy(
-    stage_estimates: Sequence[Sequence[float]],
+    estimates: Sequence[float],
     costs: Sequence[float],
     continuations: int,
 ) -> PolicyEvaluation:
@@ -184,43 +166,29 @@ def select_policy(
 
     Exact ties resolve toward the cheaper, then lower-indexed candidate.
     """
-    rows = tuple(tuple(float(e) for e in row) for row in stage_estimates)
+    row = tuple(float(e) for e in estimates)
     cost_row = tuple(float(c) for c in costs)
-    if len(rows) == 0:
+    if len(row) == 0:
         raise ValueError("need at least one candidate to select from")
-    if len(cost_row) != len(rows):
-        raise ValueError(f"{len(rows)} candidates but {len(cost_row)} costs")
-    width = len(rows[0])
-    if width == 0 or any(len(row) != width for row in rows):
-        raise ValueError("every candidate needs the same nonzero number of stages")
+    if len(cost_row) != len(row):
+        raise ValueError(f"{len(row)} candidates but {len(cost_row)} costs")
     if continuations < 1:
         raise ValueError(f"continuations must be >= 1, got {continuations}")
 
     floor = 0.5 / continuations
-    objectives = []
-    adjusted = []
-    for row, cost in zip(rows, cost_row):
-        adjusted.append(any(e <= 0.0 for e in row))
-        objectives.append(
-            math.fsum(math.log(e if e > 0.0 else floor) for e in row) + cost
-        )
-    degenerate = all(adjusted)
-    indices = range(len(rows))
-    if degenerate:
-        # every candidate had a stage with zero crossings, so the adjusted
-        # objectives carry no real signal; rank by total crossing fraction
-        # (fewest crossings, i.e. most failed continuations, wins), then price
-        selected = min(indices, key=lambda i: (math.fsum(rows[i]), cost_row[i], i))
-    else:
-        selected = min(indices, key=lambda i: (objectives[i], cost_row[i], i))
+    adjusted = tuple(e <= 0.0 for e in row)
+    objectives = tuple(
+        math.log(floor if zero else e) + cost for e, zero, cost in zip(row, adjusted, cost_row)
+    )
+    selected = min(range(len(row)), key=lambda i: (objectives[i], cost_row[i], i))
     return PolicyEvaluation(
-        stage_estimates=rows,
+        estimates=row,
         costs=cost_row,
         continuations=continuations,
-        objectives=tuple(objectives),
-        zero_adjusted=tuple(adjusted),
+        objectives=objectives,
+        zero_adjusted=adjusted,
         selected=selected,
-        degenerate=degenerate,
+        degenerate=all(adjusted),
     )
 
 
@@ -232,48 +200,22 @@ def evaluate_candidate(
     look: LookaheadConfig,
     rng: np.random.Generator,
     ledger: BudgetLedger,
-) -> CandidateResult:
-    """Branch ``source`` into fresh continuations under one candidate recovery rate.
+) -> float | None:
+    """Crossing fraction of fresh branches of ``source`` under one recovery rate.
 
-    Each stage from ``host_level`` through ``last_level`` is one pass of the
-    splitting attempt loop (:func:`resplit.smc.run_attempts`) with exactly
-    ``look.continuations`` attempts; stages past the first draw their start
-    points uniformly from the previous stage's hits, which inherit the policy
-    through their snapshots.  A stage with zero hits ends the chain and the
-    remaining stages score zero, so every candidate reports the same number
-    of stages.  Steps are charged to ``ledger``, which is checked before every
-    attempt; running dry aborts the evaluation with ``truncated`` set and
-    whatever was measured so far.
-
-    The steps read their noise from ``rng``; the start-point picks of later
-    stages come from a generator spawned from ``rng`` on first need, so a
-    myopic lookahead draws nothing but noise.
+    ``look.continuations`` branches of the host-level checkpoint ``source``
+    try to reach the next level: one pass of the splitting attempt loop
+    (:func:`resplit.smc.run_attempts`) at ``host_level``, stepping on noise
+    from ``rng``.  Steps are charged to ``ledger``, which is checked before
+    every attempt; None means it ran dry before every branch had run.
     """
     n = look.continuations
-    estimates: list[float] = []
-    successes: list[int] = []
-    pool = [_stamp(sim, source, rate)]
-    width = look.last_level + 1 - look.host_level
-    noise = NoiseBuffer(sim, rng)
-    select_rng = None
-    for level in range(look.host_level, look.last_level + 1):
-        if len(pool) > 1 and select_rng is None:
-            select_rng = rng.spawn(1)[0]
-        attempts, hits, _ = run_attempts(
-            sim, pool, schedule.target(level), level + 1, 0, n, ledger, noise,
-            select_rng if len(pool) > 1 else None,
-        )
-        if attempts < n:
-            return CandidateResult(tuple(estimates), tuple(successes), True)
-        estimates.append(len(hits) / n)
-        successes.append(len(hits))
-        if not hits:
-            break
-        pool = hits
-    while len(estimates) < width:
-        estimates.append(0.0)
-        successes.append(0)
-    return CandidateResult(tuple(estimates), tuple(successes), False)
+    host = look.host_level
+    attempts, hits, _ = run_attempts(
+        sim, [_stamp(sim, source, rate)], schedule.target(host), host + 1, 0, n, ledger,
+        NoiseBuffer(sim, rng), None,
+    )
+    return len(hits) / n if attempts == n else None
 
 
 def _stamp(sim, cp: Checkpoint, rate: float) -> Checkpoint:
@@ -319,53 +261,6 @@ class PolicySmcReport:
         return tuple(c / total for c in self.selection_counts)
 
 
-def _select_for_checkpoints(
-    sim,
-    checkpoints: Sequence[Checkpoint],
-    schedule: LevelSchedule,
-    policies: PolicySet,
-    look: LookaheadConfig,
-    seed: int,
-    ledger: BudgetLedger,
-):
-    """Run the lookahead at every host-level checkpoint and stamp the winners.
-
-    Returns the stamped checkpoints and ``(selections, evaluations, fallbacks,
-    degenerates)``.
-    """
-    stamped: list[Checkpoint] = []
-    selections: list[int] = []
-    evaluations: list[PolicyEvaluation] = []
-    fallbacks = 0
-    degenerates = 0
-    for ordinal, cp in enumerate(checkpoints):
-        results: list[tuple[float, ...]] = []
-        truncated = ledger.exhausted
-        if not truncated:
-            for cand in range(policies.size):
-                rng = stream(seed, "lookahead", ordinal, cand)
-                res = evaluate_candidate(
-                    sim, cp, policies.rate(cand), schedule, look, rng, ledger
-                )
-                if res.truncated:
-                    truncated = True
-                    break
-                results.append(res.estimates)
-        if truncated:
-            # not enough inner budget to finish scoring: keep the baseline
-            fallbacks += 1
-            selections.append(0)
-            stamped.append(_stamp(sim, cp, policies.rate(0)))
-            continue
-        ev = select_policy(results, policies.costs(), look.continuations)
-        if ev.degenerate:
-            degenerates += 1
-        selections.append(ev.selected)
-        evaluations.append(ev)
-        stamped.append(_stamp(sim, cp, policies.rate(ev.selected)))
-    return stamped, (selections, evaluations, fallbacks, degenerates)
-
-
 def run_smc_with_reconfiguration(
     factory: SimFactory,
     schedule: LevelSchedule,
@@ -394,37 +289,49 @@ def run_smc_with_reconfiguration(
             f"host_level {host} needs a later stage to matter; schedule has "
             f"stages 0..{stages - 1}"
         )
-    if look.last_level > stages - 1:
-        raise ValueError(
-            f"lookahead depth {look.last_level} past the last stage {stages - 1}"
-        )
 
     inner_ledger = BudgetLedger(look.inner_budget_steps)
-    picks = ([], [], 0, 0)  # selections, evaluations, fallbacks, degenerates
+    selections: list[int] = []
+    evaluations: list[PolicyEvaluation] = []
 
     def select_at_host(level: int, rec: LevelRecord, sim) -> LevelRecord:
-        nonlocal picks
         if level != host - 1:
             return rec
         if policies.size == 1:
             # singleton set: the baseline is already in every snapshot
-            picks = ([0] * len(rec.checkpoints), [], 0, 0)
+            selections.extend([0] * len(rec.checkpoints))
             return rec
-        stamped, picks = _select_for_checkpoints(
-            sim, rec.checkpoints, schedule, policies, look, seed, inner_ledger
-        )
+        stamped = []
+        for ordinal, cp in enumerate(rec.checkpoints):
+            estimates: list[float] = []
+            while not inner_ledger.exhausted and len(estimates) < policies.size:
+                cand = len(estimates)
+                rng = stream(seed, "lookahead", ordinal, cand)
+                e = evaluate_candidate(
+                    sim, cp, policies.rate(cand), schedule, look, rng, inner_ledger
+                )
+                if e is None:
+                    break
+                estimates.append(e)
+            if len(estimates) < policies.size:
+                # not enough inner budget to finish scoring: keep the baseline
+                selections.append(0)
+            else:
+                ev = select_policy(estimates, policies.costs(), look.continuations)
+                evaluations.append(ev)
+                selections.append(ev.selected)
+            stamped.append(_stamp(sim, cp, policies.rate(selections[-1])))
         return replace(rec, checkpoints=tuple(stamped))
 
     report = run_smc(factory, schedule, cfg, seed, on_stage=select_at_host)
-    selections, evaluations, fallbacks, degenerates = picks
     return PolicySmcReport(
         smc=report,
         host_level=host,
         selections=tuple(selections),
         selection_counts=tuple(selections.count(i) for i in range(policies.size)),
         evaluations=tuple(evaluations),
-        fallback_count=fallbacks,
-        degenerate_count=degenerates,
+        fallback_count=len(selections) - len(evaluations) if policies.size > 1 else 0,
+        degenerate_count=sum(ev.degenerate for ev in evaluations),
         inner_cost_steps=inner_ledger.used,
         inner_budget_exhausted=inner_ledger.exhausted,
     )

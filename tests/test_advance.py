@@ -231,9 +231,8 @@ class TestEnginesIgnoreChunking:
         assert repr(rep) == got
         assert (rep.hits, rep.cost_steps_used) == (hits, cost)
 
-    @pytest.mark.parametrize("depth", [None, 3])
     @pytest.mark.parametrize("budget", [None, 2_000])
-    def test_evaluate_candidate(self, monkeypatch, depth, budget):
+    def test_evaluate_candidate(self, monkeypatch, budget):
         params = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
         sim = NetSimulator(params)
         rng = stream(3, "warm")
@@ -241,7 +240,7 @@ class TestEnginesIgnoreChunking:
             step(sim, rng)
         source = Checkpoint(sim.snapshot(), 2, sim.step_index, sim.coordinate())
         rate = PolicySet.from_params(params, size=3).rate(1)
-        look = LookaheadConfig(host_level=2, continuations=6, depth=depth)
+        look = LookaheadConfig(host_level=2, continuations=6)
 
         def run():
             ledger = BudgetLedger(budget)

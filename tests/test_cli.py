@@ -274,6 +274,26 @@ class TestMain:
         assert f"config error: {key}: must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, raw, message", [
+        ("run", {"smc": {"safety_factor": True}}, "smc.safety_factor: must be a number"),
+        ("run", {"levels": {"thresholds": [False, True]}},
+         "levels.thresholds[0]: must be a number"),
+        ("run", {"output_dir": 5, "engine": "mc", "mc": {"trajectories": 2}},
+         "output_dir: must be a string"),
+        ("sweep", {"sweep": {"axes": [{"name": "model.delay_threshold", "values": [True]}]}},
+         "model.delay_threshold: must be a number"),
+        ("sweep", {"sweep": {"axes": [{"name": "model.delay_threshold", "values": "0.1"}]}},
+         "sweep.axes[0].values: expected a list"),
+    ])
+    def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
+                                                    command, raw, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.json").write_text(json.dumps(raw))
+        rc = main([command, "--config", "exp.json"])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "policy"])
     @pytest.mark.parametrize("workers", ["0", "-3", "2.5"])
     def test_workers_below_one_rejected(self, capsys, command, workers):

@@ -82,6 +82,21 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"smc\.batch_size: unknown key"):
             config_from_dict({"smc": {"batch_size": 1}})
 
+    def test_retired_depth_rejected(self):
+        with pytest.raises(ConfigError, match=r"lookahead\.depth: unknown key"):
+            config_from_dict({"lookahead": {"depth": 3}})
+
+    def test_output_dir_must_be_a_string(self):
+        with pytest.raises(ConfigError, match=r"^output_dir: must be a string, got 5$"):
+            config_from_dict({"output_dir": 5, "engine": "mc", "mc": {"trajectories": 2}})
+        assert config_from_dict({"output_dir": None}).output_dir is None
+        assert config_from_dict({"output_dir": "res"}).output_dir == "res"
+
+    def test_axis_values_must_be_a_list(self):
+        with pytest.raises(ConfigError, match=r"^sweep\.axes\[0\]\.values: expected a list$"):
+            config_from_dict({"sweep": {"axes": [{"name": "model.delay_threshold",
+                                                  "values": "0.1"}]}})
+
     def test_invalid_value_cites_constraint_and_path(self):
         with pytest.raises(ConfigError, match=r"model.*arrival_load.*\(0, 1\)"):
             config_from_dict({"model": {"arrival_load": 1.2}})
@@ -161,7 +176,7 @@ class TestIntegerFields:
         ({"smc": {"pool_max": 50.5}}, "smc.pool_max"),
         ({"smc": {"success_target": True}}, "smc.success_target"),
         ({"master_seed": "3"}, "master_seed"),
-        ({"lookahead": {"depth": 3.0}}, "lookahead.depth"),
+        ({"lookahead": {"inner_budget_steps": 3.0}}, "lookahead.inner_budget_steps"),
         ({"mc": {"trajectories": 10.0}}, "mc.trajectories"),
         ({"smc": {"budget_steps": None}}, "smc.budget_steps"),
     ])
@@ -170,9 +185,36 @@ class TestIntegerFields:
             config_from_dict(raw)
 
     def test_null_allowed_where_optional(self):
-        cfg = config_from_dict({"lookahead": {"depth": None, "inner_budget_steps": None},
+        cfg = config_from_dict({"lookahead": {"inner_budget_steps": None},
                                 "mc": {"trajectories": 10}})
-        assert cfg.lookahead.depth is None and cfg.mc.budget_steps is None
+        assert cfg.lookahead.inner_budget_steps is None and cfg.mc.budget_steps is None
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    @pytest.mark.parametrize("section, name", _FLOAT_FIELDS)
+    def test_non_number_rejected_with_its_path(self, section, name, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: must be a number, got "):
+            config_from_dict({section: {name: value}})
+
+    def test_integer_and_null_accepted_where_allowed(self):
+        cfg = config_from_dict({"smc": {"safety_factor": 2},
+                                "model": {"initial_log_stress": None}})
+        assert cfg.smc.safety_factor == 2 and cfg.model.initial_log_stress is None
+
+    def test_threshold_entries_must_be_numbers(self):
+        with pytest.raises(ConfigError, match=r"^levels\.thresholds\[0\]: must be a number"):
+            config_from_dict({"levels": {"thresholds": [False, True]}})
+        with pytest.raises(ConfigError, match=r"^levels\.thresholds: expected a list$"):
+            config_from_dict({"levels": {"thresholds": "01"}})
+
+    def test_swept_boolean_rejected_at_its_point(self):
+        cfg = config_from_dict({"sweep": {"axes": [{"name": "model.delay_threshold",
+                                                    "values": [0.1, True]}]}})
+        points = sweep_points(cfg)
+        next(points)
+        with pytest.raises(ConfigError, match=r"^model\.delay_threshold: must be a number"):
+            next(points)
 
 
 class TestLoadFile:

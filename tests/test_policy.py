@@ -118,18 +118,13 @@ class TestLookaheadConfig:
         look = LookaheadConfig()
         assert look.host_level == 2
         assert look.continuations == 25
-        assert look.depth is None
-        assert look.last_level == 2  # myopic
-
-    def test_explicit_depth(self):
-        assert LookaheadConfig(host_level=1, depth=3).last_level == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(host_level=0),
             dict(continuations=0),
-            dict(host_level=2, depth=1),
+            dict(inner_budget_steps=-5),
             dict(inner_budget_steps=0),
         ],
     )
@@ -141,21 +136,21 @@ class TestLookaheadConfig:
 class TestSelectPolicy:
     def test_worked_example(self):
         # kappa = 1/2, rho' = 1/2: costs (0, 0.25); J = (ln .5, ln .25 + .25)
-        ev = select_policy([(0.5,), (0.25,)], (0.0, 0.25), 25)
+        ev = select_policy([0.5, 0.25], (0.0, 0.25), 25)
         assert ev.objectives == pytest.approx((-0.693147, -1.136294), abs=1e-6)
         assert ev.selected == 1
         assert not ev.degenerate
         assert ev.zero_adjusted == (False, False)
 
     def test_equal_estimates_pick_cheapest(self):
-        ev = select_policy([(0.3,), (0.3,), (0.3,)], (0.0, 0.25, 0.5), 25)
+        ev = select_policy([0.3, 0.3, 0.3], (0.0, 0.25, 0.5), 25)
         assert ev.selected == 0
 
     def test_zero_estimate_scored_as_half_count(self):
         # a candidate under which nothing crossed is the strongest mitigation
         # on the table; the half-count floor keeps its objective finite and it
         # wins the argmin when its price does not offset the advantage
-        ev = select_policy([(0.0,), (0.4,)], (0.0, 0.25), 25)
+        ev = select_policy([0.0, 0.4], (0.0, 0.25), 25)
         assert ev.objectives[0] == pytest.approx(math.log(1 / 50))
         assert ev.zero_adjusted == (True, False)
         assert not ev.degenerate
@@ -164,24 +159,16 @@ class TestSelectPolicy:
     def test_cost_can_override_a_zero_estimate(self):
         # same estimates, but the suppressing candidate is expensive enough
         # that the moderate one wins: ln(1/50) + 3.5 > ln(0.4)
-        ev = select_policy([(0.0,), (0.4,)], (3.5, 0.0), 25)
+        ev = select_policy([0.0, 0.4], (3.5, 0.0), 25)
         assert ev.selected == 1
 
     def test_all_zero_is_degenerate_baseline(self):
-        ev = select_policy([(0.0,), (0.0,), (0.0,)], (0.0, 0.25, 0.5), 25)
+        ev = select_policy([0.0, 0.0, 0.0], (0.0, 0.25, 0.5), 25)
         assert ev.degenerate
         assert ev.selected == 0
 
-    def test_degenerate_ranks_by_fewest_crossings(self):
-        # both lose the second stage outright, so objectives carry no signal;
-        # the candidate that let fewer continuations cross the first stage
-        # wins even though it costs more
-        ev = select_policy([(0.4, 0.0), (0.2, 0.0)], (0.0, 0.25), 25)
-        assert ev.degenerate
-        assert ev.selected == 1
-
     def test_exact_tie_breaks_to_lower_index(self):
-        ev = select_policy([(0.5,), (0.5,)], (0.0, 0.0), 25)
+        ev = select_policy([0.5, 0.5], (0.0, 0.0), 25)
         assert ev.selected == 0
 
     def test_log_shift_invariance(self):
@@ -190,24 +177,19 @@ class TestSelectPolicy:
         rng = np.random.default_rng(7)
         for _ in range(50):
             n_cand = int(rng.integers(2, 6))
-            width = int(rng.integers(1, 4))
-            rows = rng.uniform(0.05, 1.0, size=(n_cand, width))
+            estimates = rng.uniform(0.05, 1.0, size=n_cand)
             costs = rng.uniform(0.0, 0.5, size=n_cand)
-            base = select_policy(rows.tolist(), costs.tolist(), 25)
-            scaled = select_policy((rows * 0.37).tolist(), costs.tolist(), 25)
+            base = select_policy(estimates.tolist(), costs.tolist(), 25)
+            scaled = select_policy((estimates * 0.37).tolist(), costs.tolist(), 25)
             assert scaled.selected == base.selected
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             select_policy([], (), 25)
         with pytest.raises(ValueError):
-            select_policy([(0.5,), (0.5, 0.2)], (0.0, 0.1), 25)
+            select_policy([0.5], (0.0, 0.1), 25)
         with pytest.raises(ValueError):
-            select_policy([(0.5,)], (0.0, 0.1), 25)
-        with pytest.raises(ValueError):
-            select_policy([()], (0.0,), 25)
-        with pytest.raises(ValueError):
-            select_policy([(0.5,)], (0.0,), 0)
+            select_policy([0.5], (0.0,), 0)
 
 
 class TestEvaluateCandidate:
@@ -222,9 +204,7 @@ class TestEvaluateCandidate:
                 sim, source, rate, sched, look,
                 stream(1, "t", 0), BudgetLedger(None),
             )
-            assert res.estimates == (1.0,)
-            assert res.successes == (25,)
-            assert not res.truncated
+            assert res == 1.0
 
     def test_estimates_quantized_to_continuation_grid(self):
         sched = LevelSchedule((0.0, 1.0, 2.0))
@@ -236,8 +216,8 @@ class TestEvaluateCandidate:
             sim, source, 1.0, sched, look,
             stream(3, "t", 0), BudgetLedger(None),
         )
-        assert 0.0 < res.estimates[0] < 1.0
-        assert res.estimates[0] * 25 == round(res.estimates[0] * 25)
+        assert 0.0 < res < 1.0
+        assert res * 25 == round(res * 25)
 
     def test_stronger_recovery_suppresses_progression(self):
         # paired evaluation on the same checkpoint, independent streams: the
@@ -256,7 +236,7 @@ class TestEvaluateCandidate:
                     sim, source, rate, sched, look,
                     stream(100 + rep, "t", cand), BudgetLedger(None),
                 )
-                total += res.estimates[0]
+                total += res
             means[rate] = total / 40
         # 1000 Bernoulli trials per arm at p = 0.5 vs 0.25: a gap this wide
         # cannot plausibly be noise
@@ -273,40 +253,8 @@ class TestEvaluateCandidate:
             sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
-        assert res.estimates == (1.0,)
+        assert res == 1.0
         assert ledger.used == 0
-
-    def test_multi_stage_chain(self):
-        sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
-        look = LookaheadConfig(host_level=1, depth=2, continuations=10)
-        sim = PolicyLadder((1.0, 1.0, 1.0), sensitivity=0.0)
-        sim.restore((1, 1, False, 1.0))
-        source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-        res = evaluate_candidate(
-            sim, source, 3.0, sched, look,
-            stream(5, "t", 0), BudgetLedger(None),
-        )
-        assert res.estimates == (1.0, 1.0)
-        assert res.successes == (10, 10)
-
-    def test_dead_stage_zeroes_the_rest(self):
-        # second rung is (effectively) impossible: the first lookahead stage
-        # records zero and the deeper stage is scored zero without running
-        sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
-        look = LookaheadConfig(host_level=1, depth=2, continuations=10)
-        sim = PolicyLadder((1.0, 1e-12, 1.0))
-        sim.restore((1, 1, False, 1.0))
-        source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-        ledger = BudgetLedger(None)
-        res = evaluate_candidate(
-            sim, source, 1.0, sched, look,
-            stream(6, "t", 0), ledger,
-        )
-        assert res.estimates == (0.0, 0.0)
-        assert res.successes == (0, 0)
-        # only the first stage simulated: 10 continuations of 2 steps each
-        # (a missed climb absorbs, but the walk still runs to the horizon)
-        assert ledger.used == 20
 
     def test_budget_truncation(self):
         sched = LevelSchedule((0.0, 1.0, 2.0))
@@ -319,7 +267,7 @@ class TestEvaluateCandidate:
             sim, source, 1.0, sched, look,
             stream(7, "t", 0), ledger,
         )
-        assert res.truncated
+        assert res is None
         assert ledger.used == 5
 
     def test_exhausted_ledger_truncates_even_a_free_source(self):
@@ -336,8 +284,7 @@ class TestEvaluateCandidate:
             sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
-        assert res.truncated
-        assert res.estimates == ()
+        assert res is None
         assert ledger.used == 5
 
 
@@ -486,11 +433,6 @@ class TestRunWithReconfiguration:
                 policy_ladder_factory((0.8, 0.7)), sched, cfg, policies,
                 LookaheadConfig(host_level=2), 0,
             )
-        with pytest.raises(ValueError, match="depth"):
-            run_smc_with_reconfiguration(
-                policy_ladder_factory((0.8, 0.7)), sched, cfg, policies,
-                LookaheadConfig(host_level=1, depth=2), 0,
-            )
 
     def test_netmodel_roundtrip_smoke(self):
         # end to end on the real model: a stressed short-horizon variant where
@@ -524,7 +466,7 @@ class TestRunWithReconfiguration:
         )
         policies = PolicySet.from_params(params, size=3, increment_fraction=1.0,
                                          cost_scale=0.01)
-        look = LookaheadConfig(host_level=2, continuations=6, depth=3)
+        look = LookaheadConfig(host_level=2, continuations=6)
         rep = run_smc_with_reconfiguration(
             simulator_factory(params), default_levels(), cfg, policies, look, 0
         )

@@ -12,11 +12,10 @@ The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
 Monte Carlo, network runs cut short by their step budget, lookahead runs
-with ``depth`` set, myopic lookahead runs whose inner budget runs dry, so
-that some checkpoints fall back to the baseline, and myopic lookahead runs on
-a model whose recovery exponent is not the default 2.0.  Each digest is a hash of
-the report's ``repr``.  The script takes no options and imports ``resplit``
-from the checkout it sits in.
+whose inner budget runs dry, so that some checkpoints fall back to the
+baseline, and lookahead runs on a model whose recovery exponent is not the
+default 2.0.  Each digest is a hash of the report's ``repr``.  The script
+takes no options and imports ``resplit`` from the checkout it sits in.
 """
 from __future__ import annotations
 
@@ -48,12 +47,10 @@ def extra_shapes():
     noisy = simulator_factory(NOISY)
     truncated = smc.SmcConfig(budget_steps=60_000)
     policies = policy.PolicySet.from_params(NOISY, size=3)
-    deep = policy.LookaheadConfig(host_level=2, continuations=4, depth=3,
-                                  inner_budget_steps=150_000)
     dry = policy.LookaheadConfig(host_level=2, continuations=4, inner_budget_steps=20_000)
     steep = replace(NOISY, recovery_exponent=3.0)
     steep_policies = policy.PolicySet.from_params(steep, size=3)
-    myopic = policy.LookaheadConfig(host_level=2, continuations=4)
+    look = policy.LookaheadConfig(host_level=2, continuations=4)
     outer = smc.SmcConfig(success_target=8, attempt_target=30, initial_pool=10, pool_min=10,
                           pool_max=30, budget_steps=200_000)
     return (
@@ -63,15 +60,12 @@ def extra_shapes():
          lambda s: mc.run_mc(chain, mc.McConfig(budget_steps=None, trajectories=200), s)),
         ("net-truncated", range(4),
          lambda s: smc.run_smc(noisy, default_levels(), truncated, s)),
-        ("net-policy-depth", range(2),
-         lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
-                                                       policies, deep, s)),
         ("net-policy-dry", range(10),
          lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
                                                        policies, dry, s)),
         ("net-policy-exponent", range(4),
          lambda s: policy.run_smc_with_reconfiguration(simulator_factory(steep), default_levels(),
-                                                       outer, steep_policies, myopic, s)),
+                                                       outer, steep_policies, look, s)),
     )
 
 
