@@ -90,7 +90,7 @@ _POLICY_LOOKAHEAD = LookaheadConfig(host_level=2, continuations=25)
 def check_trajectory_accounting(work: Path) -> tuple[bool, str]:
     """Budget 5e6 at 50 ms steps over 60 s plans 4166 paths, floor ~2.4e-4."""
     t0 = time.perf_counter()
-    sim = simulator_factory(NetParams())(np.random.default_rng(0))
+    sim = simulator_factory(NetParams())()
     count, floor = mc_plan(McConfig(budget_steps=5_000_000), sim.horizon_steps)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -173,6 +173,11 @@ def _build_levels(data: dict, path: str) -> LevelSchedule:
     for i, value in enumerate(thresholds):
         _check_kind(value, "float", f"{path}.thresholds[{i}]")
     labels = data.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise ConfigError(f"{path}.labels: expected a list of strings")
+        for i, value in enumerate(labels):
+            _check_kind(value, "str", f"{path}.labels[{i}]")
     try:
         return LevelSchedule(
             thresholds=tuple(thresholds),

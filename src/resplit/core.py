@@ -80,13 +80,20 @@ class BudgetLedger:
         return f"BudgetLedger(used={self.used}, budget={cap})"
 
 
-@dataclass(frozen=True, slots=True)
+_set_field = object.__setattr__  # how a frozen dataclass sets its fields
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Checkpoint:
     """A restorable state captured when a trajectory first reached a level.
 
     ``snapshot`` is the opaque value returned by ``Simulator.snapshot``;
     ``coordinate`` is the reaction-coordinate value at capture time, which may
     exceed the level threshold when a single step jumps several levels.
+
+    The attempt loop builds one per success, so ``__init__`` is written out:
+    it validates its arguments and sets the fields directly, where the
+    generated one would also call ``__post_init__`` and read them back.
     """
 
     snapshot: Any
@@ -94,11 +101,15 @@ class Checkpoint:
     hit_step: int
     coordinate: float
 
-    def __post_init__(self) -> None:
-        if self.level_index < 0:
-            raise ValueError(f"level_index must be >= 0, got {self.level_index}")
-        if self.hit_step < 0:
-            raise ValueError(f"hit_step must be >= 0, got {self.hit_step}")
+    def __init__(self, snapshot: Any, level_index: int, hit_step: int, coordinate: float) -> None:
+        if level_index < 0:
+            raise ValueError(f"level_index must be >= 0, got {level_index}")
+        if hit_step < 0:
+            raise ValueError(f"hit_step must be >= 0, got {hit_step}")
+        _set_field(self, "snapshot", snapshot)
+        _set_field(self, "level_index", level_index)
+        _set_field(self, "hit_step", hit_step)
+        _set_field(self, "coordinate", coordinate)
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,7 @@ class Simulator(Protocol):
     def coordinate(self) -> float: ...
 
 
+NOISE_CHUNK_MIN = 16  # a first refill draws at least this many values
 NOISE_CHUNK_MAX = 1 << 14  # refills grow geometrically up to this many values
 
 
@@ -194,7 +206,8 @@ class NoiseBuffer:
     tail in front of the fresh draws; so the values come out in exactly the
     order one-at-a-time draws would give them, whatever the chunk sizes.
     A refill draws at least the ``n`` values asked for, and otherwise twice
-    the previous refill, up to ``NOISE_CHUNK_MAX`` values.
+    the previous refill (``NOISE_CHUNK_MIN`` the first time), up to
+    ``NOISE_CHUNK_MAX`` values.
     """
 
     __slots__ = ("values", "pos", "_draw", "_rng", "_chunk")
@@ -211,7 +224,7 @@ class NoiseBuffer:
         pos = self.pos
         if len(values) - pos >= n:
             return
-        size = self._chunk = max(n, min(2 * self._chunk, NOISE_CHUNK_MAX))
+        size = self._chunk = max(n, min(max(2 * self._chunk, NOISE_CHUNK_MIN), NOISE_CHUNK_MAX))
         self.values = values[pos:] + self._draw(self._rng, size)
         self.pos = 0
 

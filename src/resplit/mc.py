@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from resplit.core import Simulator, stream
 
 __all__ = ["McConfig", "McReport", "mc_plan", "run_mc"]
@@ -63,30 +61,28 @@ class McReport:
     rel_var_pred: float | None  # (1 - p)(p N)^-1, None when no hits landed
 
 
-def run_mc(
-    factory: Callable[[np.random.Generator], Simulator], cfg: McConfig, seed: int
-) -> McReport:
+def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McReport:
     """Run the planned trajectories; each stops at its first absorption or the horizon.
 
-    Trajectory ``i`` owns the stream ``("mc-traj", i)``: the factory may draw
-    its initial state from it, then the steps read their noise from it.  The
-    horizon that plans the count is read from trajectory 0's simulator.
+    Every trajectory starts from the factory's initial state, which one
+    simulator captures once and restores before each trajectory.  Trajectory
+    ``i`` reads its noise from the stream ``("mc-traj", i)``; randomness
+    enters only there.
     """
-    rng = stream(seed, "mc-traj", 0)
-    sim = factory(rng)
+    sim = factory()
     count, min_resolvable = mc_plan(cfg, sim.horizon_steps)
+    origin = sim.snapshot()
 
     hits = 0
     cost = 0
     for i in range(count):
-        if i:
-            rng = stream(seed, "mc-traj", i)
-            sim = factory(rng)
+        sim.restore(origin)
         start = sim.step_index
         g = sim.coordinate()
         if g < sim.failure_value:
             # one bulk draw covers the horizon; draws past the failure step are never read
             n = sim.horizon_steps - start
+            rng = stream(seed, "mc-traj", i)
             _, g = sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
         cost += sim.step_index - start
         hits += g >= sim.failure_value

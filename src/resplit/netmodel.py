@@ -236,10 +236,10 @@ class NetSimulator:
         return ratio + exceed / grace
 
 
-def simulator_factory(params: NetParams) -> Callable[[np.random.Generator], NetSimulator]:
-    """Factory with the engine-facing signature; the initial state is deterministic."""
+def simulator_factory(params: NetParams) -> Callable[[], NetSimulator]:
+    """Factory with the engine-facing signature: no argument, a fresh simulator."""
 
-    def make(_rng: np.random.Generator) -> NetSimulator:
+    def make() -> NetSimulator:
         return NetSimulator(params)
 
     return make

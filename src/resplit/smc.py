@@ -42,7 +42,7 @@ __all__ = [
     "run_smc",
 ]
 
-SimFactory = Callable[[np.random.Generator], Simulator]
+SimFactory = Callable[[], Simulator]
 
 
 @dataclass(frozen=True)
@@ -170,15 +170,17 @@ def run_attempts(
     values, pos = noise.values, noise.pos
     n_values = len(values)
 
+    # a one-checkpoint pool (select_rng None) never picks again; restoring a
+    # snapshot reproduces its recorded step and coordinate
+    source = pool[0]
+    snap, j, g_source = source.snapshot, source.hit_step, source.coordinate
     sel_buf: list[int] = []
     sel_pos = 0
     try:
         while successes < success_target or attempts < attempt_target:
             if used >= cap:
                 break
-            if select_rng is None:
-                source = pool[0]
-            else:
+            if select_rng is not None:
                 if sel_pos == len(sel_buf):
                     # the first batch is just what attempt_target needs, so a caller
                     # that stops there leaves select_rng where one-at-a-time picks would
@@ -187,17 +189,16 @@ def run_attempts(
                     sel_pos = 0
                 source = pool[sel_buf[sel_pos]]
                 sel_pos += 1
-            g = source.coordinate  # recorded at capture; restore reproduces it
-            if g >= target:
+                snap, j, g_source = source.snapshot, source.hit_step, source.coordinate
+            if g_source >= target:
                 # source already past this threshold (multi-level jump or
                 # checkpointed failure): immediate success, zero steps
-                checkpoints.append(Checkpoint(source.snapshot, next_level, source.hit_step, g))
+                checkpoints.append(Checkpoint(snap, next_level, j, g_source))
                 success_attempts.append(attempts)
                 successes += 1
                 attempts += 1
                 continue
-            restore(source.snapshot)
-            j = source.hit_step  # snapshots restore to the recorded step
+            restore(snap)
             # propagate to the threshold, the horizon or the end of the budget
             room = horizon - j
             if cap - used < room:
@@ -265,23 +266,20 @@ def run_level(
     )
 
 
-def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig, seed: int):
-    """Stage 0's pool, one fresh simulator per ``"init"`` stream, and the last simulator.
+def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig):
+    """Stage 0's pool, ``initial_pool`` copies of one fresh checkpoint, and its simulator.
 
-    Every attempt restores a checkpoint before it steps, so the last initial
-    simulator serves as the run's worker whatever state it was left in.
+    A factory takes no argument and every simulator it builds starts in the
+    same state, so one checkpoint serves the whole pool.  Every attempt
+    restores a checkpoint before it steps, so the same simulator serves as the
+    run's worker.
     """
-    pool = []
+    sim = factory()
+    g = sim.coordinate()
     base = schedule.thresholds[0]
-    for i in range(cfg.initial_pool):
-        sim = factory(stream(seed, "init", i))
-        g = sim.coordinate()
-        if g < base:
-            raise ValueError(
-                f"fresh initial state has coordinate {g} below the base threshold {base}"
-            )
-        pool.append(Checkpoint(sim.snapshot(), 0, sim.step_index, g))
-    return pool, sim
+    if g < base:
+        raise ValueError(f"fresh initial state has coordinate {g} below the base threshold {base}")
+    return [Checkpoint(sim.snapshot(), 0, sim.step_index, g)] * cfg.initial_pool, sim
 
 
 def run_smc(
@@ -306,7 +304,7 @@ def run_smc(
     """
     stages = schedule.stage_count
     ledger = BudgetLedger(cfg.budget_steps)
-    pool, sim = _initial_pool(factory, schedule, cfg, seed)
+    pool, sim = _initial_pool(factory, schedule, cfg)
 
     records: list[LevelRecord] = []
     budget_exhausted = False

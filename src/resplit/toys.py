@@ -29,10 +29,12 @@ class LadderSim:
     no path dependence.  Reaching the top rung is the failure event, so the
     overall hitting probability is ``prod(probs)``.  The failure value is
     the top rung.  Only a live climb below the top draws a uniform: the steps
-    of a dead or finished ladder read no noise.
+    of a dead or finished ladder read no noise.  The state is one tuple
+    ``(step, rung, dead)``, which is also the snapshot: restoring stores it
+    and snapshotting returns it, with no copy, since a tuple is immutable.
     """
 
-    __slots__ = ("probs", "_rung", "_dead", "_j", "_top", "failure_value")
+    __slots__ = ("probs", "_state", "_top", "failure_value")
 
     def __init__(self, probs) -> None:
         self.probs = tuple(float(p) for p in probs)
@@ -43,13 +45,11 @@ class LadderSim:
                 raise ValueError(f"rung probability must be in (0, 1], got {p}")
         self._top = len(self.probs)
         self.failure_value = float(self._top)
-        self._rung = 0
-        self._dead = False
-        self._j = 0
+        self._state = (0, 0, False)
 
     @property
     def step_index(self) -> int:
-        return self._j
+        return self._state[0]
 
     @property
     def horizon_steps(self) -> int:
@@ -59,11 +59,12 @@ class LadderSim:
         return rng.random(n).tolist()
 
     def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+        j, rung, dead = self._state
         steps = stop - pos
-        if steps > self._top - self._j:
-            raise HorizonExceededError(f"{steps} steps from step {self._j} pass horizon {self._top}")
-        probs, top, rung, dead = self.probs, self._top, self._rung, self._dead
-        g = float(rung)
+        top = self._top
+        if steps > top - j:
+            raise HorizonExceededError(f"{steps} steps from step {j} pass horizon {top}")
+        probs = self.probs
         taken = 0
         while taken < steps:
             taken += 1
@@ -73,32 +74,31 @@ class LadderSim:
                 else:
                     dead = True
                 pos += 1
-                g = float(rung)
-            if g >= target:
+            if rung >= target:
                 break
-        self._j += taken
-        self._rung, self._dead = rung, dead
-        return pos, g
+        self._state = (j + taken, rung, dead)
+        return pos, float(rung)
 
     # only benchmark/worker.py's l0_figures probe calls this
     def step(self, rng: np.random.Generator) -> None:
-        noise = [rng.random()] if not self._dead and self._rung < self._top else []
+        _, rung, dead = self._state
+        noise = [rng.random()] if not dead and rung < self._top else []
         self.advance(noise, 0, 1, math.inf)
 
     def snapshot(self) -> tuple:
-        return (self._j, self._rung, self._dead)
+        return self._state
 
     def restore(self, snap: tuple) -> None:
-        self._j, self._rung, self._dead = snap
+        self._state = snap
 
     def coordinate(self) -> float:
-        return float(self._rung)
+        return float(self._state[1])
 
 
 def ladder_factory(probs):
     probs = tuple(probs)
 
-    def make(_rng: np.random.Generator) -> LadderSim:
+    def make() -> LadderSim:
         return LadderSim(probs)
 
     return make
@@ -182,7 +182,7 @@ class ThreeStateSim:
 
 
 def three_state_factory(advance_lo: float, advance_hi: float, relapse: float, horizon_steps: int):
-    def make(_rng: np.random.Generator) -> ThreeStateSim:
+    def make() -> ThreeStateSim:
         return ThreeStateSim(advance_lo, advance_hi, relapse, horizon_steps)
 
     return make

@@ -167,6 +167,11 @@ class TestKernelMatchesStepping:
         sim = LadderSim((0.5, 0.5, 0.5))
         pos, g = sim.advance([0.9, 0.0, 0.0], 0, 3, math.inf)  # dies on the first step
         assert (pos, g, sim.step_index) == (1, 0.0, 3)
+        # a dead ladder already at the target stops after one step, else takes them all
+        for target, steps_taken in ((1.0, 1), (0.5, 1), (2.0, 2)):
+            sim.restore((1, 1, True))
+            assert sim.advance([], 0, 2, target) == (0, 1.0)
+            assert sim.step_index == 1 + steps_taken
 
     def test_three_state(self):
         for seed in range(12):
@@ -222,7 +227,7 @@ class TestEnginesIgnoreChunking:
         hits = cost = 0
         for i in range(40):
             rng = stream(5, "mc-traj", i)
-            sim = factory(rng)
+            sim = factory()
             while sim.coordinate() < sim.failure_value and sim.step_index < sim.horizon_steps:
                 step(sim, rng)
                 cost += 1

@@ -208,6 +208,14 @@ class TestNumberFields:
         with pytest.raises(ConfigError, match=r"^levels\.thresholds: expected a list$"):
             config_from_dict({"levels": {"thresholds": "01"}})
 
+    def test_labels_must_be_a_list_of_strings(self):
+        with pytest.raises(ConfigError, match=r"^levels\.labels: expected a list of strings$"):
+            config_from_dict({"levels": {"thresholds": [0, 1, 2], "labels": "abc"}})
+        with pytest.raises(ConfigError, match=r"^levels\.labels\[0\]: must be a string, got 1$"):
+            config_from_dict({"levels": {"thresholds": [0, 1, 2], "labels": [1, True, None]}})
+        cfg = config_from_dict({"levels": {"thresholds": [0, 1], "labels": ["a", "b"]}})
+        assert cfg.levels.labels == ("a", "b")
+
     def test_swept_boolean_rejected_at_its_point(self):
         cfg = config_from_dict({"sweep": {"axes": [{"name": "model.delay_threshold",
                                                     "values": [0.1, True]}]}})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,18 @@ class TestCheckpoint:
             Checkpoint(snapshot=None, level_index=-1, hit_step=0, coordinate=0.0)
         with pytest.raises(ValueError):
             Checkpoint(snapshot=None, level_index=0, hit_step=-2, coordinate=0.0)
+
+    def test_frozen_dataclass(self):
+        cp = Checkpoint((1, 2.0), 1, 7, 1.3)
+        assert repr(cp) == "Checkpoint(snapshot=(1, 2.0), level_index=1, hit_step=7, coordinate=1.3)"
+        assert cp == Checkpoint((1, 2.0), 1, 7, 1.3) != Checkpoint((1, 2.0), 1, 7, 1.4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cp.coordinate = 0.0
+        # replace() builds through __init__, so it keeps the fields it is not given
+        # and validates the ones it is
+        assert dataclasses.replace(cp, coordinate=0.3) == Checkpoint((1, 2.0), 1, 7, 0.3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cp, level_index=-1)
 
 
 class TestStreams:

@@ -296,8 +296,8 @@ class TestSimulatorContract:
 
     def test_factory_returns_fresh_sims(self):
         make = simulator_factory(NetParams())
-        s1 = make(stream(1, "init", 0))
-        s2 = make(stream(1, "init", 1))
+        s1 = make()
+        s2 = make()
         assert s1 is not s2
         assert s1.snapshot() == s2.snapshot()
         assert s1.step_index == 0 and s1.coordinate() == 0.0

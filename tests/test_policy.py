@@ -51,7 +51,7 @@ class PolicyLadder(LadderSim):
 
 
 def policy_ladder_factory(probs, base_rate=1.0, sensitivity=1.0):
-    def make(_rng):
+    def make():
         return PolicyLadder(probs, base_rate, sensitivity)
 
     return make

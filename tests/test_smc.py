@@ -312,26 +312,42 @@ class TestRunSmc:
 
         # no more than the protocol drives both engines
         assert isinstance(JumpSim(), Simulator)
-        report = run_smc(
-            lambda rng: JumpSim(), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), seed=3
-        )
+        report = run_smc(JumpSim, LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), seed=3)
         assert report.estimate == 1.0
         # the jump crosses both remaining thresholds: stage 1 is all immediate
         assert report.levels[1].cost_steps == 0
         assert report.levels[1].p_hat == 1.0
         assert all(cp.coordinate == 2.0 for cp in report.levels[0].checkpoints)
-        mc_report = run_mc(lambda rng: JumpSim(), McConfig(budget_steps=None, trajectories=5), 3)
+        mc_report = run_mc(JumpSim, McConfig(budget_steps=None, trajectories=5), 3)
         assert (mc_report.hits, mc_report.cost_steps_used) == (5, 5)
 
     def test_cost_conservation_exact(self):
         CountingLadder.calls = 0
         report = run_smc(
-            lambda rng: CountingLadder((0.5, 0.4)),
+            lambda: CountingLadder((0.5, 0.4)),
             LevelSchedule((0.0, 1.0, 2.0)),
             _small_cfg(),
             seed=21,
         )
         assert report.cost_steps_used == CountingLadder.calls
+
+    def test_randomness_enters_only_through_noise_streams(self, monkeypatch):
+        purposes = []
+        real = smc.stream
+
+        def counting(seed, purpose, *indices):
+            purposes.append(purpose)
+            return real(seed, purpose, *indices)
+
+        monkeypatch.setattr(smc, "stream", counting)
+        # the shape of the stage-law check: one stage, one checkpoint, no picks
+        one_stage = _small_cfg(success_target=20, attempt_target=1, initial_pool=1,
+                               pool_min=1, pool_max=1)
+        run_smc(ladder_factory((0.2,)), LevelSchedule((0.0, 1.0)), one_stage, seed=1)
+        assert purposes == ["level-propagate"]
+        purposes.clear()
+        run_smc(simulator_factory(NetParams()), default_levels(), SmcConfig(), seed=1)
+        assert "level-propagate" in purposes and "init" not in purposes
 
     def test_resolution_floor(self):
         report = run_smc(

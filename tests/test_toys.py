@@ -52,7 +52,7 @@ class TestLadder:
 
     def test_factory(self):
         make = ladder_factory((0.5,))
-        assert make(stream(5, "i")).horizon_steps == 1
+        assert make().horizon_steps == 1
 
 
 class TestThreeState:
@@ -115,5 +115,5 @@ class TestThreeState:
             ThreeStateSim(0.5, 0.5, 0.1, 0)
 
     def test_factory(self):
-        sim = three_state_factory(0.3, 0.2, 0.1, 6)(stream(8, "i"))
+        sim = three_state_factory(0.3, 0.2, 0.1, 6)()
         assert sim.horizon_steps == 6 and sim.coordinate() == 0.0
