@@ -160,6 +160,21 @@ class NetSimulator:
     def horizon_steps(self) -> int:
         return self._horizon
 
+    @property
+    def monotone_rate_bound(self) -> float:
+        """The largest recovery rate up to which the model is monotone in the rate.
+
+        On common noise the log-stress path does not depend on the state, and
+        the health step ``h + nu * (1 - c(h)) ** phi`` rises with ``nu`` and,
+        for ``nu <= ((1 + phi) / phi) ** (phi + 1)``, with ``h``.  Capacity
+        rises with health, and backlog, delay, the exceedance counter and the
+        coordinate never rise with capacity.  So for rates up to this bound,
+        a path that misses a level under one rate misses it under every
+        stronger rate (3.375 at the default exponent 2).
+        """
+        phi = self._phi
+        return ((1.0 + phi) / phi) ** (phi + 1.0)
+
     def set_policy(self, rate: float) -> None:
         """Switch the recovery rate in force (takes effect from the next step)."""
         if not 0.0 < rate * self._dt <= 1.0:

@@ -6,9 +6,20 @@ outer trajectory first reaches a designated level, a short lookahead branches
 the stored checkpoint into fresh continuations under every candidate, scores
 each by the log of the fraction that goes on to reach the next level plus
 cost, and fixes the cheapest adequate candidate for that trajectory's
-continuation.  The lookahead is one pass of the splitting attempt loop,
-``smc.run_attempts``, at the host stage.  Lookahead simulation is charged to
-its own budget so the outer estimator's accounting is untouched, and its
+continuation.  Each candidate's lookahead is one pass of the splitting
+attempt loop, ``smc.run_attempts``, at the host stage.
+
+All candidates of one checkpoint share one block of noise, drawn once from
+the stream ``("lookahead", ordinal)``: branch ``k`` steps on row ``k`` under
+every candidate (common random numbers), so candidates differ only by their
+rate.  Where the simulator declares a ``monotone_rate_bound`` (for the
+network model ``((1 + phi) / phi) ** (phi + 1)``, 3.375 at ``phi = 2``)
+and the strongest candidate is within it, a stronger rate can only hold a
+branch back, so candidate ``i`` reruns only the rows that crossed under
+candidate ``i - 1``, and once no row is left the rest score zero without
+simulating.
+Otherwise every candidate runs every row.  Lookahead simulation is charged
+to its own budget so the outer estimator's accounting is untouched, and its
 random streams are disjoint from the outer ones, so the resumed trajectory
 never depends on how the decision was reached.
 """
@@ -31,6 +42,7 @@ __all__ = [
     "PolicySet",
     "PolicySmcReport",
     "evaluate_candidate",
+    "lookahead_noise",
     "run_smc_with_reconfiguration",
     "select_policy",
 ]
@@ -113,8 +125,12 @@ class LookaheadConfig:
 
     ``host_level`` is the level whose first hit triggers selection, and the
     stage the lookahead runs; ``continuations`` is the branch count per
-    candidate.  ``inner_budget_steps`` caps total lookahead simulation; None
-    leaves it uncapped.
+    candidate, and the row count of each checkpoint's shared noise block,
+    drawn from ``stream(seed, "lookahead", ordinal)`` (see
+    :func:`lookahead_noise`).  ``inner_budget_steps`` caps total lookahead
+    simulation, counting only the steps actually simulated, so the rows
+    that nesting skips (candidates within the simulator's
+    ``monotone_rate_bound``) cost nothing; None leaves it uncapped.
     """
 
     host_level: int = 2
@@ -146,6 +162,9 @@ class PolicyEvaluation:
     in ``zero_adjusted``.
     When every candidate needed it the evaluation is ``degenerate``: no
     continuation crossed under any candidate, and the argmin is the cheapest.
+    ``steps`` holds the lookahead steps simulated for each candidate (empty
+    when not recorded); a candidate the nesting made free shows 0 steps with
+    a zero estimate.
     """
 
     estimates: tuple[float, ...]
@@ -155,23 +174,29 @@ class PolicyEvaluation:
     zero_adjusted: tuple[bool, ...]
     selected: int
     degenerate: bool
+    steps: tuple[int, ...] = ()
 
 
 def select_policy(
     estimates: Sequence[float],
     costs: Sequence[float],
     continuations: int,
+    steps: Sequence[int] = (),
 ) -> PolicyEvaluation:
     """Score candidates and pick the argmin of log-probability-plus-cost.
 
     Exact ties resolve toward the cheaper, then lower-indexed candidate.
+    ``steps``, one count per candidate, is recorded and not scored.
     """
     row = tuple(float(e) for e in estimates)
     cost_row = tuple(float(c) for c in costs)
+    step_row = tuple(int(n) for n in steps)
     if len(row) == 0:
         raise ValueError("need at least one candidate to select from")
     if len(cost_row) != len(row):
         raise ValueError(f"{len(row)} candidates but {len(cost_row)} costs")
+    if step_row and len(step_row) != len(row):
+        raise ValueError(f"{len(row)} candidates but {len(step_row)} step counts")
     if continuations < 1:
         raise ValueError(f"continuations must be >= 1, got {continuations}")
 
@@ -189,7 +214,22 @@ def select_policy(
         zero_adjusted=adjusted,
         selected=selected,
         degenerate=all(adjusted),
+        steps=step_row,
     )
+
+
+def lookahead_noise(
+    sim, source: Checkpoint, look: LookaheadConfig, rng: np.random.Generator
+) -> NoiseBuffer:
+    """The noise block every candidate at ``source`` shares.
+
+    ``look.continuations`` rows of ``horizon_steps - source.hit_step``
+    values, drawn from ``rng`` in one go: row ``k`` is all the noise branch
+    ``k`` can read before the horizon.
+    """
+    noise = NoiseBuffer(sim, rng)
+    noise.reserve(look.continuations * (sim.horizon_steps - source.hit_step))
+    return noise
 
 
 def evaluate_candidate(
@@ -198,24 +238,71 @@ def evaluate_candidate(
     rate: float,
     schedule: LevelSchedule,
     look: LookaheadConfig,
-    rng: np.random.Generator,
+    noise: NoiseBuffer,
     ledger: BudgetLedger,
-) -> float | None:
-    """Crossing fraction of fresh branches of ``source`` under one recovery rate.
+    rows: Sequence[int],
+) -> list[int] | None:
+    """The rows whose branch of ``source`` reaches the next level under one rate.
 
-    ``look.continuations`` branches of the host-level checkpoint ``source``
-    try to reach the next level: one pass of the splitting attempt loop
-    (:func:`resplit.smc.run_attempts`) at ``host_level``, stepping on noise
-    from ``rng``.  Steps are charged to ``ledger``, which is checked before
-    every attempt; None means it ran dry before every branch had run.
+    Branch ``k`` of the host-level checkpoint ``source`` steps on row ``k``
+    of ``noise``, the checkpoint's shared block (:func:`lookahead_noise`),
+    and tries to reach the next level; only the branches in ``rows`` run.
+    That is one pass of the splitting attempt loop
+    (:func:`resplit.smc.run_attempts`) at ``host_level``, one attempt per
+    row.  The candidate's estimate is the number of rows returned over
+    ``look.continuations``.  Steps are charged to ``ledger``, which is
+    checked before every attempt; None means it ran dry before every row
+    had run.
+
+    :func:`run_smc_with_reconfiguration` draws the block from
+    ``stream(seed, "lookahead", ordinal)`` and passes every row to
+    candidate 0.  When the strongest candidate is within the simulator's
+    ``monotone_rate_bound`` it passes candidate ``i`` only the rows that
+    candidate ``i - 1`` returned, since on common noise a stronger rate
+    never lets a branch cross that a weaker one held back; otherwise every
+    row, every time.
     """
-    n = look.continuations
     host = look.host_level
-    attempts, hits, _ = run_attempts(
-        sim, [_stamp(sim, source, rate)], schedule.target(host), host + 1, 0, n, ledger,
-        NoiseBuffer(sim, rng), None,
+    attempts, _, success_attempts = run_attempts(
+        sim, [_stamp(sim, source, rate)], schedule.target(host), host + 1, 0, len(rows), ledger,
+        noise, None, rows, sim.horizon_steps - source.hit_step,
     )
-    return len(hits) / n if attempts == n else None
+    if attempts < len(rows):
+        return None
+    return [rows[a] for a in success_attempts]
+
+
+def _score(
+    sim,
+    source: Checkpoint,
+    policies: PolicySet,
+    schedule: LevelSchedule,
+    look: LookaheadConfig,
+    noise: NoiseBuffer,
+    ledger: BudgetLedger,
+    nested: bool,
+) -> PolicyEvaluation | None:
+    """Score every candidate at ``source`` on its shared block; None if the ledger ran dry.
+
+    Nested, candidate ``i`` runs only the rows that crossed under candidate
+    ``i - 1``, and no row left means a zero estimate with no simulation.
+    """
+    every = range(look.continuations)
+    rows: Sequence[int] = every
+    estimates: list[float] = []
+    steps: list[int] = []
+    for cand in range(policies.size):
+        before = ledger.used
+        crossed = (
+            evaluate_candidate(sim, source, policies.rate(cand), schedule, look, noise, ledger, rows)
+            if rows else []
+        )
+        if crossed is None:
+            return None
+        estimates.append(len(crossed) / look.continuations)
+        steps.append(ledger.used - before)
+        rows = crossed if nested else every
+    return select_policy(estimates, policies.costs(), look.continuations, steps)
 
 
 def _stamp(sim, cp: Checkpoint, rate: float) -> Checkpoint:
@@ -277,10 +364,17 @@ def run_smc_with_reconfiguration(
     and all its resampled descendants inherit the choice.  The simulator must
     support ``set_policy(rate)`` and carry the recovery rate inside snapshots.
     With a single candidate the layer does nothing at all: no inner simulation
-    runs and the report wraps the bit-identical plain run.  The lookahead's
-    streams are disjoint from the outer ones, so the resumed trajectories
-    depend only on the selected policies, never on the lookahead draws
-    themselves.
+    runs and the report wraps the bit-identical plain run.
+
+    The ``ordinal``-th checkpoint's candidates share one noise block from
+    ``stream(seed, "lookahead", ordinal)``.  Scoring is nested when the
+    simulator declares ``monotone_rate_bound``, the largest rate up to which
+    a stronger rate never lets a branch cross that a weaker one held back,
+    and the strongest candidate is within it; otherwise every candidate runs
+    every row.  The estimates are the same either way, and nesting only
+    skips steps.  The lookahead's streams are disjoint from the outer ones,
+    so the resumed trajectories depend only on the selected policies, never
+    on the lookahead draws themselves.
     """
     stages = schedule.stage_count
     host = look.host_level
@@ -301,23 +395,18 @@ def run_smc_with_reconfiguration(
             # singleton set: the baseline is already in every snapshot
             selections.extend([0] * len(rec.checkpoints))
             return rec
+        bound = getattr(sim, "monotone_rate_bound", None)
+        nested = bound is not None and policies.rate(policies.size - 1) <= bound
         stamped = []
         for ordinal, cp in enumerate(rec.checkpoints):
-            estimates: list[float] = []
-            while not inner_ledger.exhausted and len(estimates) < policies.size:
-                cand = len(estimates)
-                rng = stream(seed, "lookahead", ordinal, cand)
-                e = evaluate_candidate(
-                    sim, cp, policies.rate(cand), schedule, look, rng, inner_ledger
-                )
-                if e is None:
-                    break
-                estimates.append(e)
-            if len(estimates) < policies.size:
+            ev = None
+            if not inner_ledger.exhausted:
+                noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
+                ev = _score(sim, cp, policies, schedule, look, noise, inner_ledger, nested)
+            if ev is None:
                 # not enough inner budget to finish scoring: keep the baseline
                 selections.append(0)
             else:
-                ev = select_policy(estimates, policies.costs(), look.continuations)
                 evaluations.append(ev)
                 selections.append(ev.selected)
             stamped.append(_stamp(sim, cp, policies.rate(selections[-1])))

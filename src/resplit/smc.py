@@ -141,6 +141,8 @@ def run_attempts(
     ledger: BudgetLedger,
     noise: NoiseBuffer,
     select_rng: np.random.Generator | None,
+    rows: Sequence[int] | None = None,
+    stride: int = 0,
 ) -> tuple[int, list[Checkpoint], list[int]]:
     """Attempt from ``pool`` until both targets are met or the budget runs out.
 
@@ -151,6 +153,12 @@ def run_attempts(
     counted as neither).  Targets and budget are checked before every
     attempt.  Returns the attempt count, the captures and the attempt index
     of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
+
+    By default each attempt reads on from where the last one stopped.  With
+    ``rows``, attempt ``a`` reads from ``rows[a] * stride`` instead, so
+    attempts replay fixed rows of a block of noise; ``noise`` must then
+    already hold ``stride`` values for every row, and ``stride`` must be at
+    least the steps left to the horizon.
     """
     attempts = 0
     successes = 0
@@ -199,6 +207,8 @@ def run_attempts(
                 attempts += 1
                 continue
             restore(snap)
+            if rows is not None:
+                pos = rows[attempts] * stride
             # propagate to the threshold, the horizon or the end of the budget
             room = horizon - j
             if cap - used < room:

@@ -29,7 +29,7 @@ from resplit.netmodel import (
     default_levels,
     simulator_factory,
 )
-from resplit.policy import LookaheadConfig, PolicySet, evaluate_candidate
+from resplit.policy import LookaheadConfig, PolicySet, evaluate_candidate, lookahead_noise
 from resplit.smc import SmcConfig, run_level, run_smc
 from resplit.toys import LadderSim, ThreeStateSim, ladder_factory, three_state_factory
 
@@ -249,8 +249,9 @@ class TestEnginesIgnoreChunking:
 
         def run():
             ledger = BudgetLedger(budget)
-            res = evaluate_candidate(sim, source, rate, default_levels(), look,
-                                     stream(3, "look"), ledger)
+            noise = lookahead_noise(sim, source, look, stream(3, "look"))
+            res = evaluate_candidate(sim, source, rate, default_levels(), look, noise, ledger,
+                                     range(look.continuations))
             return res, ledger.used
 
         _same_under_chunk_sizes(monkeypatch, run)

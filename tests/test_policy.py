@@ -12,6 +12,7 @@ from resplit.policy import (
     LookaheadConfig,
     PolicySet,
     evaluate_candidate,
+    lookahead_noise,
     run_smc_with_reconfiguration,
     select_policy,
 )
@@ -55,6 +56,14 @@ def policy_ladder_factory(probs, base_rate=1.0, sensitivity=1.0):
         return PolicyLadder(probs, base_rate, sensitivity)
 
     return make
+
+
+def crossing_fraction(sim, source, rate, sched, look, rng, ledger):
+    """One candidate scored on every row of its own block from ``rng``; None if the ledger ran dry."""
+    noise = lookahead_noise(sim, source, look, rng)
+    rows = evaluate_candidate(sim, source, rate, sched, look, noise, ledger,
+                              range(look.continuations))
+    return None if rows is None else len(rows) / look.continuations
 
 
 def fresh_checkpoint(sim):
@@ -200,7 +209,7 @@ class TestEvaluateCandidate:
             sim = PolicyLadder((1.0, 1.0), sensitivity=0.0)
             sim.restore((1, 1, False, 1.0))  # at rung 1, one step left
             source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-            res = evaluate_candidate(
+            res = crossing_fraction(
                 sim, source, rate, sched, look,
                 stream(1, "t", 0), BudgetLedger(None),
             )
@@ -212,7 +221,7 @@ class TestEvaluateCandidate:
         sim = PolicyLadder((1.0, 0.4))
         sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-        res = evaluate_candidate(
+        res = crossing_fraction(
             sim, source, 1.0, sched, look,
             stream(3, "t", 0), BudgetLedger(None),
         )
@@ -232,7 +241,7 @@ class TestEvaluateCandidate:
                 sim = PolicyLadder((0.5, 0.5), sensitivity=1.0)
                 sim.restore((1, 1, False, 1.0))
                 source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-                res = evaluate_candidate(
+                res = crossing_fraction(
                     sim, source, rate, sched, look,
                     stream(100 + rep, "t", cand), BudgetLedger(None),
                 )
@@ -249,7 +258,7 @@ class TestEvaluateCandidate:
         sim.restore((2, 2, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
         ledger = BudgetLedger(None)
-        res = evaluate_candidate(
+        res = crossing_fraction(
             sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
@@ -263,7 +272,7 @@ class TestEvaluateCandidate:
         sim.restore((1, 1, False, 1.0))
         source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
         ledger = BudgetLedger(5)
-        res = evaluate_candidate(
+        res = crossing_fraction(
             sim, source, 1.0, sched, look,
             stream(7, "t", 0), ledger,
         )
@@ -280,12 +289,126 @@ class TestEvaluateCandidate:
         source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
         ledger = BudgetLedger(5)
         ledger.used = 5
-        res = evaluate_candidate(
+        res = crossing_fraction(
             sim, source, 1.0, sched, look,
             stream(4, "t", 0), ledger,
         )
         assert res is None
         assert ledger.used == 5
+
+    def test_branch_reads_its_row_of_the_block(self):
+        # a policy-immune ladder one decisive step from the target: row k
+        # crosses exactly when its one value is below the rung probability,
+        # whichever rows run and in whatever order
+        sched = LevelSchedule((0.0, 1.0, 2.0))
+        look = LookaheadConfig(host_level=1, continuations=25)
+        sim = PolicyLadder((1.0, 0.5), sensitivity=0.0)
+        sim.restore((1, 1, False, 1.0))
+        source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
+        noise = lookahead_noise(sim, source, look, stream(5, "t", 0))
+        crossing = [k for k in range(25) if noise.values[k] < 0.5]
+        assert 0 < len(crossing) < 25
+        for rows in (range(25), [24, 3, 17, 0, 9], crossing[::-1], []):
+            got = evaluate_candidate(sim, source, 2.0, sched, look, noise, BudgetLedger(None), rows)
+            assert got == [k for k in rows if k in crossing]
+
+
+# the policy-study point, as in tests/test_pinned.py
+NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+HOST_SCHEDULE = LevelSchedule((0.0, 0.1, 1.0, 1.5))  # the default levels up to host_level 2's target
+HOST_CFG = SmcConfig(success_target=20, attempt_target=20, initial_pool=1, pool_min=20,
+                     pool_max=60, budget_steps=2_000_000)
+
+
+class TestNestedScoring:
+    """Every candidate of a network checkpoint steps on one shared noise block."""
+
+    def test_nested_scoring_equals_every_row_scoring_with_fewer_steps(self):
+        # floating-point exp and pow are not formally monotone, so these 200+
+        # checkpoints are the evidence that under common noise a row that
+        # misses under one rate never crosses under a stronger one
+        look = LookaheadConfig(host_level=2, continuations=5)
+        policies = PolicySet.from_params(NOISY, size=5)
+        sim = NetSimulator(NOISY)
+        assert policies.rate(policies.size - 1) <= sim.monotone_rate_bound
+        two_stages = LevelSchedule(HOST_SCHEDULE.thresholds[:3])
+        totals = {True: 0, False: 0}
+        scored = 0
+        for seed in range(10):
+            rep = run_smc(simulator_factory(NOISY), two_stages, HOST_CFG, seed)
+            for ordinal, cp in enumerate(rep.levels[1].checkpoints):
+                noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
+                evs = {}
+                for nested in (True, False):
+                    ledger = BudgetLedger(None)
+                    evs[nested] = policy._score(
+                        sim, cp, policies, HOST_SCHEDULE, look, noise, ledger, nested)
+                    assert sum(evs[nested].steps) == ledger.used
+                    totals[nested] += ledger.used
+                assert evs[True].estimates == evs[False].estimates
+                assert sum(evs[True].steps) <= sum(evs[False].steps)
+                scored += 1
+        assert scored >= 200
+        assert totals[True] < totals[False]
+
+    def test_steps_record_what_each_candidate_simulated(self):
+        look = LookaheadConfig(host_level=2, continuations=5)
+        policies = PolicySet.from_params(NOISY, size=3)
+        rep = run_smc_with_reconfiguration(
+            simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, 4)
+        assert rep.fallback_count == 0
+        assert sum(sum(ev.steps) for ev in rep.evaluations) == rep.inner_cost_steps
+        free = 0
+        for ev in rep.evaluations:
+            assert len(ev.steps) == policies.size
+            for i in range(1, policies.size):
+                if ev.estimates[i - 1] == 0.0:
+                    # nothing crossed under a weaker rate: the nesting made it free
+                    assert ev.estimates[i] == 0.0 and ev.steps[i] == 0
+                    free += 1
+        assert free > 0
+
+    def test_rates_past_the_bound_run_every_row(self):
+        # top rate 4.0 is stable for a 50 ms step but past 3.375, where the
+        # health map stops being monotone: every candidate runs every row
+        seed = 2
+        policies = PolicySet(size=3, base_rate=2.0, increment_fraction=0.5,
+                             step_seconds=NOISY.step_seconds)
+        sim = NetSimulator(NOISY)
+        assert policies.rate(2) == 4.0 > sim.monotone_rate_bound
+        look = LookaheadConfig(host_level=2, continuations=5)
+        rep = run_smc_with_reconfiguration(
+            simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, seed)
+        assert rep.fallback_count == 0 and rep.evaluations
+        ledger = BudgetLedger(None)
+        for ordinal, cp in enumerate(rep.levels[1].checkpoints):
+            noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
+            for cand in range(policies.size):
+                evaluate_candidate(sim, cp, policies.rate(cand), HOST_SCHEDULE, look, noise,
+                                   ledger, range(look.continuations))
+        assert rep.inner_cost_steps == ledger.used
+        # some row missed under a weaker candidate, so nesting would have skipped it
+        assert any(ev.estimates[i] < 1.0 for ev in rep.evaluations for i in range(2))
+
+    def test_inner_budget_dry_mid_candidate_falls_back_to_baseline(self):
+        seed = 4
+        look = LookaheadConfig(host_level=2, continuations=5)
+        policies = PolicySet.from_params(NOISY, size=3)
+        factory = simulator_factory(NOISY)
+        full = run_smc_with_reconfiguration(factory, HOST_SCHEDULE, HOST_CFG, policies, look, seed)
+        # the first checkpoint whose candidate 1 simulates, cut halfway through it
+        k = next(i for i, ev in enumerate(full.evaluations) if ev.steps[1] >= 2)
+        spent = sum(sum(ev.steps) for ev in full.evaluations[:k])
+        steps = full.evaluations[k].steps
+        dry = LookaheadConfig(host_level=2, continuations=5,
+                              inner_budget_steps=spent + steps[0] + steps[1] // 2)
+        rep = run_smc_with_reconfiguration(factory, HOST_SCHEDULE, HOST_CFG, policies, dry, seed)
+        assert rep.inner_budget_exhausted
+        assert rep.inner_cost_steps == dry.inner_budget_steps
+        assert rep.evaluations == full.evaluations[:k]
+        assert rep.selections[:k] == full.selections[:k]
+        assert rep.selections[k:] == (0,) * (len(rep.selections) - k)
+        assert rep.fallback_count == len(rep.selections) - k > 0
 
 
 class TestRunWithReconfiguration:
