@@ -291,9 +291,11 @@ def check_policy_trend(work: Path) -> tuple[bool, str]:
             rep = run_smc_with_reconfiguration(
                 factory, default_levels(), SmcConfig(), pol5, _POLICY_LOOKAHEAD, seed
             )
-            if rep.selections:
+            if rep.evaluations:
+                # only scored checkpoints carry a choice; the other selections are 0
                 sigmas.append(sf)
-                mean_idx.append(sum(rep.selections) / len(rep.selections))
+                mean_idx.append(sum(ev.selected for ev in rep.evaluations)
+                                / len(rep.evaluations))
             if sf == _POLICY_SIGMAS[-1]:
                 est5.append(rep.estimate)
                 base = run_smc_with_reconfiguration(

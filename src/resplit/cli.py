@@ -49,8 +49,9 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
     if cfg.engine == "smc":
         report = run_smc(factory, cfg.levels, cfg.smc, seed)
         return _smc_dict(report, cfg)
+    policies = cfg.policy_set()
     report = run_smc_with_reconfiguration(
-        factory, cfg.levels, cfg.smc, cfg.policy_set(), cfg.lookahead, seed
+        factory, cfg.levels, cfg.smc, policies, cfg.lookahead, seed
     )
     out = _smc_dict(report.smc, cfg)
     out.update(
@@ -58,10 +59,14 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
         selections=list(report.selections),
         selection_counts=list(report.selection_counts),
         selection_frequencies=list(report.selection_frequencies),
+        scored_count=len(report.scored),
         fallback_count=report.fallback_count,
         degenerate_count=report.degenerate_count,
         inner_cost_steps=report.inner_cost_steps,
         inner_budget_exhausted=report.inner_budget_exhausted,
+        lookahead_steps_by_candidate=[
+            sum(ev.steps[i] for ev in report.evaluations) for i in range(policies.size)
+        ],
     )
     return out
 

@@ -9,6 +9,11 @@ cost, and fixes the cheapest adequate candidate for that trajectory's
 continuation.  Each candidate's lookahead is one pass of the splitting
 attempt loop, ``smc.run_attempts``, at the host stage.
 
+Only the host-level checkpoints that the next stage's pool holds are scored:
+the pool is resampled first, and a checkpoint it never drew has no
+continuation for a policy to act on, so it keeps the baseline rate its
+snapshot already carries, with no simulation and no noise drawn.
+
 All candidates of one checkpoint share one block of noise, drawn once from
 the stream ``("lookahead", ordinal)``: branch ``k`` steps on row ``k`` under
 every candidate (common random numbers), so candidates differ only by their
@@ -26,7 +31,7 @@ never depends on how the decision was reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,7 +135,10 @@ class LookaheadConfig:
     :func:`lookahead_noise`).  ``inner_budget_steps`` caps total lookahead
     simulation, counting only the steps actually simulated, so the rows
     that nesting skips (candidates within the simulator's
-    ``monotone_rate_bound``) cost nothing; None leaves it uncapped.
+    ``monotone_rate_bound``) and the checkpoints the next pool never drew
+    cost nothing; None leaves it uncapped.  The picked checkpoints are
+    scored in ordinal order until the budget runs dry, and the rest keep
+    the baseline.
     """
 
     host_level: int = 2
@@ -316,10 +324,15 @@ def _stamp(sim, cp: Checkpoint, rate: float) -> Checkpoint:
 class PolicySmcReport:
     """Splitting report plus what the selection layer did along the way.
 
-    ``selections`` lists the chosen candidate per host-level checkpoint in
-    creation order; ``evaluations`` holds the scored candidates behind each
-    non-trivial decision.  Checkpoints decided after the inner budget ran dry
-    fall back to the baseline and are counted in ``fallback_count``.
+    ``selections`` lists the candidate per host-level checkpoint in creation
+    order.  Only the checkpoints the next stage's pool drew are scored:
+    ``evaluations`` holds their scored candidates in ordinal order and
+    ``scored`` the ordinal behind each.  Every other entry of ``selections``
+    is 0, the baseline rate its snapshot carries, and is counted in
+    ``fallback_count``: a checkpoint the pool never drew, or a picked one
+    left unscored once the inner budget ran dry.  ``selection_counts``
+    counts those zeros too, so the choices made are
+    ``ev.selected for ev in evaluations``.
     """
 
     smc: SmcReport
@@ -327,6 +340,7 @@ class PolicySmcReport:
     selections: tuple[int, ...]
     selection_counts: tuple[int, ...]
     evaluations: tuple[PolicyEvaluation, ...]
+    scored: tuple[int, ...]
     fallback_count: int
     degenerate_count: int
     inner_cost_steps: int
@@ -359,22 +373,31 @@ def run_smc_with_reconfiguration(
     """Splitting run that may switch the mitigation policy at ``host_level``.
 
     The plain splitting run with the selection as its per-stage hook: once
-    the stage feeding ``host_level`` completes, each checkpoint captured there
-    is scored by lookahead, gets its winning policy written into its snapshot,
-    and all its resampled descendants inherit the choice.  The simulator must
-    support ``set_policy(rate)`` and carry the recovery rate inside snapshots.
-    With a single candidate the layer does nothing at all: no inner simulation
+    the stage feeding ``host_level`` completes and the host stage's pool is
+    resampled, each distinct checkpoint in that pool is scored by lookahead,
+    in ascending ordinal order, and every pool entry drawn from it restarts
+    with its winning policy written into the snapshot, so all its
+    descendants inherit the choice.  Checkpoints the pool never drew are not
+    scored (see :class:`PolicySmcReport`).  The simulator must support
+    ``set_policy(rate)`` and carry the recovery rate inside snapshots.  With
+    a single candidate the layer does nothing at all: no inner simulation
     runs and the report wraps the bit-identical plain run.
 
     The ``ordinal``-th checkpoint's candidates share one noise block from
-    ``stream(seed, "lookahead", ordinal)``.  Scoring is nested when the
-    simulator declares ``monotone_rate_bound``, the largest rate up to which
-    a stronger rate never lets a branch cross that a weaker one held back,
-    and the strongest candidate is within it; otherwise every candidate runs
-    every row.  The estimates are the same either way, and nesting only
-    skips steps.  The lookahead's streams are disjoint from the outer ones,
-    so the resumed trajectories depend only on the selected policies, never
-    on the lookahead draws themselves.
+    ``stream(seed, "lookahead", ordinal)``, so a checkpoint's evaluation does
+    not depend on which others were picked, and with an uncapped inner
+    budget the outer run is that of scoring every checkpoint.  Under a
+    finite ``inner_budget_steps`` the budget goes only to picked
+    checkpoints, so it reaches further into the pool than scoring every
+    checkpoint would, and the outer run can differ from that.
+
+    Scoring is nested when the simulator declares ``monotone_rate_bound``,
+    the largest rate up to which a stronger rate never lets a branch cross
+    that a weaker one held back, and the strongest candidate is within it;
+    otherwise every candidate runs every row.  The estimates are the same
+    either way, and nesting only skips steps.  The lookahead's streams are
+    disjoint from the outer ones, so the resumed trajectories depend only on
+    the selected policies, never on the lookahead draws themselves.
     """
     stages = schedule.stage_count
     host = look.host_level
@@ -387,30 +410,32 @@ def run_smc_with_reconfiguration(
     inner_ledger = BudgetLedger(look.inner_budget_steps)
     selections: list[int] = []
     evaluations: list[PolicyEvaluation] = []
+    scored: list[int] = []
 
-    def select_at_host(level: int, rec: LevelRecord, sim) -> LevelRecord:
-        if level != host - 1:
-            return rec
+    def select_at_host(rec: LevelRecord, pool: list[Checkpoint], sim) -> list[Checkpoint]:
+        if rec.level != host - 1:
+            return pool
+        # the baseline is already in every snapshot; only picked checkpoints are scored
+        selections.extend([0] * len(rec.checkpoints))
         if policies.size == 1:
-            # singleton set: the baseline is already in every snapshot
-            selections.extend([0] * len(rec.checkpoints))
-            return rec
+            return pool
         bound = getattr(sim, "monotone_rate_bound", None)
         nested = bound is not None and policies.rate(policies.size - 1) <= bound
-        stamped = []
-        for ordinal, cp in enumerate(rec.checkpoints):
-            ev = None
+        # the pool holds the record's own checkpoint objects, some several times
+        ordinal_of = {id(cp): ordinal for ordinal, cp in enumerate(rec.checkpoints)}
+        stamped = {}
+        for ordinal in sorted({ordinal_of[id(cp)] for cp in pool}):
+            cp = rec.checkpoints[ordinal]
             if not inner_ledger.exhausted:
                 noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
                 ev = _score(sim, cp, policies, schedule, look, noise, inner_ledger, nested)
-            if ev is None:
-                # not enough inner budget to finish scoring: keep the baseline
-                selections.append(0)
-            else:
-                evaluations.append(ev)
-                selections.append(ev.selected)
-            stamped.append(_stamp(sim, cp, policies.rate(selections[-1])))
-        return replace(rec, checkpoints=tuple(stamped))
+                # None: not enough inner budget to finish scoring, so keep the baseline
+                if ev is not None:
+                    evaluations.append(ev)
+                    scored.append(ordinal)
+                    selections[ordinal] = ev.selected
+            stamped[ordinal] = _stamp(sim, cp, policies.rate(selections[ordinal]))
+        return [stamped[ordinal_of[id(cp)]] for cp in pool]
 
     report = run_smc(factory, schedule, cfg, seed, on_stage=select_at_host)
     return PolicySmcReport(
@@ -419,6 +444,7 @@ def run_smc_with_reconfiguration(
         selections=tuple(selections),
         selection_counts=tuple(selections.count(i) for i in range(policies.size)),
         evaluations=tuple(evaluations),
+        scored=tuple(scored),
         fallback_count=len(selections) - len(evaluations) if policies.size > 1 else 0,
         degenerate_count=sum(ev.degenerate for ev in evaluations),
         inner_cost_steps=inner_ledger.used,

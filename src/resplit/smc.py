@@ -92,7 +92,7 @@ class LevelRecord:
     success_attempts: tuple[int, ...] = ()  # attempt index that produced each checkpoint
 
 
-StageHook = Callable[[int, LevelRecord, Simulator], LevelRecord]
+StageHook = Callable[[LevelRecord, list[Checkpoint], Simulator], list[Checkpoint]]
 
 
 @dataclass(frozen=True)
@@ -307,10 +307,12 @@ def run_smc(
     finished.  Identical ``(factory, schedule, cfg, seed)`` give an identical
     report, bit for bit.
 
-    ``on_stage(level, record, sim)`` is called after every stage that met its
-    stopping targets, before the next pool is sized and resampled; the record
-    it returns is the one resampled from and reported.  ``sim`` is the run's
-    worker simulator, free to use until the hook returns.
+    ``on_stage(record, pool, sim)`` is called after every stage that met its
+    stopping targets and is followed by another, once the next stage's pool
+    has been resampled from ``record.checkpoints``; the next stage runs from
+    the pool it returns.  So a hook sees exactly the checkpoints the next
+    stage restarts from, each as often as it was drawn.  ``sim`` is the
+    run's worker simulator, free to use until the hook returns.
     """
     stages = schedule.stage_count
     ledger = BudgetLedger(cfg.budget_steps)
@@ -329,18 +331,18 @@ def run_smc(
             if rec.successes == 0:
                 extinction_level = level
             break
+        if level == stages - 1:
+            records.append(rec)
+            break
+        size = next_pool_size(rec.p_hat, cfg)
+        rec = replace(rec, next_pool_size=size)
+        records.append(rec)
+        pool = resample_pool(rec.checkpoints, size, stream(seed, "resample", level))
         if on_stage is not None:
-            rec = on_stage(level, rec, sim)
-        if level < stages - 1:
-            size = next_pool_size(rec.p_hat, cfg)
-            rec = replace(rec, next_pool_size=size)
-            records.append(rec)
-            pool = resample_pool(rec.checkpoints, size, stream(seed, "resample", level))
-            if ledger.exhausted:
-                budget_exhausted = True
-                break
-        else:
-            records.append(rec)
+            pool = on_stage(rec, pool, sim)
+        if ledger.exhausted:
+            budget_exhausted = True
+            break
 
     estimate = 0.0
     if not budget_exhausted:

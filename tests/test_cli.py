@@ -74,12 +74,17 @@ class TestRunSingle:
         )
         result = run_single(cfg)["replications"][0]["result"]
         for key in ("selections", "selection_counts", "selection_frequencies",
-                    "fallback_count", "degenerate_count", "inner_cost_steps",
-                    "inner_budget_exhausted", "host_level", "levels"):
+                    "scored_count", "fallback_count", "degenerate_count", "inner_cost_steps",
+                    "inner_budget_exhausted", "lookahead_steps_by_candidate", "host_level",
+                    "levels"):
             assert key in result
         assert result["host_level"] == 2
         assert len(result["selection_counts"]) == 5
         assert len(result["selections"]) == result["levels"][1]["successes"]
+        # unscored checkpoints are the fallbacks; every lookahead step lands on a candidate
+        assert result["scored_count"] == len(result["selections"]) - result["fallback_count"]
+        assert len(result["lookahead_steps_by_candidate"]) == 5
+        assert sum(result["lookahead_steps_by_candidate"]) == result["inner_cost_steps"]
 
     def test_replication_seeds_are_derived_not_sequential(self):
         cfg = config_from_dict(cheap_dict(replications=2))

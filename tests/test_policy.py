@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracle import NetState, step_dynamics
 
-from resplit import policy
+from resplit import policy, smc
 from resplit.core import BudgetLedger, Checkpoint, LevelSchedule, stream
 from resplit.netmodel import NetParams, NetSimulator, default_levels, simulator_factory
 from resplit.policy import (
@@ -16,7 +16,7 @@ from resplit.policy import (
     run_smc_with_reconfiguration,
     select_policy,
 )
-from resplit.smc import SmcConfig, run_smc
+from resplit.smc import SmcConfig, resample_pool, run_smc
 from resplit.toys import LadderSim, ladder_factory
 
 
@@ -68,6 +68,28 @@ def crossing_fraction(sim, source, rate, sched, look, rng, ledger):
 
 def fresh_checkpoint(sim):
     return Checkpoint(sim.snapshot(), 0, sim.step_index, sim.coordinate())
+
+
+def spy_pools(monkeypatch):
+    """Record the pool each stage of the next runs starts from, by level."""
+    pools = {}
+    real_run_level = smc.run_level
+
+    def spy(sim, pool, level, *args):
+        pools[level] = list(pool)
+        return real_run_level(sim, pool, level, *args)
+
+    monkeypatch.setattr(smc, "run_level", spy)
+    return pools
+
+
+def host_pool_ordinals(rep, seed):
+    """The ordinal of each entry of the host stage's pool, redrawn as ``run_smc`` draws it."""
+    feeding = rep.levels[rep.host_level - 1]
+    drawn = resample_pool(feeding.checkpoints, feeding.next_pool_size,
+                          stream(seed, "resample", feeding.level))
+    ordinal_of = {id(cp): k for k, cp in enumerate(feeding.checkpoints)}
+    return [ordinal_of[id(cp)] for cp in drawn]
 
 
 class TestPolicySet:
@@ -356,7 +378,7 @@ class TestNestedScoring:
         policies = PolicySet.from_params(NOISY, size=3)
         rep = run_smc_with_reconfiguration(
             simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, 4)
-        assert rep.fallback_count == 0
+        assert not rep.inner_budget_exhausted
         assert sum(sum(ev.steps) for ev in rep.evaluations) == rep.inner_cost_steps
         free = 0
         for ev in rep.evaluations:
@@ -379,9 +401,10 @@ class TestNestedScoring:
         look = LookaheadConfig(host_level=2, continuations=5)
         rep = run_smc_with_reconfiguration(
             simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, seed)
-        assert rep.fallback_count == 0 and rep.evaluations
+        assert rep.evaluations
         ledger = BudgetLedger(None)
-        for ordinal, cp in enumerate(rep.levels[1].checkpoints):
+        for ordinal in rep.scored:
+            cp = rep.levels[1].checkpoints[ordinal]
             noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
             for cand in range(policies.size):
                 evaluate_candidate(sim, cp, policies.rate(cand), HOST_SCHEDULE, look, noise,
@@ -406,9 +429,101 @@ class TestNestedScoring:
         assert rep.inner_budget_exhausted
         assert rep.inner_cost_steps == dry.inner_budget_steps
         assert rep.evaluations == full.evaluations[:k]
-        assert rep.selections[:k] == full.selections[:k]
-        assert rep.selections[k:] == (0,) * (len(rep.selections) - k)
+        assert rep.scored == full.scored[:k]
+        kept = set(full.scored[:k])
+        assert rep.selections == tuple(
+            chosen if ordinal in kept else 0 for ordinal, chosen in enumerate(full.selections))
         assert rep.fallback_count == len(rep.selections) - k > 0
+
+
+class TestLazyScoring:
+    """Only the host-level checkpoints that the host stage's pool drew are scored."""
+
+    LOOK = LookaheadConfig(host_level=2, continuations=5)
+    POLICIES = PolicySet.from_params(NOISY, size=3)
+
+    def _run(self, seed, look=LOOK, policies=POLICIES):
+        return run_smc_with_reconfiguration(
+            simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, seed)
+
+    def _score_every_checkpoint(self, seed):
+        """Outer report, evaluations by ordinal and lookahead steps when every
+        host-level checkpoint is scored, whether the pool drew it or not."""
+        evaluations = {}
+        ledger = BudgetLedger(None)
+
+        def eager(rec, pool, sim):
+            if rec.level != self.LOOK.host_level - 1:
+                return pool
+            stamped = {}
+            for ordinal, cp in enumerate(rec.checkpoints):
+                noise = lookahead_noise(sim, cp, self.LOOK, stream(seed, "lookahead", ordinal))
+                ev = policy._score(sim, cp, self.POLICIES, HOST_SCHEDULE, self.LOOK, noise,
+                                   ledger, True)
+                evaluations[ordinal] = ev
+                stamped[id(cp)] = policy._stamp(sim, cp, self.POLICIES.rate(ev.selected))
+            return [stamped[id(cp)] for cp in pool]
+
+        report = run_smc(simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, seed, on_stage=eager)
+        return report, evaluations, ledger.used
+
+    def test_exactly_the_pool_checkpoints_are_scored(self):
+        for seed in range(4):
+            rep = self._run(seed)
+            picked = sorted(set(host_pool_ordinals(rep, seed)))
+            assert list(rep.scored) == picked  # in ascending ordinal order
+            assert len(picked) < len(rep.selections)  # the pool left some checkpoint out
+            assert rep.fallback_count == len(rep.selections) - len(picked)
+            for ordinal, ev in zip(rep.scored, rep.evaluations):
+                assert rep.selections[ordinal] == ev.selected
+            for ordinal in set(range(len(rep.selections))) - set(picked):
+                assert rep.selections[ordinal] == 0
+
+    def test_each_evaluation_is_its_ordinal_scored_alone(self):
+        seed = 3
+        rep = self._run(seed)
+        sim = NetSimulator(NOISY)
+        assert self.POLICIES.rate(self.POLICIES.size - 1) <= sim.monotone_rate_bound
+        assert rep.evaluations
+        for ordinal, ev in zip(rep.scored, rep.evaluations):
+            cp = rep.levels[1].checkpoints[ordinal]
+            noise = lookahead_noise(sim, cp, self.LOOK, stream(seed, "lookahead", ordinal))
+            alone = policy._score(sim, cp, self.POLICIES, HOST_SCHEDULE, self.LOOK, noise,
+                                  BudgetLedger(None), True)
+            assert alone == ev
+
+    def test_outer_run_equals_scoring_every_checkpoint(self):
+        for seed in range(3):
+            rep = self._run(seed)
+            every, evaluations, steps = self._score_every_checkpoint(seed)
+            assert rep.smc == every
+            assert rep.evaluations == tuple(evaluations[ordinal] for ordinal in rep.scored)
+            assert rep.inner_cost_steps < steps
+
+    def test_finite_inner_budget_is_charged_only_for_picked_checkpoints(self):
+        # a budget that covers just the picked checkpoints' lookahead scores every
+        # one of them, as the uncapped run does; scoring every checkpoint in
+        # ordinal order would have run dry part of the way
+        seed = 4
+        full = self._run(seed)
+        need = full.inner_cost_steps
+        _, _, every_steps = self._score_every_checkpoint(seed)
+        assert need < every_steps
+        capped = LookaheadConfig(host_level=2, continuations=5, inner_budget_steps=need)
+        rep = self._run(seed, capped)
+        assert rep.inner_cost_steps == need
+        assert rep.scored == full.scored
+        assert rep.evaluations == full.evaluations
+        assert rep.selections == full.selections
+        assert rep.smc == full.smc
+
+    def test_singleton_set_wraps_the_plain_network_run(self):
+        single = PolicySet.from_params(NOISY, size=1)
+        for seed in range(2):
+            rep = self._run(seed, policies=single)
+            assert rep.smc == run_smc(simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, seed)
+            assert rep.scored == () and rep.evaluations == ()
+            assert rep.fallback_count == 0 and rep.inner_cost_steps == 0
 
 
 class TestRunWithReconfiguration:
@@ -433,25 +548,34 @@ class TestRunWithReconfiguration:
             assert rep.smc == plain
             assert rep.selections == (0,) * plain.levels[1].successes
             assert rep.selection_counts == (len(rep.selections),)
-            assert rep.evaluations == ()
+            assert rep.evaluations == () and rep.scored == ()
+            assert rep.fallback_count == 0
             assert rep.inner_cost_steps == 0
 
-    def test_selections_recorded_and_stamped(self):
+    def test_selections_recorded_and_stamped(self, monkeypatch):
+        pools = spy_pools(monkeypatch)
         sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
         cfg = self._cfg()
         policies = PolicySet(size=2, base_rate=1.0, increment_fraction=1.0,
                              cost_scale=0.1)
         look = LookaheadConfig(host_level=2, continuations=10)
+        seed = 11
         rep = run_smc_with_reconfiguration(
-            policy_ladder_factory((0.8, 0.7, 0.6)), sched, cfg, policies, look, 11
+            policy_ladder_factory((0.8, 0.7, 0.6)), sched, cfg, policies, look, seed
         )
         host_rec = rep.levels[1]
         assert len(rep.selections) == host_rec.successes
         assert sum(rep.selection_counts) == len(rep.selections)
-        assert len(rep.evaluations) == len(rep.selections)
+        assert len(rep.evaluations) == len(rep.scored) == len(rep.selections) - rep.fallback_count
         rates = [policies.rate(i) for i in range(policies.size)]
-        for cp, chosen in zip(host_rec.checkpoints, rep.selections):
-            assert cp.snapshot[3] == rates[chosen]  # stamped into the snapshot
+        # the host stage restarts from its drawn checkpoints, each stamped with its selection
+        ordinals = host_pool_ordinals(rep, seed)
+        assert len(pools[2]) == len(ordinals)
+        for cp, ordinal in zip(pools[2], ordinals):
+            source = host_rec.checkpoints[ordinal]
+            assert cp.snapshot == (*source.snapshot[:3], rates[rep.selections[ordinal]])
+        # the record keeps its checkpoints as captured, at the baseline
+        assert all(cp.snapshot[3] == rates[0] for cp in host_rec.checkpoints)
         # descendants at the next stage inherit a stamped rate, never something else
         for cp in rep.levels[2].checkpoints:
             assert cp.snapshot[3] in rates
@@ -580,7 +704,8 @@ class TestRunWithReconfiguration:
             for cp in rep.levels[1].checkpoints:
                 assert cp.snapshot[5] in rates
 
-    def test_stamped_network_checkpoint_steps_like_the_oracle_at_its_rate(self):
+    def test_stamped_network_checkpoint_steps_like_the_oracle_at_its_rate(self, monkeypatch):
+        pools = spy_pools(monkeypatch)
         # a non-default exponent, so stepping under the wrong one would show
         params = NetParams(delay_threshold=0.08, stress_log_sd=0.7, recovery_exponent=3.0)
         cfg = SmcConfig(
@@ -593,10 +718,13 @@ class TestRunWithReconfiguration:
         rep = run_smc_with_reconfiguration(
             simulator_factory(params), default_levels(), cfg, policies, look, 0
         )
-        assert 0 < max(rep.selections)  # some checkpoint runs off the baseline
-        for ordinal, (cp, chosen) in enumerate(zip(rep.levels[1].checkpoints, rep.selections)):
-            rate = policies.rate(chosen)
-            assert cp.snapshot[5] == rate
+        assert 0 < max(rep.selections)
+        rates = [policies.rate(i) for i in range(policies.size)]
+        # the host stage's pool: its checkpoints, each stamped with its selection
+        assert any(cp.snapshot[5] != rates[0] for cp in pools[2])  # some run off the baseline
+        for ordinal, cp in enumerate(pools[2]):
+            rate = cp.snapshot[5]
+            assert rate in rates
             sim = NetSimulator(params)
             sim.restore(cp.snapshot)
             state = NetState(*cp.snapshot[:5])

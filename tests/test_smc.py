@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,51 +369,57 @@ class TestStageHook:
     def test_identity_hook_is_the_plain_run(self):
         for seed in range(5):
             plain = run_smc(*self.ARGS, _small_cfg(), seed)
-            hooked = run_smc(*self.ARGS, _small_cfg(), seed, on_stage=lambda level, rec, sim: rec)
+            hooked = run_smc(*self.ARGS, _small_cfg(), seed, on_stage=lambda rec, pool, sim: pool)
             assert hooked == plain
 
-    def test_called_once_per_completed_stage_in_order(self):
+    def test_called_once_per_resample_in_order(self):
         calls = []
 
-        def record(level, rec, sim):
+        def record(rec, pool, sim):
             assert isinstance(sim, Simulator)
-            calls.append((level, rec))
-            return rec
+            calls.append((rec, pool))
+            return pool
 
         report = run_smc(*self.ARGS, _small_cfg(), 3, on_stage=record)
-        assert [level for level, _ in calls] == [0, 1, 2]
-        # the hook sees each record before the next pool is sized
-        for (_, seen), kept in zip(calls, report.levels):
-            assert seen.next_pool_size is None
-            assert seen == replace(kept, next_pool_size=None)
+        # the last stage is followed by no resample, so it never reaches the hook
+        assert [rec.level for rec, _ in calls] == [0, 1]
+        for (seen, pool), kept in zip(calls, report.levels):
+            assert seen == kept
+            assert len(pool) == seen.next_pool_size
 
         # stage 1 is cut short by the budget: only stage 0 reaches the hook
         calls.clear()
-        cut = run_smc(ladder_factory((1.0, 1e-9)), LevelSchedule((0.0, 1.0, 2.0)),
+        cut = run_smc(ladder_factory((1.0, 1e-9, 0.5)), LevelSchedule((0.0, 1.0, 2.0, 3.0)),
                       _small_cfg(budget_steps=300), 9, on_stage=record)
         assert cut.budget_exhausted and not cut.levels[1].stopping_met
-        assert [level for level, _ in calls] == [0]
+        assert [rec.level for rec, _ in calls] == [0]
 
-    def test_returned_record_is_resampled_and_reported(self, monkeypatch):
-        pools = {}
+    def test_hook_sees_the_pool_before_the_next_stage_runs_from_its_return(self, monkeypatch):
+        seed = 5
+        started = {}
         real_run_level = smc.run_level
 
         def spy(sim, pool, level, *args):
-            pools[level] = list(pool)
+            started[level] = list(pool)
             return real_run_level(sim, pool, level, *args)
 
-        def keep_first(level, rec, sim):
-            return replace(rec, checkpoints=rec.checkpoints[:1])
+        def keep_first(rec, pool, sim):
+            assert rec.level + 1 not in started  # the next stage has not run yet
+            # the drawn pool: the record's own checkpoints, from the "resample" stream
+            drawn = resample_pool(rec.checkpoints, rec.next_pool_size,
+                                  stream(seed, "resample", rec.level))
+            assert len(pool) == len(drawn)
+            assert all(a is b for a, b in zip(pool, drawn))
+            return [pool[0]] * len(pool)
 
         monkeypatch.setattr(smc, "run_level", spy)
-        report = run_smc(*self.ARGS, _small_cfg(), 5, on_stage=keep_first)
+        report = run_smc(*self.ARGS, _small_cfg(), seed, on_stage=keep_first)
         assert len(report.levels) == 3
-        for level, rec in enumerate(report.levels):
-            assert len(rec.checkpoints) == 1
-            if level < 2:
-                nxt = pools[level + 1]
-                assert len(nxt) == rec.next_pool_size
-                assert all(cp is rec.checkpoints[0] for cp in nxt)
+        for rec in report.levels[:2]:
+            nxt = started[rec.level + 1]
+            assert len(nxt) == rec.next_pool_size
+            assert all(cp is nxt[0] for cp in nxt)
+            assert any(nxt[0] is cp for cp in rec.checkpoints)
 
 
 class TestStageBias:

@@ -14,8 +14,12 @@ then a multi-stage ladder, the three-state chain through splitting and plain
 Monte Carlo, network runs cut short by their step budget, lookahead runs
 whose inner budget runs dry, so that some checkpoints fall back to the
 baseline, and lookahead runs on a model whose recovery exponent is not the
-default 2.0.  Each digest is a hash of the report's ``repr``.  The script
-takes no options and imports ``resplit`` from the checkout it sits in.
+default 2.0.  Each digest is a hash of the report's ``repr``.  Each policy
+run prints a second ``<shape>-outer seed digest`` line, a hash of the outer
+run alone (estimate, cost, flags and per-level counts), so a change to the
+lookahead that must leave the outer run alone shows as a diff in the first
+line only.  The script takes no options and imports ``resplit`` from the
+checkout it sits in.
 """
 from __future__ import annotations
 
@@ -69,15 +73,29 @@ def extra_shapes():
     )
 
 
+def outer(rep: smc.SmcReport) -> tuple:
+    """A splitting report without its checkpoints: what the outer estimator reports."""
+    return (rep.estimate, rep.cost_steps_used, rep.budget_exhausted, rep.extinction_level,
+            rep.resolution_floor,
+            tuple((r.level, r.attempts, r.successes, r.p_hat, r.cost_steps, r.stopping_met,
+                   r.next_pool_size) for r in rep.levels))
+
+
+def emit(shape: str, seed: int, rep) -> None:
+    print(shape, seed, digest(rep).hex(), flush=True)
+    if isinstance(rep, policy.PolicySmcReport):
+        print(f"{shape}-outer", seed, digest(outer(rep.smc)).hex(), flush=True)
+
+
 def main() -> None:
     for name, workload in WORKLOADS.items():
         for list_seed in (1, 2):
             w = workload(list_seed)
             for s in w.seeds:
-                print(name, s, digest(w.call(s)).hex(), flush=True)
+                emit(name, s, w.call(s))
     for shape, seeds, run in extra_shapes():
         for s in seeds:
-            print(shape, s, digest(run(s)).hex(), flush=True)
+            emit(shape, s, run(s))
 
 
 if __name__ == "__main__":
