@@ -54,11 +54,15 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
         factory, cfg.levels, cfg.smc, policies, cfg.lookahead, seed
     )
     out = _smc_dict(report.smc, cfg)
+    # shares of the scored checkpoints' choices; None when nothing was scored
+    chosen = [ev.selected for ev in report.evaluations]
     out.update(
         host_level=report.host_level,
         selections=list(report.selections),
         selection_counts=list(report.selection_counts),
-        selection_frequencies=list(report.selection_frequencies),
+        selection_frequencies=(
+            [chosen.count(i) / len(chosen) for i in range(policies.size)] if chosen else None
+        ),
         scored_count=len(report.scored),
         fallback_count=report.fallback_count,
         degenerate_count=report.degenerate_count,
@@ -101,14 +105,16 @@ def _smc_dict(report, cfg: ExperimentConfig) -> dict:
         )
     diag = predict_diagnostics(report, cfg.smc)
     diagnostics = None
-    if diag.defined:
+    if diag is not None:
+        # a stage's predicted relative variance is its relative bias, so the
+        # variance keys repeat the bias values
         diagnostics = {
             "stage_rel_bias": list(diag.stage_rel_bias),
-            "stage_rel_var": list(diag.stage_rel_var),
+            "stage_rel_var": list(diag.stage_rel_bias),
             "rel_bias": diag.rel_bias,
             "rel_var": diag.rel_var,
             "rel_bias_first_order": diag.rel_bias_first_order,
-            "rel_var_first_order": diag.rel_var_first_order,
+            "rel_var_first_order": diag.rel_bias_first_order,
             "classical_rel_var": diag.classical_rel_var,
         }
     return {
@@ -228,7 +234,7 @@ def _sweep_row(task) -> list[str]:
             row.extend([""] * 5)
     if freq_width:
         if cfg.engine == "smc+policy":
-            freqs = result["selection_frequencies"]
+            freqs = result["selection_frequencies"] or ()
             row.extend(
                 _cell(v)
                 for v in (result["host_level"], result["inner_cost_steps"],

@@ -217,11 +217,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _reject_non_finite(raw, "")
     _reject_wrong_kind(ExperimentConfig, raw, "")
 
-    mc_raw = dict(raw.get("mc", {}))
-    # an explicit trajectory count replaces the default budget
-    if "trajectories" in mc_raw and "budget_steps" not in mc_raw:
-        mc_raw["budget_steps"] = None
-
     kwargs: dict[str, Any] = {}
     for key in ("engine", "master_seed", "replications", "output_dir"):
         if key in raw:
@@ -233,7 +228,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "smc" in raw:
         kwargs["smc"] = _build_section(SmcConfig, raw["smc"], "smc")
     if "mc" in raw:
-        kwargs["mc"] = _build_section(McConfig, mc_raw, "mc")
+        kwargs["mc"] = _build_section(McConfig, raw["mc"], "mc")
     if "policy" in raw:
         kwargs["policy"] = _build_section(PolicyStudy, raw["policy"], "policy")
     if "lookahead" in raw:

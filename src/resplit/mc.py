@@ -1,10 +1,9 @@
 """Naive Monte Carlo baseline at a matched step budget.
 
-Runs as many full trajectories as the step budget affords (or an explicit
-count), each from a fresh initial state, and reports the hit fraction.  The
-report carries the accounting needed to compare against splitting runs: the
-smallest resolvable probability ``1 / N`` and the predicted relative variance
-``(1 - p) / (p N)``.
+Runs as many full trajectories as the step budget affords, each from a fresh
+initial state, and reports the hit fraction.  The report carries the
+accounting needed to compare against splitting runs: the smallest resolvable
+probability ``1 / N`` and the predicted relative variance ``(1 - p) / (p N)``.
 """
 from __future__ import annotations
 
@@ -18,36 +17,28 @@ __all__ = ["McConfig", "McReport", "mc_plan", "run_mc"]
 
 @dataclass(frozen=True)
 class McConfig:
-    """Either a step budget (trajectory count derived) or an explicit count."""
+    """A step budget; the trajectory count is ``budget_steps // horizon``."""
 
-    budget_steps: int | None = 5_000_000
-    trajectories: int | None = None
+    budget_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if (self.budget_steps is None) == (self.trajectories is None):
-            raise ValueError("set exactly one of budget_steps and trajectories")
-        if self.budget_steps is not None and self.budget_steps < 1:
+        if self.budget_steps < 1:
             raise ValueError(f"budget_steps must be >= 1, got {self.budget_steps}")
-        if self.trajectories is not None and self.trajectories < 1:
-            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
 
 
 def mc_plan(cfg: McConfig, horizon_steps: int) -> tuple[int, float]:
     """Trajectory count and resolution floor, before any simulation.
 
-    With a step budget the count is ``budget // horizon``: every planned
-    trajectory must be affordable at full length.
+    The count is ``budget // horizon``: every planned trajectory must be
+    affordable at full length.
     """
     if horizon_steps < 1:
         raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
-    if cfg.trajectories is not None:
-        count = cfg.trajectories
-    else:
-        count = cfg.budget_steps // horizon_steps
-        if count < 1:
-            raise ValueError(
-                f"budget of {cfg.budget_steps} steps is below one {horizon_steps}-step trajectory"
-            )
+    count = cfg.budget_steps // horizon_steps
+    if count < 1:
+        raise ValueError(
+            f"budget of {cfg.budget_steps} steps is below one {horizon_steps}-step trajectory"
+        )
     return count, 1.0 / count
 
 

@@ -273,7 +273,7 @@ def evaluate_candidate(
     host = look.host_level
     attempts, _, success_attempts = run_attempts(
         sim, [_stamp(sim, source, rate)], schedule.target(host), host + 1, 0, len(rows), ledger,
-        noise, None, rows, sim.horizon_steps - source.hit_step,
+        noise, None, rows,
     )
     if attempts < len(rows):
         return None
@@ -353,13 +353,6 @@ class PolicySmcReport:
     @property
     def levels(self) -> tuple[LevelRecord, ...]:
         return self.smc.levels
-
-    @property
-    def selection_frequencies(self) -> tuple[float, ...]:
-        total = len(self.selections)
-        if total == 0:
-            return tuple(0.0 for _ in self.selection_counts)
-        return tuple(c / total for c in self.selection_counts)
 
 
 def run_smc_with_reconfiguration(

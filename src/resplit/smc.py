@@ -131,6 +131,10 @@ def resample_pool(
     return [checkpoints[i] for i in indices]
 
 
+# picks drawn per refill; batch boundaries do not change the picks
+_PICK_BATCH = 512
+
+
 def run_attempts(
     sim: Simulator,
     pool: Sequence[Checkpoint],
@@ -142,7 +146,6 @@ def run_attempts(
     noise: NoiseBuffer,
     select_rng: np.random.Generator | None,
     rows: Sequence[int] | None = None,
-    stride: int = 0,
 ) -> tuple[int, list[Checkpoint], list[int]]:
     """Attempt from ``pool`` until both targets are met or the budget runs out.
 
@@ -155,10 +158,10 @@ def run_attempts(
     of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
 
     By default each attempt reads on from where the last one stopped.  With
-    ``rows``, attempt ``a`` reads from ``rows[a] * stride`` instead, so
-    attempts replay fixed rows of a block of noise; ``noise`` must then
-    already hold ``stride`` values for every row, and ``stride`` must be at
-    least the steps left to the horizon.
+    ``rows`` (one-checkpoint pools only), attempt ``a`` reads from
+    ``rows[a] * (horizon_steps - hit_step)`` instead, so attempts replay
+    fixed rows of a block of noise; ``noise`` must then already hold that
+    many values for every row.
     """
     attempts = 0
     successes = 0
@@ -182,6 +185,7 @@ def run_attempts(
     # snapshot reproduces its recorded step and coordinate
     source = pool[0]
     snap, j, g_source = source.snapshot, source.hit_step, source.coordinate
+    stride = horizon - j  # one row of a rows-mode block
     sel_buf: list[int] = []
     sel_pos = 0
     try:
@@ -190,10 +194,7 @@ def run_attempts(
                 break
             if select_rng is not None:
                 if sel_pos == len(sel_buf):
-                    # the first batch is just what attempt_target needs, so a caller
-                    # that stops there leaves select_rng where one-at-a-time picks would
-                    size = attempt_target - attempts if attempts < attempt_target else 512
-                    sel_buf = select_rng.integers(0, n_pool, size=size).tolist()
+                    sel_buf = select_rng.integers(0, n_pool, size=_PICK_BATCH).tolist()
                     sel_pos = 0
                 source = pool[sel_buf[sel_pos]]
                 sel_pos += 1
@@ -362,40 +363,39 @@ def run_smc(
 
 @dataclass(frozen=True)
 class SmcDiagnostics:
-    """Predicted estimator quality, with observed stage estimates substituted in."""
+    """Predicted estimator quality, with observed stage estimates substituted in.
 
-    defined: bool
-    stage_rel_bias: tuple[float, ...] = ()
-    stage_rel_var: tuple[float, ...] = ()
-    rel_bias: float | None = None
-    rel_var: float | None = None
-    rel_bias_first_order: float | None = None
-    rel_var_first_order: float | None = None
-    classical_rel_var: float | None = None
+    Per stage the relative bias and the relative variance are the same
+    value, ``stage_rel_bias``, and so are their first-order compositions,
+    ``rel_bias_first_order``.
+    """
+
+    stage_rel_bias: tuple[float, ...]
+    rel_bias: float
+    rel_var: float
+    rel_bias_first_order: float
+    classical_rel_var: float
 
 
-def predict_diagnostics(report: SmcReport, cfg: SmcConfig) -> SmcDiagnostics:
+def predict_diagnostics(report: SmcReport, cfg: SmcConfig) -> SmcDiagnostics | None:
     """Stopping-bias and variance predictions for a completed run.
 
     Per stage both relative bias and relative variance are
     ``(1 - p_hat) / success_target``; stages compose multiplicatively, and the
     fixed-effort variance formula (attempt counts standing in for the common
-    effort) is included for comparison.  Undefined when the run reported zero.
+    effort) is included for comparison.  None when the run reported zero.
     """
     if report.estimate <= 0.0 or any(rec.p_hat <= 0.0 for rec in report.levels):
-        return SmcDiagnostics(defined=False)
+        return None
     q = tuple((1.0 - rec.p_hat) / cfg.success_target for rec in report.levels)
     chain = chain_prediction((q_k, q_k) for q_k in q)
     classical = classical_rel_variance(
         [rec.p_hat for rec in report.levels], [rec.attempts for rec in report.levels]
     )
     return SmcDiagnostics(
-        defined=True,
         stage_rel_bias=q,
-        stage_rel_var=q,
         rel_bias=chain.rel_bias,
         rel_var=chain.rel_var,
         rel_bias_first_order=chain.rel_bias_first_order,
-        rel_var_first_order=chain.rel_var_first_order,
         classical_rel_var=classical,
     )

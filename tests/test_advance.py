@@ -222,7 +222,7 @@ class TestEnginesIgnoreChunking:
         three_state_factory(0.3, 0.2, 0.3, 9),
     ])
     def test_run_mc_stops_at_first_failure(self, monkeypatch, factory):
-        cfg = McConfig(budget_steps=None, trajectories=40)
+        cfg = McConfig(budget_steps=40 * factory().horizon_steps)
         got = _same_under_chunk_sizes(monkeypatch, lambda: run_mc(factory, cfg, 5))
         hits = cost = 0
         for i in range(40):

@@ -32,7 +32,6 @@ class TestStagePrediction:
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=20))
         assert diag.stage_rel_bias == pytest.approx((0.04,))
-        assert diag.stage_rel_var == pytest.approx((0.04,))
         assert diag.rel_bias == pytest.approx(0.04)
         assert diag.rel_var == pytest.approx(0.04)
 

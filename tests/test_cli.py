@@ -5,7 +5,9 @@ import json
 import pytest
 
 from resplit.cli import main, run_single, run_sweep, write_summary, write_sweep_csv
-from resplit.config import ConfigError, config_from_dict, point_seed
+from resplit.config import ConfigError, config_from_dict, point_seed, sweep_points
+from resplit.netmodel import simulator_factory
+from resplit.policy import run_smc_with_reconfiguration
 
 # A stressed, short-horizon operating point so every engine finishes in
 # milliseconds.  40 steps per path, failures common.
@@ -57,6 +59,23 @@ class TestRunSingle:
             sum(r["result"]["estimate"] for r in payload["replications"]) / 2
         )
         assert 0.0 <= agg["positive_fraction"] <= 1.0
+
+    def test_diagnostics_keys_repeat_the_twin_predictions(self):
+        cfg = config_from_dict(cheap_dict(master_seed=11, replications=4))
+        results = [r["result"] for r in run_single(cfg)["replications"]]
+        defined = [r["diagnostics"] for r in results if r["diagnostics"] is not None]
+        assert defined, "no replication completed with a positive estimate"
+        for diag in defined:
+            assert set(diag) == {
+                "stage_rel_bias", "stage_rel_var", "rel_bias", "rel_var",
+                "rel_bias_first_order", "rel_var_first_order", "classical_rel_var",
+            }
+            # a stopped stage's relative variance is predicted equal to its relative bias
+            assert diag["stage_rel_var"] == diag["stage_rel_bias"]
+            assert diag["rel_var_first_order"] == diag["rel_bias_first_order"]
+            assert diag["rel_bias_first_order"] == sum(diag["stage_rel_bias"])
+        for r in results:
+            assert (r["diagnostics"] is None) == (r["estimate"] == 0.0)
 
     def test_mc_payload_shape(self):
         cfg = config_from_dict(cheap_dict(engine="mc"))
@@ -178,10 +197,38 @@ class TestRunSweep:
         assert "select_freq_2" in col and "select_freq_3" not in col
         small, large = rows
         assert small[col["host_level"]] == "2"
-        assert small[col["select_freq_0"]] == "1.0"  # singleton always picks 0
+        assert small[col["select_freq_0"]] == ""  # a singleton set scores nothing
         assert small[col["select_freq_1"]] == ""
         assert large[col["select_freq_2"]] != ""
         assert small[col["inner_cost_steps"]] == "0"
+
+    def test_selection_shares_are_the_scored_choices(self):
+        cfg = config_from_dict(
+            cheap_dict(
+                engine="smc+policy", master_seed=4, replications=3,
+                lookahead={"host_level": 2, "continuations": 5},
+                sweep={"axes": [{"name": "policy.size", "values": [3]}]},
+            )
+        )
+        header, rows = run_sweep(cfg)
+        col = {name: i for i, name in enumerate(header)}
+        (coords, point), = sweep_points(cfg)
+        scored = 0
+        for rep, row in enumerate(rows):
+            report = run_smc_with_reconfiguration(
+                simulator_factory(point.model), point.levels, point.smc, point.policy_set(),
+                point.lookahead, point_seed(cfg.master_seed, coords, rep),
+            )
+            chosen = [ev.selected for ev in report.evaluations]
+            cells = [row[col[f"select_freq_{i}"]] for i in range(3)]
+            if chosen:
+                assert cells == [repr(chosen.count(i) / len(chosen)) for i in range(3)]
+            else:
+                assert cells == ["", "", ""]
+            scored += len(chosen)
+            # the placeholders of unscored checkpoints are not counted
+            assert len(report.selections) > len(chosen)
+        assert scored > 0
 
     def test_levels_cannot_be_swept(self):
         cfg = config_from_dict(
@@ -283,7 +330,7 @@ class TestMain:
         ("run", {"smc": {"safety_factor": True}}, "smc.safety_factor: must be a number"),
         ("run", {"levels": {"thresholds": [False, True]}},
          "levels.thresholds[0]: must be a number"),
-        ("run", {"output_dir": 5, "engine": "mc", "mc": {"trajectories": 2}},
+        ("run", {"output_dir": 5, "engine": "mc", "mc": {"budget_steps": 2400}},
          "output_dir: must be a string"),
         ("sweep", {"sweep": {"axes": [{"name": "model.delay_threshold", "values": [True]}]}},
          "model.delay_threshold: must be a number"),

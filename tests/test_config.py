@@ -61,7 +61,7 @@ class TestStrictLoading:
                 "replications": 3,
                 "model": {"arrival_load": 0.6, "stress_log_sd": 0.8},
                 "levels": {"thresholds": [0.0, 0.5, 1.0], "labels": ["a", "b", "c"]},
-                "mc": {"trajectories": 50},
+                "mc": {"budget_steps": 60_000},
                 "sweep": {"axes": [{"name": "model.delay_threshold",
                                     "values": [0.1, 0.2]}]},
             }
@@ -82,13 +82,21 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"smc\.batch_size: unknown key"):
             config_from_dict({"smc": {"batch_size": 1}})
 
+    def test_retired_mc_trajectories_rejected(self):
+        # a count N is the budget N * horizon, so the budget is the only knob
+        with pytest.raises(ConfigError,
+                           match=r"^mc\.trajectories: unknown key \(allowed: budget_steps\)$"):
+            config_from_dict({"mc": {"trajectories": 100}})
+        with pytest.raises(ConfigError, match=r"^mc\.trajectories: unknown key"):
+            config_from_dict({"mc": {"trajectories": 100, "budget_steps": 1000}})
+
     def test_retired_depth_rejected(self):
         with pytest.raises(ConfigError, match=r"lookahead\.depth: unknown key"):
             config_from_dict({"lookahead": {"depth": 3}})
 
     def test_output_dir_must_be_a_string(self):
         with pytest.raises(ConfigError, match=r"^output_dir: must be a string, got 5$"):
-            config_from_dict({"output_dir": 5, "engine": "mc", "mc": {"trajectories": 2}})
+            config_from_dict({"output_dir": 5, "engine": "mc", "mc": {"budget_steps": 2400}})
         assert config_from_dict({"output_dir": None}).output_dir is None
         assert config_from_dict({"output_dir": "res"}).output_dir == "res"
 
@@ -108,15 +116,6 @@ class TestStrictLoading:
     def test_replications_positive(self):
         with pytest.raises(ConfigError, match="replications"):
             config_from_dict({"replications": 0})
-
-    def test_mc_trajectories_displace_default_budget(self):
-        cfg = config_from_dict({"mc": {"trajectories": 100}})
-        assert cfg.mc.trajectories == 100
-        assert cfg.mc.budget_steps is None
-
-    def test_mc_both_modes_rejected(self):
-        with pytest.raises(ConfigError, match="exactly one"):
-            config_from_dict({"mc": {"trajectories": 100, "budget_steps": 1000}})
 
     def test_levels_need_thresholds(self):
         with pytest.raises(ConfigError, match=r"levels\.thresholds"):
@@ -177,17 +176,17 @@ class TestIntegerFields:
         ({"smc": {"success_target": True}}, "smc.success_target"),
         ({"master_seed": "3"}, "master_seed"),
         ({"lookahead": {"inner_budget_steps": 3.0}}, "lookahead.inner_budget_steps"),
-        ({"mc": {"trajectories": 10.0}}, "mc.trajectories"),
+        ({"mc": {"budget_steps": 10.0}}, "mc.budget_steps"),
         ({"smc": {"budget_steps": None}}, "smc.budget_steps"),
+        ({"mc": {"budget_steps": None}}, "mc.budget_steps"),
     ])
     def test_non_integer_rejected_with_its_path(self, raw, key):
         with pytest.raises(ConfigError, match=rf"^{key}: must be an integer"):
             config_from_dict(raw)
 
     def test_null_allowed_where_optional(self):
-        cfg = config_from_dict({"lookahead": {"inner_budget_steps": None},
-                                "mc": {"trajectories": 10}})
-        assert cfg.lookahead.inner_budget_steps is None and cfg.mc.budget_steps is None
+        cfg = config_from_dict({"lookahead": {"inner_budget_steps": None}})
+        assert cfg.lookahead.inner_budget_steps is None
 
 
 class TestNumberFields:

@@ -9,15 +9,11 @@ from resplit.toys import ladder_factory, three_state_factory
 
 
 class TestConfig:
-    def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            McConfig(budget_steps=None, trajectories=None)
-        with pytest.raises(ValueError):
-            McConfig(budget_steps=100, trajectories=100)
-        with pytest.raises(ValueError):
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="budget_steps must be >= 1"):
             McConfig(budget_steps=0)
-        with pytest.raises(ValueError):
-            McConfig(budget_steps=None, trajectories=0)
+        with pytest.raises(ValueError, match="budget_steps must be >= 1"):
+            McConfig(budget_steps=-1200)
 
     def test_plan_accounting(self):
         count, floor = mc_plan(McConfig(budget_steps=5_000_000), horizon_steps=1200)
@@ -25,7 +21,8 @@ class TestConfig:
         assert floor == pytest.approx(2.4e-4, rel=0.01)
 
     def test_plan_explicit_count(self):
-        count, floor = mc_plan(McConfig(budget_steps=None, trajectories=500), 1200)
+        # a budget of exactly N horizons plans N trajectories
+        count, floor = mc_plan(McConfig(budget_steps=500 * 1200), 1200)
         assert count == 500 and floor == 0.002
 
     def test_plan_budget_below_one_trajectory(self):
@@ -35,7 +32,8 @@ class TestConfig:
 
 class TestRunMc:
     def test_certain_failure(self):
-        report = run_mc(ladder_factory((1.0, 1.0)), McConfig(budget_steps=None, trajectories=50), 1)
+        # two rungs: a 2-step horizon, so 50 trajectories
+        report = run_mc(ladder_factory((1.0, 1.0)), McConfig(budget_steps=50 * 2), 1)
         assert report.hits == 50 and report.estimate == 1.0
         assert report.rel_var_pred == 0.0
         assert report.cost_steps_used == 100  # absorbed exactly at the horizon
@@ -44,7 +42,7 @@ class TestRunMc:
         # advance twice with certainty, then absorb; horizon is much longer
         report = run_mc(
             three_state_factory(1.0, 1.0, 0.0, 10),
-            McConfig(budget_steps=None, trajectories=20),
+            McConfig(budget_steps=20 * 10),
             seed=2,
         )
         assert report.hits == 20
@@ -53,7 +51,8 @@ class TestRunMc:
     def test_estimate_within_monte_carlo_error(self):
         p = 0.3
         n = 2000
-        report = run_mc(ladder_factory((p,)), McConfig(budget_steps=None, trajectories=n), 3)
+        # one rung: a 1-step horizon, so n trajectories
+        report = run_mc(ladder_factory((p,)), McConfig(budget_steps=n), 3)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(report.estimate - p) < 4 * se
         assert report.rel_var_pred == pytest.approx(
@@ -62,13 +61,13 @@ class TestRunMc:
         assert report.min_resolvable == pytest.approx(1 / n)
 
     def test_zero_hits(self):
-        report = run_mc(ladder_factory((1e-9,)), McConfig(budget_steps=None, trajectories=100), 4)
+        report = run_mc(ladder_factory((1e-9,)), McConfig(budget_steps=100), 4)
         assert report.hits == 0 and report.estimate == 0.0
         assert report.rel_var_pred is None
         assert report.min_resolvable == 0.01
 
     def test_deterministic(self):
-        cfg = McConfig(budget_steps=None, trajectories=200)
+        cfg = McConfig(budget_steps=200)  # 200 one-step trajectories
         a = run_mc(ladder_factory((0.4,)), cfg, 5)
         b = run_mc(ladder_factory((0.4,)), cfg, 5)
         c = run_mc(ladder_factory((0.4,)), cfg, 6)

@@ -18,11 +18,15 @@ default 2.0.  Each digest is a hash of the report's ``repr``.  Each policy
 run prints a second ``<shape>-outer seed digest`` line, a hash of the outer
 run alone (estimate, cost, flags and per-level counts), so a change to the
 lookahead that must leave the outer run alone shows as a diff in the first
-line only.  The script takes no options and imports ``resplit`` from the
-checkout it sits in.
+line only.  Last come one ``smc-result``, ``mc-result`` and
+``smc+policy-result`` line, each a hash of the ``replications`` that
+``resplit run`` writes into ``summary.json`` at the acceptance checks' cheap
+operating point, so artifact identity is diffed the same way.  The script
+takes no options and imports ``resplit`` from the checkout it sits in.
 """
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +37,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 from workloads import WORKLOADS, digest  # noqa: E402
 
 from resplit import mc, policy, smc  # noqa: E402
+from resplit.acceptance import _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
+from resplit.cli import run_single  # noqa: E402
+from resplit.config import config_from_dict  # noqa: E402
 from resplit.core import LevelSchedule  # noqa: E402
 from resplit.netmodel import NetParams, default_levels, simulator_factory  # noqa: E402
 from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
@@ -61,7 +68,7 @@ def extra_shapes():
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
         ("three-state-mc", range(10),
-         lambda s: mc.run_mc(chain, mc.McConfig(budget_steps=None, trajectories=200), s)),
+         lambda s: mc.run_mc(chain, mc.McConfig(budget_steps=1800), s)),
         ("net-truncated", range(4),
          lambda s: smc.run_smc(noisy, default_levels(), truncated, s)),
         ("net-policy-dry", range(10),
@@ -71,6 +78,15 @@ def extra_shapes():
          lambda s: policy.run_smc_with_reconfiguration(simulator_factory(steep), default_levels(),
                                                        outer, steep_policies, look, s)),
     )
+
+
+def result_configs():
+    """``(shape, config)`` for the artifact lines: one per engine, two replications."""
+    base = {"master_seed": 5, "replications": 2, "model": dict(_CHEAP_MODEL),
+            "smc": dict(_CHEAP_SMC), "mc": {"budget_steps": 20_000},
+            "lookahead": {"host_level": 2, "continuations": 5}}
+    return tuple((f"{engine}-result", config_from_dict({**base, "engine": engine}))
+                 for engine in ("smc", "mc", "smc+policy"))
 
 
 def outer(rep: smc.SmcReport) -> tuple:
@@ -96,6 +112,9 @@ def main() -> None:
     for shape, seeds, run in extra_shapes():
         for s in seeds:
             emit(shape, s, run(s))
+    for shape, cfg in result_configs():
+        replications = json.dumps(run_single(cfg)["replications"], sort_keys=True)
+        print(shape, cfg.master_seed, digest(replications).hex(), flush=True)
 
 
 if __name__ == "__main__":
