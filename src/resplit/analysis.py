@@ -64,7 +64,6 @@ class ChainPrediction:
     rel_bias: float
     rel_var: float
     rel_bias_first_order: float
-    rel_var_first_order: float
 
 
 def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
@@ -75,12 +74,11 @@ def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
     - bias factor: ``prod(1 + b_k) - 1``
     - variance:    ``prod((1 + b_k)^2 + v_k) - prod(1 + b_k)^2``
 
-    plus the small-error linearisations ``sum(b_k)`` and ``sum(v_k)``.
+    plus the small-error linearisation of the bias, ``sum(b_k)``.
     """
     bias_prod = 1.0
     second_prod = 1.0
     bias_sum = 0.0
-    var_sum = 0.0
     count = 0
     for b, v in stages:
         if v < 0.0:
@@ -89,7 +87,6 @@ def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
         bias_prod *= m
         second_prod *= m * m + v
         bias_sum += b
-        var_sum += v
         count += 1
     if count == 0:
         raise ValueError("chain_prediction needs at least one stage")
@@ -97,7 +94,6 @@ def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
         rel_bias=bias_prod - 1.0,
         rel_var=second_prod - bias_prod * bias_prod,
         rel_bias_first_order=bias_sum,
-        rel_var_first_order=var_sum,
     )
 
 

@@ -57,7 +57,7 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
     # shares of the scored checkpoints' choices; None when nothing was scored
     chosen = [ev.selected for ev in report.evaluations]
     out.update(
-        host_level=report.host_level,
+        host_level=cfg.lookahead.host_level,
         selections=list(report.selections),
         selection_counts=list(report.selection_counts),
         selection_frequencies=(

@@ -90,16 +90,30 @@ class ExperimentConfig:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"sweep axes overlap: {names}")
+        if self.engine == "smc+policy":
+            # checked only where the policy layer runs, so a plain run does not
+            # pay for an unused candidate set
+            try:
+                self.policy_set()
+            except ValueError as exc:
+                raise ConfigError(f"policy: {exc}") from exc
+            last = self.levels.stage_count - 1
+            if self.lookahead.host_level > last:
+                raise ConfigError(
+                    f"lookahead.host_level: {self.lookahead.host_level} needs a later "
+                    f"stage; levels give stages 0..{last}"
+                )
 
     def policy_set(self) -> PolicySet:
         p = self.policy
         return PolicySet.from_params(self.model, p.size, p.increment_fraction, p.cost_scale)
 
 
-_TOP_KEYS = (
-    "engine", "master_seed", "replications", "output_dir",
-    "model", "levels", "smc", "mc", "policy", "lookahead", "sweep",
-)
+# the sections that are one dataclass each, built and echoed field by field
+_SECTIONS = {"model": NetParams, "smc": SmcConfig, "mc": McConfig, "policy": PolicyStudy,
+             "lookahead": LookaheadConfig}
+_TOP_KEYS = ("engine", "master_seed", "replications", "output_dir", "levels", "sweep",
+             *_SECTIONS)
 
 
 def _reject_unknown(data: dict, allowed, path: str) -> None:
@@ -221,18 +235,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("engine", "master_seed", "replications", "output_dir"):
         if key in raw:
             kwargs[key] = raw[key]
-    if "model" in raw:
-        kwargs["model"] = _build_section(NetParams, raw["model"], "model")
+    for key, cls in _SECTIONS.items():
+        if key in raw:
+            kwargs[key] = _build_section(cls, raw[key], key)
     if "levels" in raw:
         kwargs["levels"] = _build_levels(raw["levels"], "levels")
-    if "smc" in raw:
-        kwargs["smc"] = _build_section(SmcConfig, raw["smc"], "smc")
-    if "mc" in raw:
-        kwargs["mc"] = _build_section(McConfig, raw["mc"], "mc")
-    if "policy" in raw:
-        kwargs["policy"] = _build_section(PolicyStudy, raw["policy"], "policy")
-    if "lookahead" in raw:
-        kwargs["lookahead"] = _build_section(LookaheadConfig, raw["lookahead"], "lookahead")
     if "sweep" in raw:
         kwargs["axes"] = _build_axes(raw["sweep"], "sweep")
     try:
@@ -264,15 +271,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "engine": cfg.engine,
         "master_seed": cfg.master_seed,
         "replications": cfg.replications,
-        "model": _section_dict(cfg.model),
+        **{key: _section_dict(getattr(cfg, key)) for key in _SECTIONS},
         "levels": {
             "thresholds": list(cfg.levels.thresholds),
             "labels": list(cfg.levels.labels) if cfg.levels.labels else None,
         },
-        "smc": _section_dict(cfg.smc),
-        "mc": _section_dict(cfg.mc),
-        "policy": _section_dict(cfg.policy),
-        "lookahead": _section_dict(cfg.lookahead),
         "sweep": {
             "axes": [
                 {"name": axis.name, "values": list(axis.values)} for axis in cfg.axes

@@ -166,23 +166,20 @@ class PolicyEvaluation:
     ``estimates`` holds each candidate's lookahead crossing fraction (see
     :func:`evaluate_candidate`) and ``objectives`` its log plus cost, with a
     zero estimate scored as half a count (``1 / (2 * continuations)``) so the
-    argmin stays finite; candidates that needed the substitution are flagged
-    in ``zero_adjusted``.
-    When every candidate needed it the evaluation is ``degenerate``: no
-    continuation crossed under any candidate, and the argmin is the cheapest.
-    ``steps`` holds the lookahead steps simulated for each candidate (empty
-    when not recorded); a candidate the nesting made free shows 0 steps with
-    a zero estimate.
+    argmin stays finite.  ``steps`` holds the lookahead steps simulated for
+    each candidate (empty when not recorded); a candidate the nesting made
+    free shows 0 steps with a zero estimate.
     """
 
     estimates: tuple[float, ...]
-    costs: tuple[float, ...]
-    continuations: int
     objectives: tuple[float, ...]
-    zero_adjusted: tuple[bool, ...]
     selected: int
-    degenerate: bool
     steps: tuple[int, ...] = ()
+
+    @property
+    def degenerate(self) -> bool:
+        """No continuation crossed under any candidate, so the argmin is the cheapest."""
+        return all(e <= 0.0 for e in self.estimates)
 
 
 def select_policy(
@@ -209,21 +206,11 @@ def select_policy(
         raise ValueError(f"continuations must be >= 1, got {continuations}")
 
     floor = 0.5 / continuations
-    adjusted = tuple(e <= 0.0 for e in row)
     objectives = tuple(
-        math.log(floor if zero else e) + cost for e, zero, cost in zip(row, adjusted, cost_row)
+        math.log(floor if e <= 0.0 else e) + cost for e, cost in zip(row, cost_row)
     )
     selected = min(range(len(row)), key=lambda i: (objectives[i], cost_row[i], i))
-    return PolicyEvaluation(
-        estimates=row,
-        costs=cost_row,
-        continuations=continuations,
-        objectives=objectives,
-        zero_adjusted=adjusted,
-        selected=selected,
-        degenerate=all(adjusted),
-        steps=step_row,
-    )
+    return PolicyEvaluation(row, objectives, selected, step_row)
 
 
 def lookahead_noise(
@@ -336,7 +323,6 @@ class PolicySmcReport:
     """
 
     smc: SmcReport
-    host_level: int
     selections: tuple[int, ...]
     selection_counts: tuple[int, ...]
     evaluations: tuple[PolicyEvaluation, ...]
@@ -433,7 +419,6 @@ def run_smc_with_reconfiguration(
     report = run_smc(factory, schedule, cfg, seed, on_stage=select_at_host)
     return PolicySmcReport(
         smc=report,
-        host_level=host,
         selections=tuple(selections),
         selection_counts=tuple(selections.count(i) for i in range(policies.size)),
         evaluations=tuple(evaluations),

@@ -89,7 +89,6 @@ class LevelRecord:
     stopping_met: bool
     next_pool_size: int | None = None
     checkpoints: tuple[Checkpoint, ...] = ()
-    success_attempts: tuple[int, ...] = ()  # attempt index that produced each checkpoint
 
 
 StageHook = Callable[[LevelRecord, list[Checkpoint], Simulator], list[Checkpoint]]
@@ -260,7 +259,7 @@ def run_level(
     # a one-checkpoint pool only ever picks index 0, so it needs no select stream
     select_rng = stream(seed, "level-select", level) if len(pool) > 1 else None
     cost_before = ledger.used
-    attempts, checkpoints, success_attempts = run_attempts(
+    attempts, checkpoints, _ = run_attempts(
         sim, pool, schedule.target(level), level + 1, cfg.success_target, cfg.attempt_target,
         ledger, noise, select_rng,
     )
@@ -273,7 +272,6 @@ def run_level(
         cost_steps=ledger.used - cost_before,
         stopping_met=successes >= cfg.success_target and attempts >= cfg.attempt_target,
         checkpoints=tuple(checkpoints),
-        success_attempts=tuple(success_attempts),
     )
 
 

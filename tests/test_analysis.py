@@ -86,7 +86,6 @@ class TestChainPrediction:
         assert got.rel_bias == pytest.approx(1.04**2 - 1.0)  # 0.0816
         assert got.rel_var == pytest.approx((1.04**2 + 0.04) ** 2 - 1.04**4)
         assert got.rel_bias_first_order == pytest.approx(0.08)
-        assert got.rel_var_first_order == pytest.approx(0.08)
 
     def test_accepts_a_generator_of_pairs(self):
         # per-stage (q, q) pairs, q = (1 - p) / s, streamed from a generator

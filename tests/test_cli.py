@@ -230,6 +230,17 @@ class TestRunSweep:
             assert len(report.selections) > len(chosen)
         assert scored > 0
 
+    def test_bad_policy_point_fails_before_any_point_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("resplit.cli._execute", lambda cfg, seed: ran.append(seed))
+        cfg = config_from_dict(cheap_dict(
+            engine="smc+policy",
+            sweep={"axes": [{"name": "policy.size", "values": [2, 0]}]},
+        ))
+        with pytest.raises(ConfigError, match=r"^policy: need at least one candidate"):
+            run_sweep(cfg)
+        assert ran == []
+
     def test_levels_cannot_be_swept(self):
         cfg = config_from_dict(
             cheap_dict(sweep={"axes": [
@@ -336,6 +347,12 @@ class TestMain:
          "model.delay_threshold: must be a number"),
         ("sweep", {"sweep": {"axes": [{"name": "model.delay_threshold", "values": "0.1"}]}},
          "sweep.axes[0].values: expected a list"),
+        ("run", {"engine": "smc+policy", "policy": {"size": 0}},
+         "policy: need at least one candidate"),
+        ("run", {"engine": "smc+policy", "lookahead": {"host_level": 4}},
+         "lookahead.host_level: 4 needs a later stage"),
+        ("policy", {"policy": {"size": 0}}, "policy: need at least one candidate"),
+        ("policy", {"lookahead": {"host_level": 4}}, "lookahead.host_level: 4 needs a later stage"),
     ])
     def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                     command, raw, message):

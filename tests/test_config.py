@@ -1,7 +1,7 @@
 """Config schema: defaults, strict loading, overrides, per-point seeds."""
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -145,6 +145,30 @@ class TestStrictLoading:
             )
         with pytest.raises(ConfigError, match=r"axes\[0\]"):
             config_from_dict({"sweep": {"axes": [{"nmae": "x", "values": [1]}]}})
+
+
+class TestPolicyEngineChecks:
+    """Where the policy layer runs, its candidate set and host level are checked at load."""
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"policy": {"size": 0}}, r"^policy: need at least one candidate, got size 0$"),
+        ({"model": {"recovery_rate": 10}},
+         r"^policy: strongest candidate rate 30\.0 violates stability for step 0\.05 s$"),
+        ({"lookahead": {"host_level": 4}},
+         r"^lookahead\.host_level: 4 needs a later stage; levels give stages 0\.\.3$"),
+    ])
+    def test_rejected_with_its_path(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"engine": "smc+policy", **raw})
+
+    @pytest.mark.parametrize("engine", ["smc", "mc"])
+    def test_plain_engines_ignore_the_unused_policy_set(self, engine):
+        # five candidates from rate 10 would break the one-step stability bound
+        cfg = config_from_dict({"engine": engine, "model": {"recovery_rate": 10},
+                                "policy": {"size": 0}, "lookahead": {"host_level": 4}})
+        assert cfg.model.recovery_rate == 10
+        with pytest.raises(ConfigError, match=r"^policy: "):
+            replace(cfg, engine="smc+policy")
 
 
 class TestNonFinite:

@@ -83,9 +83,9 @@ def spy_pools(monkeypatch):
     return pools
 
 
-def host_pool_ordinals(rep, seed):
+def host_pool_ordinals(rep, look, seed):
     """The ordinal of each entry of the host stage's pool, redrawn as ``run_smc`` draws it."""
-    feeding = rep.levels[rep.host_level - 1]
+    feeding = rep.levels[look.host_level - 1]
     drawn = resample_pool(feeding.checkpoints, feeding.next_pool_size,
                           stream(seed, "resample", feeding.level))
     ordinal_of = {id(cp): k for k, cp in enumerate(feeding.checkpoints)}
@@ -171,7 +171,7 @@ class TestSelectPolicy:
         assert ev.objectives == pytest.approx((-0.693147, -1.136294), abs=1e-6)
         assert ev.selected == 1
         assert not ev.degenerate
-        assert ev.zero_adjusted == (False, False)
+        assert ev.estimates == (0.5, 0.25)
 
     def test_equal_estimates_pick_cheapest(self):
         ev = select_policy([0.3, 0.3, 0.3], (0.0, 0.25, 0.5), 25)
@@ -182,8 +182,8 @@ class TestSelectPolicy:
         # on the table; the half-count floor keeps its objective finite and it
         # wins the argmin when its price does not offset the advantage
         ev = select_policy([0.0, 0.4], (0.0, 0.25), 25)
-        assert ev.objectives[0] == pytest.approx(math.log(1 / 50))
-        assert ev.zero_adjusted == (True, False)
+        assert ev.estimates == (0.0, 0.4)
+        assert ev.objectives == (math.log(1 / 50), math.log(0.4) + 0.25)
         assert not ev.degenerate
         assert ev.selected == 0
 
@@ -470,7 +470,7 @@ class TestLazyScoring:
     def test_exactly_the_pool_checkpoints_are_scored(self):
         for seed in range(4):
             rep = self._run(seed)
-            picked = sorted(set(host_pool_ordinals(rep, seed)))
+            picked = sorted(set(host_pool_ordinals(rep, self.LOOK, seed)))
             assert list(rep.scored) == picked  # in ascending ordinal order
             assert len(picked) < len(rep.selections)  # the pool left some checkpoint out
             assert rep.fallback_count == len(rep.selections) - len(picked)
@@ -569,7 +569,7 @@ class TestRunWithReconfiguration:
         assert len(rep.evaluations) == len(rep.scored) == len(rep.selections) - rep.fallback_count
         rates = [policies.rate(i) for i in range(policies.size)]
         # the host stage restarts from its drawn checkpoints, each stamped with its selection
-        ordinals = host_pool_ordinals(rep, seed)
+        ordinals = host_pool_ordinals(rep, look, seed)
         assert len(pools[2]) == len(ordinals)
         for cp, ordinal in zip(pools[2], ordinals):
             source = host_rec.checkpoints[ordinal]

@@ -188,12 +188,17 @@ class TestRunLevel:
     def test_hit_step_recorded(self):
         sim = LadderSim((1.0, 1.0))
         pool = [Checkpoint(sim.snapshot(), 0, 0, 0.0)]
-        rec = run_level(
-            sim, pool, 0, LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), BudgetLedger(1000), 3
-        )
+        cfg = _small_cfg()
+        rec = run_level(sim, pool, 0, LevelSchedule((0.0, 1.0, 2.0)), cfg, BudgetLedger(1000), 3)
         assert all(cp.hit_step == 1 for cp in rec.checkpoints)
         assert all(cp.level_index == 1 for cp in rec.checkpoints)
-        assert rec.success_attempts == tuple(range(rec.attempts))
+        # the same stage through the attempt loop: every attempt is a capture
+        attempts, _, success_attempts = run_attempts(
+            sim, pool, 1.0, 1, cfg.success_target, cfg.attempt_target, BudgetLedger(1000),
+            NoiseBuffer(sim, stream(3, "level-propagate", 0)), None,
+        )
+        assert attempts == rec.attempts
+        assert success_attempts == list(range(rec.attempts))
 
 
 class TestRunAttempts:

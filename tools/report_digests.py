@@ -21,8 +21,11 @@ lookahead that must leave the outer run alone shows as a diff in the first
 line only.  Last come one ``smc-result``, ``mc-result`` and
 ``smc+policy-result`` line, each a hash of the ``replications`` that
 ``resplit run`` writes into ``summary.json`` at the acceptance checks' cheap
-operating point, so artifact identity is diffed the same way.  The script
-takes no options and imports ``resplit`` from the checkout it sits in.
+operating point, so artifact identity is diffed the same way.  Every scored
+checkpoint there picks candidate 0, so a ``smc+policy-noisy-result`` line
+hashes a three-candidate run on the noisy model, where the candidates
+compete.  The script takes no options and imports ``resplit`` from the
+checkout it sits in.
 """
 from __future__ import annotations
 
@@ -81,12 +84,18 @@ def extra_shapes():
 
 
 def result_configs():
-    """``(shape, config)`` for the artifact lines: one per engine, two replications."""
+    """``(shape, config)`` for the artifact lines, two replications each: one per
+    engine at the cheap point, and a policy run where the candidates compete."""
+    look = {"host_level": 2, "continuations": 5}
     base = {"master_seed": 5, "replications": 2, "model": dict(_CHEAP_MODEL),
-            "smc": dict(_CHEAP_SMC), "mc": {"budget_steps": 20_000},
-            "lookahead": {"host_level": 2, "continuations": 5}}
-    return tuple((f"{engine}-result", config_from_dict({**base, "engine": engine}))
-                 for engine in ("smc", "mc", "smc+policy"))
+            "smc": dict(_CHEAP_SMC), "mc": {"budget_steps": 20_000}, "lookahead": look}
+    noisy = {"engine": "smc+policy", "master_seed": 5, "replications": 2,
+             "model": {"delay_threshold": NOISY.delay_threshold,
+                       "stress_log_sd": NOISY.stress_log_sd},
+             "policy": {"size": 3}, "lookahead": look}
+    return (*((f"{engine}-result", config_from_dict({**base, "engine": engine}))
+              for engine in ("smc", "mc", "smc+policy")),
+            ("smc+policy-noisy-result", config_from_dict(noisy)))
 
 
 def outer(rep: smc.SmcReport) -> tuple:
