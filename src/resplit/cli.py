@@ -130,14 +130,22 @@ def _smc_dict(report, cfg: ExperimentConfig) -> dict:
 
 # --- single runs ------------------------------------------------------------
 
-def run_single(cfg: ExperimentConfig) -> dict:
+def _map(fn, workers: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, over ``workers`` processes when more than one."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *iterables))
+    return list(map(fn, *iterables))
+
+
+def run_single(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Execute ``cfg.replications`` independent runs; return the summary payload."""
+    seeds = [derive_seed(cfg.master_seed, "rep", r) for r in range(cfg.replications)]
+    results = _map(_execute, workers, [cfg] * len(seeds), seeds)
     reps = []
     total = 0.0
     positive = 0
-    for r in range(cfg.replications):
-        seed = derive_seed(cfg.master_seed, "rep", r)
-        result = _execute(cfg, seed)
+    for r, (seed, result) in enumerate(zip(seeds, results)):
         reps.append({"replication": r, "seed": seed, "result": result})
         total += result["estimate"]
         positive += result["estimate"] > 0.0
@@ -266,11 +274,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[
             seed = point_seed(cfg.master_seed, coords, rep)
             tasks.append((coords, point_cfg, rep, seed, stage_count, freq_width))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
+    rows = _map(_sweep_row, workers, tasks)
     return _sweep_header(cfg, stage_count, freq_width), rows
 
 
@@ -304,7 +308,7 @@ def _out_dir(cfg: ExperimentConfig) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    payload = run_single(cfg)
+    payload = run_single(cfg, workers=args.workers)
     path = write_summary(payload, _out_dir(cfg))
     print(f"{path}: engine={cfg.engine} "
           f"mean_estimate={payload['aggregate']['mean_estimate']:.6g} "
@@ -365,13 +369,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory (default 'out')")
         if workers:
             p.add_argument("--workers", type=_worker_count, default=1,
-                           help="parallel sweep workers (default 1)")
+                           help="parallel worker processes (default 1)")
         if quick:
             p.add_argument("--quick", action="store_true",
                            help="skip the heavy statistical criteria")
 
     p_run = sub.add_parser("run", help="single run of the configured engine")
-    common(p_run)
+    common(p_run, workers=True)
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cross-product sweep to sweep.csv")

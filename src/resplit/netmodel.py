@@ -15,7 +15,7 @@ over ``g`` interpolate between "nominal" and "failed".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,10 @@ class NetParams:
     initial_log_stress: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.arrival_load < 1.0:
             raise ValueError(f"arrival_load must be in (0, 1), got {self.arrival_load}")
         horizon_step_count(self.horizon_seconds, self.step_seconds)  # validates both
@@ -116,8 +120,10 @@ class NetSimulator:
     """Stateful, restartable trajectory of the network model.
 
     :meth:`advance` is the one implementation of the dynamics: a
-    local-variable loop over a noise list that carries the capacity it
-    computes for each step's coordinate into the next step.  The test suite
+    local-variable loop over a noise list that carries the capacity and the
+    delay it computes for each step's coordinate into the next step.  While
+    the queue is idle, empty with capacity at or above the load, it steps
+    only health and stress (see :meth:`advance`).  The test suite
     holds a plain one-step reimplementation of the model (``tests/oracle.py``)
     that it must match bit for bit.  Snapshots are plain value tuples
     ``(step, backlog, health, log_stress, exceed_count, recovery_rate)``, so
@@ -194,6 +200,17 @@ class NetSimulator:
         return rng.standard_normal(n).tolist()
 
     def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+        """Step until the coordinate reaches ``target`` or ``stop``; see ``core.Simulator``.
+
+        Idle steps are exact without the queue.  When the pre-step backlog
+        is 0 and capacity ``c >= load``, the backlog update gives
+        ``0 + (load - c) * dt <= 0``, clamped to ``+0.0``.  The pre-step
+        delay is 0, below the threshold, so the exceedance counter resets.
+        The coordinate is then ``0 / c / delta + 0 = 0.0``, which misses
+        every target above 0.  So while capacity covers the load, a step
+        changes only health and stress, and the inner loop updates only
+        those until capacity falls below the load or ``stop`` is reached.
+        """
         j = self._j
         if stop - pos > self._horizon - j:
             raise HorizonExceededError(
@@ -205,16 +222,29 @@ class NetSimulator:
         nu, phi, rho, mu_blend, sigma = self._nu, self._phi, self._rho, self._mu_blend, self._sigma
         exp = math.exp
         b, h, x, e, c = self._backlog, self._health, self._log_stress, self._exceed, self._c
+        r = b / c  # the pre-step delay, carried from each step into the next
+        zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
         i = pos
         while i < stop:
+            if b == 0.0 and zero_misses and c >= load:
+                # idle queue: it stays empty while capacity covers the load
+                b, e, r = 0.0, 0, 0.0
+                while i < stop:
+                    h = h + nu * (1.0 - c) ** phi - exp(x)
+                    x = rho * x + mu_blend + noise[i] * sigma
+                    i += 1
+                    hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
+                    c = 1.0 / (1.0 + exp(-hc))
+                    if not c >= load:  # a NaN capacity leaves too
+                        break
+                continue
             backlog = b + (load - c) * dt
             if backlog < 0.0:
                 backlog = 0.0
             h = h + nu * (1.0 - c) ** phi - exp(x)
             x = rho * x + mu_blend + noise[i] * sigma
             i += 1
-            # the exceedance counter reads the pre-step delay
-            if b / c >= delta:
+            if r >= delta:
                 e += 1
                 if e > grace:
                     e = grace
@@ -223,6 +253,18 @@ class NetSimulator:
             b = backlog
             hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
             c = 1.0 / (1.0 + exp(-hc))
+            r = b / c
+            if e >= grace:
+                g = 2.0
+            else:
+                g = r / delta
+                if g > 1.0:
+                    g = 1.0
+                g = g + e / grace
+            if g >= target:
+                break
+        else:
+            # ran to stop, perhaps in the idle regime: the final state's coordinate
             if e >= grace:
                 g = 2.0
             else:
@@ -230,8 +272,6 @@ class NetSimulator:
                 if g > 1.0:
                     g = 1.0
                 g = g + e / grace
-            if g >= target:
-                break
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
         return i, g

@@ -2,8 +2,9 @@
 
 These are the same functions ``resplit verify`` runs.  Each is seeded, so a
 failure here reproduces exactly under the CLI and vice versa.  The statistical
-ones take seconds to minutes each; the whole module is around six minutes on
-a 2-core Xeon, most of it in checks 9, 6 and 7.
+ones take seconds to minutes each.  Run alone on a 2-core Xeon with Python
+3.11 and numpy 2.4, checks 6, 9, 7 and 3 took 82 s, 55 s, 33 s and 20 s;
+the whole module takes about four minutes, most of it in those four.
 """
 from __future__ import annotations
 

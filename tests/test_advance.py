@@ -9,7 +9,10 @@ after the first step at or above its target, take exactly ``stop - pos``
 steps otherwise and refuse to pass the horizon; the reference's failure set
 must be exactly the coordinates at or above ``failure_value``.  Each
 simulator must satisfy the ``Simulator`` protocol, and the engines built on
-it must not depend on how their noise buffers are chunked.
+it must not depend on how their noise buffers are chunked.  The network
+kernel's idle-queue fast path is checked on paths that leave and re-enter
+it, with snapshots compared by ``repr`` so that the sign of a zero backlog
+shows.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from resplit.mc import McConfig, run_mc
 from resplit.netmodel import (
     NetParams,
     NetSimulator,
+    capacity,
     default_levels,
     simulator_factory,
 )
@@ -177,6 +181,110 @@ class TestKernelMatchesStepping:
         for seed in range(12):
             check_contract(lambda: ThreeStateSim(0.3, 0.2, 0.3, 9),
                            three_state_reference(0.3, 0.2, 0.3, 9), seed, targets=(1.0, 2.0))
+
+
+def oracle_path(p, noise):
+    """The oracle's ``(snapshot, coordinate, idle)`` after each step on ``noise``.
+
+    ``idle`` says whether the post-step state has an empty queue and a
+    capacity that covers the load: the states ``advance`` steps through on
+    its idle-queue fast path.  Snapshots are compared by ``repr``, so a
+    backlog of ``-0.0`` does not pass for ``0.0``.
+    """
+    state = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
+    out = []
+    for gamma in noise:
+        state = step_dynamics(state, p, p.recovery_rate, gamma)
+        snap = (*(getattr(state, f) for f in NetState.__slots__), p.recovery_rate)
+        idle = state.backlog == 0.0 and capacity(state.health) >= p.arrival_load
+        out.append((snap, reaction_coordinate(state, p), idle))
+    return out
+
+
+class TestIdleQueue:
+    """``advance`` skips the queue and counter updates while the queue is empty
+    and capacity covers the load; these paths cross in and out of that regime."""
+
+    # default-model seeds whose horizons leave and re-enter the idle regime
+    SEEDS = (5, 18, 43)
+
+    def path(self, p, seed):
+        noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
+        return noise, oracle_path(p, noise)
+
+    def test_full_horizon_in_and_out_of_idle(self):
+        p = NetParams()
+        for seed in self.SEEDS:
+            noise, path = self.path(p, seed)
+            entries = [k for k in range(1, len(path)) if path[k][2] and not path[k - 1][2]]
+            assert len(entries) >= 2  # the path re-enters the regime after busy steps
+            sim = NetSimulator(p)
+            pos, g = sim.advance(noise, 0, len(noise), math.inf)
+            assert (pos, g) == (len(noise), path[-1][1])
+            assert repr(sim.snapshot()) == repr(path[-1][0])
+            # one step per call enters the idle loop afresh at every idle state
+            sim = NetSimulator(p)
+            for k, (snap, coord, _) in enumerate(path):
+                assert sim.advance(noise, k, k + 1, math.inf) == (k + 1, coord)
+                assert repr(sim.snapshot()) == repr(snap)
+
+    def test_stop_inside_an_idle_stretch(self):
+        p = NetParams()
+        for seed in self.SEEDS:
+            noise, path = self.path(p, seed)
+            flags = [idle for _, _, idle in path]
+            # stops two steps into each idle stretch that follows busy steps,
+            # and in the middle of the first one
+            stops = [k + 3 for k in range(1, len(flags) - 3)
+                     if flags[k] and not flags[k - 1] and all(flags[k:k + 3])]
+            stops.append(flags.index(False) // 2)
+            assert len(stops) >= 3
+            sim = NetSimulator(p)
+            pos = 0
+            for stop in sorted(stops) + [len(noise)]:
+                pos, g = sim.advance(noise, pos, stop, math.inf)
+                assert pos == stop and g == path[stop - 1][1]
+                assert repr(sim.snapshot()) == repr(path[stop - 1][0])
+
+    def test_negative_zero_backlog_leaves_as_positive_zero(self):
+        p = NetParams(initial_backlog=-0.0)
+        noise, path = self.path(p, 0)
+        sim = NetSimulator(p)
+        assert repr(sim.snapshot()[1]) == "-0.0"
+        assert sim.advance(noise, 0, 1, math.inf) == (1, path[0][1])
+        assert repr(sim.snapshot()) == repr(path[0][0]) and repr(sim.snapshot()[1]) == "0.0"
+        sim = NetSimulator(p)
+        sim.advance(noise, 0, len(noise), math.inf)
+        assert repr(sim.snapshot()) == repr(path[-1][0])
+
+    def test_counter_left_running_by_an_emptied_queue_resets(self):
+        # the first step empties a queue whose delay was over the threshold,
+        # so the idle stretch starts with the counter at 1
+        p = NetParams(delay_threshold=0.01, initial_backlog=0.012, initial_health=3.0)
+        noise, path = self.path(p, 0)
+        first = path[0][0]
+        assert (first[1], first[4], path[0][2]) == (0.0, 1, True)  # backlog, counter, idle
+        for size in (1, 2, len(noise)):
+            sim = NetSimulator(p)
+            for pos in range(0, len(noise), size):
+                sim.advance(noise, pos, pos + size, math.inf)
+                assert repr(sim.snapshot()) == repr(path[pos + size - 1][0])
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 1e-300, 0.02])
+    def test_targets_at_and_near_zero(self, target):
+        p = NetParams()
+        for seed in self.SEEDS:
+            noise, path = self.path(p, seed)
+            # from the start and from every 97th state on
+            for start in (0, *range(1, len(path), 97)):
+                sim = NetSimulator(p)
+                if start:
+                    sim.restore(path[start - 1][0])
+                hit = next((k for k in range(start, len(path)) if path[k][1] >= target), None)
+                pos, g = sim.advance(noise, start, len(noise), target)
+                end = len(path) - 1 if hit is None else hit
+                assert (pos, g) == (end + 1, path[end][1])
+                assert repr(sim.snapshot()) == repr(path[end][0])
 
 
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)

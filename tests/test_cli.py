@@ -282,6 +282,17 @@ class TestMain:
         assert (out / "summary.json").exists()
         assert str(out / "summary.json") in capsys.readouterr().out
 
+    def test_run_workers_do_not_change_summary(self, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        for engine in ("smc", "mc", "smc+policy"):
+            cfg_path.write_text(json.dumps(cheap_dict(engine=engine, replications=3)))
+            for workers in ("1", "2"):
+                main(["run", "--config", str(cfg_path), "--workers", workers,
+                      "--out", str(tmp_path / engine / workers)])
+            one, two = (tmp_path / engine / w / "summary.json" for w in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes()
+            assert len(json.loads(one.read_bytes())["replications"]) == 3
+
     def test_seed_flag_overrides_master(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(cheap_dict(master_seed=1)))
@@ -363,7 +374,7 @@ class TestMain:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "policy"])
+    @pytest.mark.parametrize("command", ["sweep", "policy", "run"])
     @pytest.mark.parametrize("workers", ["0", "-3", "2.5"])
     def test_workers_below_one_rejected(self, capsys, command, workers):
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,16 @@ class TestParams:
             with pytest.raises(ValueError):
                 NetParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["initial_backlog", "initial_health", "initial_log_stress", "stress_log_mean"]
+    )
+    def test_non_finite_state_fields_rejected_by_name(self, name, value):
+        # a NaN health gave a NaN coordinate that no level reached, so the
+        # engines reported 0 without a word
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            NetParams(**{name: value})
+
     def test_default_levels(self):
         sched = default_levels()
         assert sched.thresholds == (0.0, 0.1, 1.0, 1.5, 2.0)
