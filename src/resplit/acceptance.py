@@ -114,14 +114,17 @@ def check_resolution_floor(work: Path) -> tuple[bool, str]:
     """Four stages at 100 attempts each floor the estimate at exactly 1e-8."""
     params = NetParams(**_CHEAP_MODEL)
     cfg = SmcConfig(attempt_target=100, budget_steps=200_000)
+    t0 = time.perf_counter()
     rep = run_smc(simulator_factory(params), default_levels(), cfg,
                   derive_seed(MASTER_SEED, "floor"))
+    elapsed = time.perf_counter() - t0
     ok = (
         rep.resolution_floor == 1e-8
         and len(rep.levels) == 4
         and not rep.budget_exhausted
     )
-    return ok, f"floor={rep.resolution_floor:.1e} stages={len(rep.levels)}"
+    return ok, (f"floor={rep.resolution_floor:.1e} stages={len(rep.levels)} "
+                f"time={elapsed:.2f}s")
 
 
 def check_stage_estimator_law(work: Path) -> tuple[bool, str]:
@@ -194,14 +197,16 @@ def check_enumeration_equivalence(work: Path) -> tuple[bool, str]:
     # (1 - p) / success_target per stage, stays below the Monte Carlo noise
     cfg = SmcConfig(success_target=400, attempt_target=400, initial_pool=100,
                     pool_min=100, pool_max=500, budget_steps=10_000_000)
+    t0 = time.perf_counter()
     ests = np.array([
         run_smc(factory, levels, cfg, derive_seed(31, "rep", r)).estimate
         for r in range(2000)
     ])
+    elapsed = time.perf_counter() - t0
     se = ests.std(ddof=1) / math.sqrt(len(ests))
     z = (ests.mean() - exact) / se
     ok = abs(z) <= 3.0
-    return ok, f"exact={exact:.6f} mean={ests.mean():.6f} z={z:+.2f}"
+    return ok, f"exact={exact:.6f} mean={ests.mean():.6f} z={z:+.2f} time={elapsed:.1f}s"
 
 
 def check_rare_regime(work: Path) -> tuple[bool, str]:
@@ -253,6 +258,7 @@ def check_cross_engine_agreement(work: Path) -> tuple[bool, str]:
     cfg = SmcConfig(success_target=60)
     ests = []
     hits = trials = 0
+    t0 = time.perf_counter()
     for r in range(10):
         seed = derive_seed(MASTER_SEED, "agree", r)
         mc = run_mc(factory, McConfig(budget_steps=5_000_000), seed)
@@ -260,6 +266,7 @@ def check_cross_engine_agreement(work: Path) -> tuple[bool, str]:
         ests.append(smc.estimate)
         hits += mc.hits
         trials += mc.trajectories
+    elapsed = time.perf_counter() - t0
     pooled = hits / trials
     mc_lo, mc_hi = wilson_interval(hits, trials)
     mean = float(np.mean(ests))
@@ -269,19 +276,22 @@ def check_cross_engine_agreement(work: Path) -> tuple[bool, str]:
     overlap = smc_lo <= mc_hi and mc_lo <= smc_hi
     ok = overlap and 1e-2 <= pooled <= 1e-1
     return ok, (f"smc [{smc_lo:.4f}, {smc_hi:.4f}] vs pooled MC "
-                f"[{mc_lo:.4f}, {mc_hi:.4f}] (p={pooled:.4f}), overlap={overlap}")
+                f"[{mc_lo:.4f}, {mc_hi:.4f}] (p={pooled:.4f}), overlap={overlap}, "
+                f"time={elapsed:.1f}s")
 
 
 def check_pool_sizing(work: Path) -> tuple[bool, str]:
     """The documented pool-size examples: 60, 30, and the 200 cap."""
     cfg = SmcConfig()
+    t0 = time.perf_counter()
     sizes = (
         next_pool_size(0.5, cfg),
         next_pool_size(1.0, cfg),
         next_pool_size(0.01, cfg),
     )
+    elapsed = time.perf_counter() - t0
     ok = sizes == (60, 30, 200)
-    return ok, f"sizes={sizes}"
+    return ok, f"sizes={sizes} time={elapsed:.2f}s"
 
 
 def check_policy_trend(work: Path) -> tuple[bool, str]:
@@ -339,6 +349,7 @@ def check_policy_trend(work: Path) -> tuple[bool, str]:
 def check_artifact_determinism(work: Path) -> tuple[bool, str]:
     """Repeating a seeded run and a seeded sweep reproduces both artifacts
     byte for byte."""
+    t0 = time.perf_counter()
     single = config_from_dict({
         "engine": "smc",
         "master_seed": 5,
@@ -364,9 +375,11 @@ def check_artifact_determinism(work: Path) -> tuple[bool, str]:
     header2, rows2 = run_sweep(grid)
     d = write_sweep_csv(header2, rows2, work / "d")
     csv_ok = c.read_bytes() == d.read_bytes()
+    elapsed = time.perf_counter() - t0
     ok = json_ok and csv_ok
     return ok, (f"summary.json {len(a.read_bytes())}B identical={json_ok}, "
-                f"sweep.csv {len(c.read_bytes())}B identical={csv_ok}")
+                f"sweep.csv {len(c.read_bytes())}B identical={csv_ok}, "
+                f"time={elapsed:.1f}s")
 
 
 # --- registry and runner -----------------------------------------------------

@@ -67,7 +67,6 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
         fallback_count=report.fallback_count,
         degenerate_count=report.degenerate_count,
         inner_cost_steps=report.inner_cost_steps,
-        inner_budget_exhausted=report.inner_budget_exhausted,
         lookahead_steps_by_candidate=[
             sum(ev.steps[i] for ev in report.evaluations) for i in range(policies.size)
         ],

@@ -23,10 +23,10 @@ and the strongest candidate is within it, a stronger rate can only hold a
 branch back, so candidate ``i`` reruns only the rows that crossed under
 candidate ``i - 1``, and once no row is left the rest score zero without
 simulating.
-Otherwise every candidate runs every row.  Lookahead simulation is charged
-to its own budget so the outer estimator's accounting is untouched, and its
-random streams are disjoint from the outer ones, so the resumed trajectory
-never depends on how the decision was reached.
+Otherwise every candidate runs every row.  Lookahead simulation is counted
+on its own uncapped ledger so the outer estimator's accounting is untouched,
+and its random streams are disjoint from the outer ones, so the resumed
+trajectory never depends on how the decision was reached.
 """
 from __future__ import annotations
 
@@ -59,16 +59,13 @@ class PolicySet:
 
     Candidate 0 is always the do-nothing baseline.  The cost of candidate ``i``
     is ``cost_scale * i * increment_fraction``, the relative acceleration of
-    recovery scaled by the price knob.  When ``step_seconds`` is given the
-    strongest candidate is checked against the one-step stability bound up
-    front instead of blowing up mid-run.
+    recovery scaled by the price knob.
     """
 
     size: int
     base_rate: float
     increment_fraction: float = 0.5
     cost_scale: float = 0.5
-    step_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -81,15 +78,6 @@ class PolicySet:
             )
         if not self.cost_scale >= 0.0:
             raise ValueError(f"cost_scale must be >= 0, got {self.cost_scale}")
-        if self.step_seconds is not None:
-            if not self.step_seconds > 0.0:
-                raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
-            top = self.rate(self.size - 1)
-            if top * self.step_seconds > 1.0:
-                raise ValueError(
-                    f"strongest candidate rate {top} violates stability for "
-                    f"step {self.step_seconds} s"
-                )
 
     @classmethod
     def from_params(
@@ -99,14 +87,19 @@ class PolicySet:
         increment_fraction: float = 0.5,
         cost_scale: float = 0.5,
     ) -> "PolicySet":
-        """Family anchored at the model's own baseline rate."""
-        return cls(
-            size=size,
-            base_rate=params.recovery_rate,
-            increment_fraction=increment_fraction,
-            cost_scale=cost_scale,
-            step_seconds=params.step_seconds,
-        )
+        """Family anchored at the model's own baseline rate.
+
+        The strongest candidate is checked against the model's one-step
+        stability bound up front instead of blowing up mid-run.
+        """
+        family = cls(size, params.recovery_rate, increment_fraction, cost_scale)
+        top = family.rate(size - 1)
+        if top * params.step_seconds > 1.0:
+            raise ValueError(
+                f"strongest candidate rate {top} violates stability for "
+                f"step {params.step_seconds} s"
+            )
+        return family
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.size:
@@ -132,18 +125,11 @@ class LookaheadConfig:
     stage the lookahead runs; ``continuations`` is the branch count per
     candidate, and the row count of each checkpoint's shared noise block,
     drawn from ``stream(seed, "lookahead", ordinal)`` (see
-    :func:`lookahead_noise`).  ``inner_budget_steps`` caps total lookahead
-    simulation, counting only the steps actually simulated, so the rows
-    that nesting skips (candidates within the simulator's
-    ``monotone_rate_bound``) and the checkpoints the next pool never drew
-    cost nothing; None leaves it uncapped.  The picked checkpoints are
-    scored in ordinal order until the budget runs dry, and the rest keep
-    the baseline.
+    :func:`lookahead_noise`).
     """
 
     host_level: int = 2
     continuations: int = 25
-    inner_budget_steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.host_level < 1:
@@ -153,10 +139,6 @@ class LookaheadConfig:
             )
         if self.continuations < 1:
             raise ValueError(f"continuations must be >= 1, got {self.continuations}")
-        if self.inner_budget_steps is not None and self.inner_budget_steps < 1:
-            raise ValueError(
-                f"inner_budget_steps must be >= 1 or None, got {self.inner_budget_steps}"
-            )
 
 
 @dataclass(frozen=True)
@@ -236,7 +218,7 @@ def evaluate_candidate(
     noise: NoiseBuffer,
     ledger: BudgetLedger,
     rows: Sequence[int],
-) -> list[int] | None:
+) -> list[int]:
     """The rows whose branch of ``source`` reaches the next level under one rate.
 
     Branch ``k`` of the host-level checkpoint ``source`` steps on row ``k``
@@ -245,9 +227,8 @@ def evaluate_candidate(
     That is one pass of the splitting attempt loop
     (:func:`resplit.smc.run_attempts`) at ``host_level``, one attempt per
     row.  The candidate's estimate is the number of rows returned over
-    ``look.continuations``.  Steps are charged to ``ledger``, which is
-    checked before every attempt; None means it ran dry before every row
-    had run.
+    ``look.continuations``.  Steps are counted on ``ledger``, which must be
+    uncapped (``BudgetLedger(None)``) so that every row runs.
 
     :func:`run_smc_with_reconfiguration` draws the block from
     ``stream(seed, "lookahead", ordinal)`` and passes every row to
@@ -258,12 +239,10 @@ def evaluate_candidate(
     row, every time.
     """
     host = look.host_level
-    attempts, _, success_attempts = run_attempts(
+    _, _, success_attempts = run_attempts(
         sim, [_stamp(sim, source, rate)], schedule.target(host), host + 1, 0, len(rows), ledger,
         noise, None, rows,
     )
-    if attempts < len(rows):
-        return None
     return [rows[a] for a in success_attempts]
 
 
@@ -276,8 +255,8 @@ def _score(
     noise: NoiseBuffer,
     ledger: BudgetLedger,
     nested: bool,
-) -> PolicyEvaluation | None:
-    """Score every candidate at ``source`` on its shared block; None if the ledger ran dry.
+) -> PolicyEvaluation:
+    """Score every candidate at ``source`` on its shared block.
 
     Nested, candidate ``i`` runs only the rows that crossed under candidate
     ``i - 1``, and no row left means a zero estimate with no simulation.
@@ -292,8 +271,6 @@ def _score(
             evaluate_candidate(sim, source, policies.rate(cand), schedule, look, noise, ledger, rows)
             if rows else []
         )
-        if crossed is None:
-            return None
         estimates.append(len(crossed) / look.continuations)
         steps.append(ledger.used - before)
         rows = crossed if nested else every
@@ -316,8 +293,7 @@ class PolicySmcReport:
     ``evaluations`` holds their scored candidates in ordinal order and
     ``scored`` the ordinal behind each.  Every other entry of ``selections``
     is 0, the baseline rate its snapshot carries, and is counted in
-    ``fallback_count``: a checkpoint the pool never drew, or a picked one
-    left unscored once the inner budget ran dry.  ``selection_counts``
+    ``fallback_count``: a checkpoint the pool never drew.  ``selection_counts``
     counts those zeros too, so the choices made are
     ``ev.selected for ev in evaluations``.
     """
@@ -330,7 +306,6 @@ class PolicySmcReport:
     fallback_count: int
     degenerate_count: int
     inner_cost_steps: int
-    inner_budget_exhausted: bool
 
     @property
     def estimate(self) -> float:
@@ -364,11 +339,8 @@ def run_smc_with_reconfiguration(
 
     The ``ordinal``-th checkpoint's candidates share one noise block from
     ``stream(seed, "lookahead", ordinal)``, so a checkpoint's evaluation does
-    not depend on which others were picked, and with an uncapped inner
-    budget the outer run is that of scoring every checkpoint.  Under a
-    finite ``inner_budget_steps`` the budget goes only to picked
-    checkpoints, so it reaches further into the pool than scoring every
-    checkpoint would, and the outer run can differ from that.
+    not depend on which others were picked, and the outer run is that of
+    scoring every checkpoint.
 
     Scoring is nested when the simulator declares ``monotone_rate_bound``,
     the largest rate up to which a stronger rate never lets a branch cross
@@ -386,7 +358,7 @@ def run_smc_with_reconfiguration(
             f"stages 0..{stages - 1}"
         )
 
-    inner_ledger = BudgetLedger(look.inner_budget_steps)
+    inner_ledger = BudgetLedger(None)
     selections: list[int] = []
     evaluations: list[PolicyEvaluation] = []
     scored: list[int] = []
@@ -405,15 +377,12 @@ def run_smc_with_reconfiguration(
         stamped = {}
         for ordinal in sorted({ordinal_of[id(cp)] for cp in pool}):
             cp = rec.checkpoints[ordinal]
-            if not inner_ledger.exhausted:
-                noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
-                ev = _score(sim, cp, policies, schedule, look, noise, inner_ledger, nested)
-                # None: not enough inner budget to finish scoring, so keep the baseline
-                if ev is not None:
-                    evaluations.append(ev)
-                    scored.append(ordinal)
-                    selections[ordinal] = ev.selected
-            stamped[ordinal] = _stamp(sim, cp, policies.rate(selections[ordinal]))
+            noise = lookahead_noise(sim, cp, look, stream(seed, "lookahead", ordinal))
+            ev = _score(sim, cp, policies, schedule, look, noise, inner_ledger, nested)
+            evaluations.append(ev)
+            scored.append(ordinal)
+            selections[ordinal] = ev.selected
+            stamped[ordinal] = _stamp(sim, cp, policies.rate(ev.selected))
         return [stamped[ordinal_of[id(cp)]] for cp in pool]
 
     report = run_smc(factory, schedule, cfg, seed, on_stage=select_at_host)
@@ -426,5 +395,4 @@ def run_smc_with_reconfiguration(
         fallback_count=len(selections) - len(evaluations) if policies.size > 1 else 0,
         degenerate_count=sum(ev.degenerate for ev in evaluations),
         inner_cost_steps=inner_ledger.used,
-        inner_budget_exhausted=inner_ledger.exhausted,
     )

@@ -47,7 +47,11 @@ SimFactory = Callable[[], Simulator]
 
 @dataclass(frozen=True)
 class SmcConfig:
-    """Splitting controls: stopping targets, pool sizing, budget."""
+    """Splitting controls: stopping targets, pool sizing, budget.
+
+    ``initial_pool`` is validated but not read: stage 0 always attempts from
+    the one fresh checkpoint every simulator starts in.
+    """
 
     success_target: int = 20
     attempt_target: int = 100
@@ -275,20 +279,20 @@ def run_level(
     )
 
 
-def _initial_pool(factory: SimFactory, schedule: LevelSchedule, cfg: SmcConfig):
-    """Stage 0's pool, ``initial_pool`` copies of one fresh checkpoint, and its simulator.
+def _initial_pool(factory: SimFactory, schedule: LevelSchedule):
+    """Stage 0's pool, one fresh checkpoint, and its simulator.
 
     A factory takes no argument and every simulator it builds starts in the
-    same state, so one checkpoint serves the whole pool.  Every attempt
-    restores a checkpoint before it steps, so the same simulator serves as the
-    run's worker.
+    same state, so one checkpoint is the whole pool and stage 0 draws no
+    picks.  Every attempt restores a checkpoint before it steps, so the same
+    simulator serves as the run's worker.
     """
     sim = factory()
     g = sim.coordinate()
     base = schedule.thresholds[0]
     if g < base:
         raise ValueError(f"fresh initial state has coordinate {g} below the base threshold {base}")
-    return [Checkpoint(sim.snapshot(), 0, sim.step_index, g)] * cfg.initial_pool, sim
+    return [Checkpoint(sim.snapshot(), 0, sim.step_index, g)], sim
 
 
 def run_smc(
@@ -315,7 +319,7 @@ def run_smc(
     """
     stages = schedule.stage_count
     ledger = BudgetLedger(cfg.budget_steps)
-    pool, sim = _initial_pool(factory, schedule, cfg)
+    pool, sim = _initial_pool(factory, schedule)
 
     records: list[LevelRecord] = []
     budget_exhausted = False

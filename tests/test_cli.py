@@ -94,9 +94,9 @@ class TestRunSingle:
         result = run_single(cfg)["replications"][0]["result"]
         for key in ("selections", "selection_counts", "selection_frequencies",
                     "scored_count", "fallback_count", "degenerate_count", "inner_cost_steps",
-                    "inner_budget_exhausted", "lookahead_steps_by_candidate", "host_level",
-                    "levels"):
+                    "lookahead_steps_by_candidate", "host_level", "levels"):
             assert key in result
+        assert "inner_budget_exhausted" not in result
         assert result["host_level"] == 2
         assert len(result["selection_counts"]) == 5
         assert len(result["selections"]) == result["levels"][1]["successes"]
@@ -332,6 +332,16 @@ class TestMain:
         rc = main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "modle" in capsys.readouterr().err
+
+    def test_retired_inner_budget_steps_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"engine": "smc+policy",
+                                        "lookahead": {"inner_budget_steps": 5}}))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("config error: lookahead.inner_budget_steps: unknown key"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw, key", [
         ({"smc": {"initial_pool": 20.0}}, "smc.initial_pool"),

@@ -90,6 +90,14 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"^mc\.trajectories: unknown key"):
             config_from_dict({"mc": {"trajectories": 100, "budget_steps": 1000}})
 
+    def test_retired_inner_budget_steps_rejected(self):
+        # the lookahead runs uncapped, so its budget is no longer a knob
+        with pytest.raises(ConfigError, match=r"^lookahead\.inner_budget_steps: unknown key "
+                                              r"\(allowed: continuations, host_level\)$"):
+            config_from_dict({"lookahead": {"inner_budget_steps": 5}})
+        with pytest.raises(ConfigError, match=r"^lookahead\.inner_budget_steps: unknown key"):
+            config_from_dict({"lookahead": {"inner_budget_steps": None, "host_level": 2}})
+
     def test_retired_depth_rejected(self):
         with pytest.raises(ConfigError, match=r"lookahead\.depth: unknown key"):
             config_from_dict({"lookahead": {"depth": 3}})
@@ -199,7 +207,7 @@ class TestIntegerFields:
         ({"smc": {"pool_max": 50.5}}, "smc.pool_max"),
         ({"smc": {"success_target": True}}, "smc.success_target"),
         ({"master_seed": "3"}, "master_seed"),
-        ({"lookahead": {"inner_budget_steps": 3.0}}, "lookahead.inner_budget_steps"),
+        ({"lookahead": {"continuations": 3.0}}, "lookahead.continuations"),
         ({"mc": {"budget_steps": 10.0}}, "mc.budget_steps"),
         ({"smc": {"budget_steps": None}}, "smc.budget_steps"),
         ({"mc": {"budget_steps": None}}, "mc.budget_steps"),
@@ -209,8 +217,8 @@ class TestIntegerFields:
             config_from_dict(raw)
 
     def test_null_allowed_where_optional(self):
-        cfg = config_from_dict({"lookahead": {"inner_budget_steps": None}})
-        assert cfg.lookahead.inner_budget_steps is None
+        cfg = config_from_dict({"model": {"initial_log_stress": None}})
+        assert cfg.model.initial_log_stress is None
 
 
 class TestNumberFields:

@@ -59,11 +59,11 @@ def policy_ladder_factory(probs, base_rate=1.0, sensitivity=1.0):
 
 
 def crossing_fraction(sim, source, rate, sched, look, rng, ledger):
-    """One candidate scored on every row of its own block from ``rng``; None if the ledger ran dry."""
+    """One candidate scored on every row of its own block from ``rng``."""
     noise = lookahead_noise(sim, source, look, rng)
     rows = evaluate_candidate(sim, source, rate, sched, look, noise, ledger,
                               range(look.continuations))
-    return None if rows is None else len(rows) / look.continuations
+    return len(rows) / look.continuations
 
 
 def fresh_checkpoint(sim):
@@ -107,16 +107,22 @@ class TestPolicySet:
         params = NetParams()
         ps = PolicySet.from_params(params, size=5)
         assert ps.base_rate == params.recovery_rate
-        assert ps.step_seconds == params.step_seconds
 
     def test_stability_bound_checked_up_front(self):
         # top candidate rate 20.1 against a 50 ms step: 1.005 > 1
         with pytest.raises(ValueError, match="stability"):
             PolicySet.from_params(NetParams(), size=200)
         PolicySet.from_params(NetParams(), size=199)  # exactly at the bound
+        # the bound is the model's own step: top rate 1.5 against a 1 s step
+        params = NetParams(recovery_rate=1.0, step_seconds=1.0, horizon_seconds=60.0)
+        with pytest.raises(ValueError, match=r"^strongest candidate rate 1\.5 violates "
+                                             r"stability for step 1\.0 s$"):
+            PolicySet.from_params(params, size=2)
+        # a set built directly has no step to check against
+        assert PolicySet(size=2, base_rate=1.0).rate(1) == 1.5
 
     def test_range_checks_reject_nan(self):
-        for kw in ({"base_rate": math.nan}, {"cost_scale": math.nan}, {"step_seconds": math.nan}):
+        for kw in ({"base_rate": math.nan}, {"cost_scale": math.nan}):
             with pytest.raises(ValueError):
                 PolicySet(**{"size": 2, "base_rate": 0.2, **kw})
 
@@ -135,8 +141,8 @@ class TestPolicySet:
             dict(size=2, base_rate=1.0, increment_fraction=0.0),
             dict(size=2, base_rate=1.0, increment_fraction=1.5),
             dict(size=2, base_rate=1.0, cost_scale=-0.1),
-            dict(size=2, base_rate=1.0, step_seconds=1.0),  # top rate 1.5 breaks stability
-            dict(size=2, base_rate=1.0, step_seconds=0.0),
+            dict(size=2, base_rate=1.0, increment_fraction=math.nan),
+            dict(size=2, base_rate=1.0, increment_fraction=-0.5),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -155,8 +161,8 @@ class TestLookaheadConfig:
         [
             dict(host_level=0),
             dict(continuations=0),
-            dict(inner_budget_steps=-5),
-            dict(inner_budget_steps=0),
+            dict(host_level=-1),
+            dict(continuations=-5),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -287,37 +293,6 @@ class TestEvaluateCandidate:
         assert res == 1.0
         assert ledger.used == 0
 
-    def test_budget_truncation(self):
-        sched = LevelSchedule((0.0, 1.0, 2.0))
-        look = LookaheadConfig(host_level=1, continuations=25)
-        sim = PolicyLadder((1.0, 0.5))
-        sim.restore((1, 1, False, 1.0))
-        source = Checkpoint(sim.snapshot(), 1, 1, 1.0)
-        ledger = BudgetLedger(5)
-        res = crossing_fraction(
-            sim, source, 1.0, sched, look,
-            stream(7, "t", 0), ledger,
-        )
-        assert res is None
-        assert ledger.used == 5
-
-    def test_exhausted_ledger_truncates_even_a_free_source(self):
-        # the budget is checked before every attempt, as in a splitting stage,
-        # so a source already past the target scores nothing on a dry ledger
-        sched = LevelSchedule((0.0, 1.0, 2.0))
-        look = LookaheadConfig(host_level=1, continuations=10)
-        sim = PolicyLadder((1.0, 1.0))
-        sim.restore((2, 2, False, 1.0))
-        source = Checkpoint(sim.snapshot(), 1, 2, 2.0)
-        ledger = BudgetLedger(5)
-        ledger.used = 5
-        res = crossing_fraction(
-            sim, source, 1.0, sched, look,
-            stream(4, "t", 0), ledger,
-        )
-        assert res is None
-        assert ledger.used == 5
-
     def test_branch_reads_its_row_of_the_block(self):
         # a policy-immune ladder one decisive step from the target: row k
         # crosses exactly when its one value is below the rung probability,
@@ -378,7 +353,6 @@ class TestNestedScoring:
         policies = PolicySet.from_params(NOISY, size=3)
         rep = run_smc_with_reconfiguration(
             simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, policies, look, 4)
-        assert not rep.inner_budget_exhausted
         assert sum(sum(ev.steps) for ev in rep.evaluations) == rep.inner_cost_steps
         free = 0
         for ev in rep.evaluations:
@@ -394,8 +368,8 @@ class TestNestedScoring:
         # top rate 4.0 is stable for a 50 ms step but past 3.375, where the
         # health map stops being monotone: every candidate runs every row
         seed = 2
-        policies = PolicySet(size=3, base_rate=2.0, increment_fraction=0.5,
-                             step_seconds=NOISY.step_seconds)
+        policies = PolicySet(size=3, base_rate=2.0, increment_fraction=0.5)
+        assert policies.rate(2) * NOISY.step_seconds <= 1.0
         sim = NetSimulator(NOISY)
         assert policies.rate(2) == 4.0 > sim.monotone_rate_bound
         look = LookaheadConfig(host_level=2, continuations=5)
@@ -412,28 +386,6 @@ class TestNestedScoring:
         assert rep.inner_cost_steps == ledger.used
         # some row missed under a weaker candidate, so nesting would have skipped it
         assert any(ev.estimates[i] < 1.0 for ev in rep.evaluations for i in range(2))
-
-    def test_inner_budget_dry_mid_candidate_falls_back_to_baseline(self):
-        seed = 4
-        look = LookaheadConfig(host_level=2, continuations=5)
-        policies = PolicySet.from_params(NOISY, size=3)
-        factory = simulator_factory(NOISY)
-        full = run_smc_with_reconfiguration(factory, HOST_SCHEDULE, HOST_CFG, policies, look, seed)
-        # the first checkpoint whose candidate 1 simulates, cut halfway through it
-        k = next(i for i, ev in enumerate(full.evaluations) if ev.steps[1] >= 2)
-        spent = sum(sum(ev.steps) for ev in full.evaluations[:k])
-        steps = full.evaluations[k].steps
-        dry = LookaheadConfig(host_level=2, continuations=5,
-                              inner_budget_steps=spent + steps[0] + steps[1] // 2)
-        rep = run_smc_with_reconfiguration(factory, HOST_SCHEDULE, HOST_CFG, policies, dry, seed)
-        assert rep.inner_budget_exhausted
-        assert rep.inner_cost_steps == dry.inner_budget_steps
-        assert rep.evaluations == full.evaluations[:k]
-        assert rep.scored == full.scored[:k]
-        kept = set(full.scored[:k])
-        assert rep.selections == tuple(
-            chosen if ordinal in kept else 0 for ordinal, chosen in enumerate(full.selections))
-        assert rep.fallback_count == len(rep.selections) - k > 0
 
 
 class TestLazyScoring:
@@ -499,23 +451,6 @@ class TestLazyScoring:
             assert rep.smc == every
             assert rep.evaluations == tuple(evaluations[ordinal] for ordinal in rep.scored)
             assert rep.inner_cost_steps < steps
-
-    def test_finite_inner_budget_is_charged_only_for_picked_checkpoints(self):
-        # a budget that covers just the picked checkpoints' lookahead scores every
-        # one of them, as the uncapped run does; scoring every checkpoint in
-        # ordinal order would have run dry part of the way
-        seed = 4
-        full = self._run(seed)
-        need = full.inner_cost_steps
-        _, _, every_steps = self._score_every_checkpoint(seed)
-        assert need < every_steps
-        capped = LookaheadConfig(host_level=2, continuations=5, inner_budget_steps=need)
-        rep = self._run(seed, capped)
-        assert rep.inner_cost_steps == need
-        assert rep.scored == full.scored
-        assert rep.evaluations == full.evaluations
-        assert rep.selections == full.selections
-        assert rep.smc == full.smc
 
     def test_singleton_set_wraps_the_plain_network_run(self):
         single = PolicySet.from_params(NOISY, size=1)
@@ -622,25 +557,6 @@ class TestRunWithReconfiguration:
         # crossing takes exactly one step per continuation
         expected = len(a.selections) * policies.size * look.continuations
         assert a.inner_cost_steps == b.inner_cost_steps == expected
-
-    def test_inner_budget_exhaustion_falls_back_to_baseline(self):
-        sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))
-        cfg = self._cfg()
-        policies = PolicySet(size=2, base_rate=1.0, increment_fraction=1.0)
-        look = LookaheadConfig(host_level=2, continuations=25,
-                               inner_budget_steps=5)
-        rep = run_smc_with_reconfiguration(
-            policy_ladder_factory((0.8, 0.7, 0.6)), sched, cfg, policies, look, 3
-        )
-        assert rep.inner_budget_exhausted
-        assert rep.inner_cost_steps <= 5
-        assert rep.fallback_count >= 1
-        assert rep.fallback_count == len(rep.selections) - len(rep.evaluations)
-        # fallbacks keep the baseline
-        for chosen in rep.selections[-rep.fallback_count:]:
-            assert chosen == 0
-        # the outer estimate is untouched by the inner shortage
-        assert not rep.smc.budget_exhausted
 
     def test_hopeless_next_stage_is_degenerate(self):
         sched = LevelSchedule((0.0, 1.0, 2.0, 3.0))

@@ -340,12 +340,14 @@ class TestRunSmc:
             return real(seed, purpose, *indices)
 
         monkeypatch.setattr(smc, "stream", counting)
-        # the shape of the stage-law check: one stage, one checkpoint, no picks
-        one_stage = _small_cfg(success_target=20, attempt_target=1, initial_pool=1,
-                               pool_min=1, pool_max=1)
-        run_smc(ladder_factory((0.2,)), LevelSchedule((0.0, 1.0)), one_stage, seed=1)
-        assert purposes == ["level-propagate"]
-        purposes.clear()
+        # the shape of the stage-law check: one stage, one checkpoint, no picks;
+        # stage 0 starts from the one fresh checkpoint whatever initial_pool says
+        for initial_pool in (1, 20):
+            one_stage = _small_cfg(success_target=20, attempt_target=1,
+                                   initial_pool=initial_pool, pool_min=1, pool_max=1)
+            run_smc(ladder_factory((0.2,)), LevelSchedule((0.0, 1.0)), one_stage, seed=1)
+            assert purposes == ["level-propagate"]
+            purposes.clear()
         run_smc(simulator_factory(NetParams()), default_levels(), SmcConfig(), seed=1)
         assert "level-propagate" in purposes and "init" not in purposes
 

@@ -11,33 +11,35 @@ outputs::
 The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
-Monte Carlo, network runs cut short by their step budget, lookahead runs
-whose inner budget runs dry, so that some checkpoints fall back to the
-baseline, and lookahead runs on a model whose recovery exponent is not the
-default 2.0.  Each digest is a hash of the report's ``repr``.  Each policy
-run prints a second ``<shape>-outer seed digest`` line, a hash of the outer
-run alone (estimate, cost, flags and per-level counts), so a change to the
-lookahead that must leave the outer run alone shows as a diff in the first
-line only.  Last come one ``smc-result``, ``mc-result`` and
-``smc+policy-result`` line, each a hash of the ``replications`` that
-``resplit run`` writes into ``summary.json`` at the acceptance checks' cheap
-operating point, so artifact identity is diffed the same way.  Every scored
-checkpoint there picks candidate 0, so a ``smc+policy-noisy-result`` line
-hashes a three-candidate run on the noisy model, where the candidates
-compete.  The script takes no options and imports ``resplit`` from the
-checkout it sits in.
+Monte Carlo, network runs cut short by their step budget, and lookahead runs
+on a model whose recovery exponent is not the default 2.0.  Each digest is a
+hash of the report by field: dataclass fields and dict keys by name, in
+sorted order, recursively, leaving out the names in ``DROPPED``.  A change
+that retires a field lists its name there, so every line shows that the
+values kept are unchanged, and the tool prints the same lines in the old
+checkout and the new.  Each policy run prints a second ``<shape>-outer seed
+digest`` line, a hash of the outer run alone (the splitting report without
+its checkpoints), so a change to the lookahead that must leave the outer run
+alone shows as a diff in the first line only.  Last come one ``smc-result``,
+``mc-result`` and ``smc+policy-result`` line, each a hash of the
+``replications`` that ``resplit run`` writes into ``summary.json`` at the
+acceptance checks' cheap operating point, with the ``DROPPED`` keys left out
+too, so artifact identity is diffed the same way.  Every scored checkpoint
+there picks candidate 0, so a ``smc+policy-noisy-result`` line hashes a
+three-candidate run on the noisy model, where the candidates compete.  The
+script takes no options and imports ``resplit`` from the checkout it sits in.
 """
 from __future__ import annotations
 
-import json
+import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
-from workloads import WORKLOADS, digest  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 from resplit import mc, policy, smc  # noqa: E402
 from resplit.acceptance import _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
@@ -48,6 +50,8 @@ from resplit.netmodel import NetParams, default_levels, simulator_factory  # noq
 from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+# retired report fields and summary keys, absent from new reports and skipped in old ones
+DROPPED = {"inner_budget_exhausted"}
 SMALL = smc.SmcConfig(success_target=5, attempt_target=12, initial_pool=4, pool_min=3,
                       pool_max=12, budget_steps=2_000)
 
@@ -60,8 +64,6 @@ def extra_shapes():
     walk = LevelSchedule((0.0, 1.0, 2.0))
     noisy = simulator_factory(NOISY)
     truncated = smc.SmcConfig(budget_steps=60_000)
-    policies = policy.PolicySet.from_params(NOISY, size=3)
-    dry = policy.LookaheadConfig(host_level=2, continuations=4, inner_budget_steps=20_000)
     steep = replace(NOISY, recovery_exponent=3.0)
     steep_policies = policy.PolicySet.from_params(steep, size=3)
     look = policy.LookaheadConfig(host_level=2, continuations=4)
@@ -74,9 +76,6 @@ def extra_shapes():
          lambda s: mc.run_mc(chain, mc.McConfig(budget_steps=1800), s)),
         ("net-truncated", range(4),
          lambda s: smc.run_smc(noisy, default_levels(), truncated, s)),
-        ("net-policy-dry", range(10),
-         lambda s: policy.run_smc_with_reconfiguration(noisy, default_levels(), outer,
-                                                       policies, dry, s)),
         ("net-policy-exponent", range(4),
          lambda s: policy.run_smc_with_reconfiguration(simulator_factory(steep), default_levels(),
                                                        outer, steep_policies, look, s)),
@@ -98,18 +97,27 @@ def result_configs():
             ("smc+policy-noisy-result", config_from_dict(noisy)))
 
 
-def outer(rep: smc.SmcReport) -> tuple:
-    """A splitting report without its checkpoints: what the outer estimator reports."""
-    return (rep.estimate, rep.cost_steps_used, rep.budget_exhausted, rep.extinction_level,
-            rep.resolution_floor,
-            tuple((r.level, r.attempts, r.successes, r.p_hat, r.cost_steps, r.stopping_met,
-                   r.next_pool_size) for r in rep.levels))
+def by_field(value, drop=DROPPED):
+    """``value`` as plain data keyed by name: a dataclass becomes a dict of its
+    fields, every dict is sorted by key, and the names in ``drop`` are left out."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: by_field(value[k], drop) for k in sorted(value) if k not in drop}
+    if isinstance(value, (list, tuple)):
+        return [by_field(v, drop) for v in value]
+    return value
+
+
+def digest(value, drop=DROPPED) -> str:
+    return hashlib.blake2b(repr(by_field(value, drop)).encode(), digest_size=16).hexdigest()
 
 
 def emit(shape: str, seed: int, rep) -> None:
-    print(shape, seed, digest(rep).hex(), flush=True)
+    print(shape, seed, digest(rep), flush=True)
     if isinstance(rep, policy.PolicySmcReport):
-        print(f"{shape}-outer", seed, digest(outer(rep.smc)).hex(), flush=True)
+        # the outer estimator's report: everything but the checkpoints it kept
+        print(f"{shape}-outer", seed, digest(rep.smc, DROPPED | {"checkpoints"}), flush=True)
 
 
 def main() -> None:
@@ -122,8 +130,7 @@ def main() -> None:
         for s in seeds:
             emit(shape, s, run(s))
     for shape, cfg in result_configs():
-        replications = json.dumps(run_single(cfg)["replications"], sort_keys=True)
-        print(shape, cfg.master_seed, digest(replications).hex(), flush=True)
+        print(shape, cfg.master_seed, digest(run_single(cfg)["replications"]), flush=True)
 
 
 if __name__ == "__main__":
