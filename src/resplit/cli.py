@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from resplit.config import (
@@ -45,7 +45,7 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
     """Run the configured engine once and return its plain-data result."""
     factory = simulator_factory(cfg.model)
     if cfg.engine == "mc":
-        return _mc_dict(run_mc(factory, cfg.mc, seed))
+        return asdict(run_mc(factory, cfg.mc, seed))
     if cfg.engine == "smc":
         report = run_smc(factory, cfg.levels, cfg.smc, seed)
         return _smc_dict(report, cfg)
@@ -72,17 +72,6 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
         ],
     )
     return out
-
-
-def _mc_dict(report) -> dict:
-    return {
-        "estimate": report.estimate,
-        "trajectories": report.trajectories,
-        "hits": report.hits,
-        "cost_steps_used": report.cost_steps_used,
-        "min_resolvable": report.min_resolvable,
-        "rel_var_pred": report.rel_var_pred,
-    }
 
 
 def _smc_dict(report, cfg: ExperimentConfig) -> dict:
@@ -178,6 +167,7 @@ _BASE_COLUMNS = (
     "min_resolvable", "trajectories", "hits",
     "rel_bias_pred", "rel_var_pred", "classical_rel_var",
 )
+_STAGE_COLUMNS = ("p_hat", "successes", "attempts", "cost_steps", "next_pool_size")
 _POLICY_COLUMNS = (
     "host_level", "inner_cost_steps", "fallback_count", "degenerate_count",
 )
@@ -188,11 +178,7 @@ def _sweep_header(cfg: ExperimentConfig, stage_count: int, freq_width: int) -> l
     # with the fixed columns
     header = [f"axis:{axis.name}" for axis in cfg.axes]
     header.extend(_BASE_COLUMNS)
-    for k in range(stage_count):
-        header.extend(
-            (f"p_hat_{k}", f"successes_{k}", f"attempts_{k}",
-             f"cost_steps_{k}", f"next_pool_size_{k}")
-        )
+    header.extend(f"{stat}_{k}" for k in range(stage_count) for stat in _STAGE_COLUMNS)
     if freq_width:
         header.extend(_POLICY_COLUMNS)
         header.extend(f"select_freq_{i}" for i in range(freq_width))
@@ -212,47 +198,21 @@ def _cell(value) -> str:
 
 
 def _sweep_row(task) -> list[str]:
-    coords, cfg, rep, seed, stage_count, freq_width = task
+    """One run's row: its values keyed by column name, empty where a column
+    does not apply to the row's engine."""
+    header, coords, cfg, rep, seed = task
     result = _execute(cfg, seed)
-    row = [_cell(v) for v in coords.values()]  # insertion order == axis order
+    cells = {f"axis:{name}": value for name, value in coords.items()}
+    cells.update(result, replication=rep, seed=seed, engine=cfg.engine)
     diag = result.get("diagnostics") or {}
-    row.extend(
-        _cell(v)
-        for v in (
-            rep, seed, cfg.engine, result["estimate"],
-            result["cost_steps_used"], result.get("budget_exhausted"),
-            result.get("extinction_level"), result.get("resolution_floor"),
-            result.get("min_resolvable"), result.get("trajectories"),
-            result.get("hits"), diag.get("rel_bias"),
-            diag.get("rel_var") if cfg.engine != "mc" else result.get("rel_var_pred"),
-            diag.get("classical_rel_var"),
-        )
-    )
-    levels = result.get("levels", ())
-    for k in range(stage_count):
-        if k < len(levels):
-            rec = levels[k]
-            row.extend(
-                _cell(v)
-                for v in (rec["p_hat"], rec["successes"], rec["attempts"],
-                          rec["cost_steps"], rec["next_pool_size"])
-            )
-        else:
-            row.extend([""] * 5)
-    if freq_width:
-        if cfg.engine == "smc+policy":
-            freqs = result["selection_frequencies"] or ()
-            row.extend(
-                _cell(v)
-                for v in (result["host_level"], result["inner_cost_steps"],
-                          result["fallback_count"], result["degenerate_count"])
-            )
-            row.extend(
-                _cell(freqs[i]) if i < len(freqs) else "" for i in range(freq_width)
-            )
-        else:
-            row.extend([""] * (len(_POLICY_COLUMNS) + freq_width))
-    return row
+    cells.update(rel_bias_pred=diag.get("rel_bias"),
+                 classical_rel_var=diag.get("classical_rel_var"))
+    cells.setdefault("rel_var_pred", diag.get("rel_var"))  # mc reports its own
+    for k, rec in enumerate(result.get("levels", ())):
+        cells.update((f"{stat}_{k}", rec[stat]) for stat in _STAGE_COLUMNS)
+    for i, freq in enumerate(result.get("selection_frequencies") or ()):
+        cells[f"select_freq_{i}"] = freq
+    return [_cell(cells.get(column)) for column in header]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[list[str]]]:
@@ -261,20 +221,17 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[
         if axis.name == "levels" or axis.name.startswith("levels."):
             raise ConfigError("levels cannot be swept: column layout must be stable")
     points = list(sweep_points(cfg))
-    stage_count = cfg.levels.stage_count
     freq_width = 0
     for _, point_cfg in points:
         if point_cfg.engine == "smc+policy":
             freq_width = max(freq_width, point_cfg.policy.size)
-
-    tasks = []
-    for coords, point_cfg in points:
-        for rep in range(cfg.replications):
-            seed = point_seed(cfg.master_seed, coords, rep)
-            tasks.append((coords, point_cfg, rep, seed, stage_count, freq_width))
-
-    rows = _map(_sweep_row, workers, tasks)
-    return _sweep_header(cfg, stage_count, freq_width), rows
+    header = _sweep_header(cfg, cfg.levels.stage_count, freq_width)
+    tasks = [
+        (header, coords, point_cfg, rep, point_seed(cfg.master_seed, coords, rep))
+        for coords, point_cfg in points
+        for rep in range(cfg.replications)
+    ]
+    return header, _map(_sweep_row, workers, tasks)
 
 
 def write_sweep_csv(header: list[str], rows: list[list[str]], out_dir: str | Path) -> Path:

@@ -70,6 +70,10 @@ class PolicySet:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"need at least one candidate, got size {self.size}")
+        for name in ("base_rate", "increment_fraction", "cost_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.base_rate > 0.0:
             raise ValueError(f"base_rate must be > 0, got {self.base_rate}")
         if not 0.0 < self.increment_fraction <= 1.0:

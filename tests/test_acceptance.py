@@ -1,10 +1,12 @@
 """Acceptance gate: one test per numbered check in resplit.acceptance.
 
-These are the same functions ``resplit verify`` runs.  Each is seeded, so a
-failure here reproduces exactly under the CLI and vice versa.  The statistical
-ones take seconds to minutes each.  Run alone on a 2-core Xeon with Python
-3.11 and numpy 2.4, checks 6, 9, 7 and 3 took 82 s, 55 s, 33 s and 20 s;
-the whole module takes about four minutes, most of it in those four.
+Each test runs its check through ``Check.run``, as ``resplit verify`` does, so
+the wall-clock gates of checks 1, 3, 4, 6 and 9 apply here too.  Each check is
+seeded, so a failure here reproduces exactly under the CLI and vice versa.
+The statistical ones take seconds to minutes each.  In a full tier-1 run on a
+2-core Xeon with Python 3.11 and numpy 2.4, checks 6, 9, 7 and 3 took 77 s,
+50 s, 30 s and 16 s; the whole module takes about three and a half minutes,
+most of it in those four.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from resplit import acceptance
 
 def _run(number: int, tmp_path) -> None:
     check = next(c for c in acceptance.CHECKS if c.number == number)
-    passed, detail = check.fn(tmp_path)
+    passed, detail = check.run(tmp_path)
     assert passed, f"check {number} ({check.title}): {detail}"
 
 
@@ -62,3 +64,12 @@ def test_registry_numbering_and_quick_subset():
     assert numbers == list(range(1, 11))
     quick = {c.number for c in acceptance.CHECKS if c.quick}
     assert quick == {1, 2, 8, 10}
+    gates = {c.number: c.gate_s for c in acceptance.CHECKS if c.gate_s is not None}
+    assert gates == {1: 1.0, 3: 30.0, 4: 120.0, 6: 600.0, 9: 900.0}
+
+
+def test_run_fails_a_passing_check_over_its_gate(tmp_path):
+    check = acceptance.Check(0, "instant", True, lambda work: (True, "ok"), gate_s=0.0)
+    passed, detail = check.run(tmp_path)
+    assert not passed
+    assert detail.startswith("ok time=") and detail.endswith(" of 0s")

@@ -126,6 +126,12 @@ class TestPolicySet:
             with pytest.raises(ValueError):
                 PolicySet(**{"size": 2, "base_rate": 0.2, **kw})
 
+    @pytest.mark.parametrize("name", ["base_rate", "increment_fraction", "cost_scale"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            PolicySet(**{"size": 3, "base_rate": 0.7, name: value})
+
     def test_index_bounds(self):
         ps = PolicySet(size=2, base_rate=1.0)
         with pytest.raises(IndexError):

@@ -52,8 +52,8 @@ from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted"}
-SMALL = smc.SmcConfig(success_target=5, attempt_target=12, initial_pool=4, pool_min=3,
-                      pool_max=12, budget_steps=2_000)
+SMALL = smc.SmcConfig(success_target=5, attempt_target=12, pool_min=3, pool_max=12,
+                      budget_steps=2_000)
 
 
 def extra_shapes():
@@ -67,8 +67,8 @@ def extra_shapes():
     steep = replace(NOISY, recovery_exponent=3.0)
     steep_policies = policy.PolicySet.from_params(steep, size=3)
     look = policy.LookaheadConfig(host_level=2, continuations=4)
-    outer = smc.SmcConfig(success_target=8, attempt_target=30, initial_pool=10, pool_min=10,
-                          pool_max=30, budget_steps=200_000)
+    outer = smc.SmcConfig(success_target=8, attempt_target=30, pool_min=10, pool_max=30,
+                          budget_steps=200_000)
     return (
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
