@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from resplit.config import (
@@ -28,7 +28,7 @@ from resplit.core import derive_seed
 from resplit.mc import run_mc
 from resplit.netmodel import simulator_factory
 from resplit.policy import run_smc_with_reconfiguration
-from resplit.smc import predict_diagnostics, run_smc
+from resplit.smc import SmcReport, predict_diagnostics, run_smc
 
 __all__ = [
     "main",
@@ -47,72 +47,40 @@ def _execute(cfg: ExperimentConfig, seed: int) -> dict:
     if cfg.engine == "mc":
         return asdict(run_mc(factory, cfg.mc, seed))
     if cfg.engine == "smc":
-        report = run_smc(factory, cfg.levels, cfg.smc, seed)
-        return _smc_dict(report, cfg)
+        return _smc_dict(run_smc(factory, cfg.levels, cfg.smc, seed), cfg)
     policies = cfg.policy_set()
     report = run_smc_with_reconfiguration(
         factory, cfg.levels, cfg.smc, policies, cfg.lookahead, seed
     )
-    out = _smc_dict(report.smc, cfg)
     # shares of the scored checkpoints' choices; None when nothing was scored
     chosen = [ev.selected for ev in report.evaluations]
-    out.update(
-        host_level=cfg.lookahead.host_level,
-        selections=list(report.selections),
-        selection_counts=list(report.selection_counts),
-        selection_frequencies=(
+    return {
+        **_smc_dict(report.smc, cfg),
+        "selection_frequencies": (
             [chosen.count(i) / len(chosen) for i in range(policies.size)] if chosen else None
         ),
-        scored_count=len(report.scored),
-        fallback_count=report.fallback_count,
-        degenerate_count=report.degenerate_count,
-        inner_cost_steps=report.inner_cost_steps,
-        lookahead_steps_by_candidate=[
+        "scored_count": len(report.scored),
+        "fallback_count": report.fallback_count,
+        "degenerate_count": report.degenerate_count,
+        "inner_cost_steps": report.inner_cost_steps,
+        "lookahead_steps_by_candidate": [
             sum(ev.steps[i] for ev in report.evaluations) for i in range(policies.size)
         ],
-    )
-    return out
+    }
 
 
-def _smc_dict(report, cfg: ExperimentConfig) -> dict:
-    labels = cfg.levels.labels
-    levels = []
-    for rec in report.levels:
-        levels.append(
-            {
-                "level": rec.level,
-                "target_threshold": cfg.levels.target(rec.level),
-                "target_label": labels[rec.level + 1] if labels else None,
-                "attempts": rec.attempts,
-                "successes": rec.successes,
-                "p_hat": rec.p_hat,
-                "cost_steps": rec.cost_steps,
-                "stopping_met": rec.stopping_met,
-                "next_pool_size": rec.next_pool_size,
-            }
-        )
+def _fields(obj, *skip: str) -> dict:
+    """A dataclass's fields by name, those in ``skip`` left out."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def _smc_dict(report: SmcReport, cfg: ExperimentConfig) -> dict:
+    """The report's own fields; each level without the checkpoints it kept."""
     diag = predict_diagnostics(report, cfg.smc)
-    diagnostics = None
-    if diag is not None:
-        # a stage's predicted relative variance is its relative bias, so the
-        # variance keys repeat the bias values
-        diagnostics = {
-            "stage_rel_bias": list(diag.stage_rel_bias),
-            "stage_rel_var": list(diag.stage_rel_bias),
-            "rel_bias": diag.rel_bias,
-            "rel_var": diag.rel_var,
-            "rel_bias_first_order": diag.rel_bias_first_order,
-            "rel_var_first_order": diag.rel_bias_first_order,
-            "classical_rel_var": diag.classical_rel_var,
-        }
     return {
-        "estimate": report.estimate,
-        "resolution_floor": report.resolution_floor,
-        "cost_steps_used": report.cost_steps_used,
-        "budget_exhausted": report.budget_exhausted,
-        "extinction_level": report.extinction_level,
-        "levels": levels,
-        "diagnostics": diagnostics,
+        **_fields(report),
+        "levels": [_fields(rec, "checkpoints") for rec in report.levels],
+        "diagnostics": None if diag is None else asdict(diag),
     }
 
 
@@ -138,7 +106,7 @@ def run_single(cfg: ExperimentConfig, workers: int = 1) -> dict:
         total += result["estimate"]
         positive += result["estimate"] > 0.0
     return {
-        "schema": "resplit-summary/1",
+        "schema": "resplit-summary/2",
         "engine": cfg.engine,
         "master_seed": cfg.master_seed,
         "config": config_to_dict(cfg),
@@ -203,7 +171,9 @@ def _sweep_row(task) -> list[str]:
     header, coords, cfg, rep, seed = task
     result = _execute(cfg, seed)
     cells = {f"axis:{name}": value for name, value in coords.items()}
-    cells.update(result, replication=rep, seed=seed, engine=cfg.engine)
+    # the engine and the host level are the point's config, not its result
+    cells.update(result, replication=rep, seed=seed, engine=cfg.engine,
+                 host_level=cfg.lookahead.host_level if cfg.engine == "smc+policy" else None)
     diag = result.get("diagnostics") or {}
     cells.update(rel_bias_pred=diag.get("rel_bias"),
                  classical_rel_var=diag.get("classical_rel_var"))
@@ -229,7 +199,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[
     tasks = [
         (header, coords, point_cfg, rep, point_seed(cfg.master_seed, coords, rep))
         for coords, point_cfg in points
-        for rep in range(cfg.replications)
+        for rep in range(point_cfg.replications)
     ]
     return header, _map(_sweep_row, workers, tasks)
 

@@ -17,9 +17,9 @@ from typing import Any
 
 from resplit.core import LevelSchedule, derive_seed
 from resplit.mc import McConfig
-from resplit.netmodel import NetParams, default_levels
+from resplit.netmodel import NetParams, default_levels, simulator_factory
 from resplit.policy import LookaheadConfig, PolicySet
-from resplit.smc import SmcConfig
+from resplit.smc import SmcConfig, _initial_pool
 
 __all__ = [
     "ConfigError",
@@ -90,6 +90,12 @@ class ExperimentConfig:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"sweep axes overlap: {names}")
+        if self.engine != "mc":
+            # the splitting run's own check on its levels, made before it runs
+            try:
+                _initial_pool(simulator_factory(self.model), self.levels)
+            except ValueError as exc:
+                raise ConfigError(f"levels.thresholds: {exc}") from exc
         if self.engine == "smc+policy":
             # checked only where the policy layer runs, so a plain run does not
             # pay for an unused candidate set

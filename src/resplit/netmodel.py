@@ -216,8 +216,6 @@ class NetSimulator:
             raise HorizonExceededError(
                 f"{stop - pos} steps from step {j} pass the {self._horizon}-step horizon"
             )
-        if pos == stop:
-            return pos, self.coordinate()
         load, dt, delta, grace = self._load, self._dt, self._delta, self._grace
         nu, phi, rho, mu_blend, sigma = self._nu, self._phi, self._rho, self._mu_blend, self._sigma
         exp = math.exp
@@ -263,18 +261,10 @@ class NetSimulator:
                 g = g + e / grace
             if g >= target:
                 break
-        else:
-            # ran to stop, perhaps in the idle regime: the final state's coordinate
-            if e >= grace:
-                g = 2.0
-            else:
-                g = b / c / delta
-                if g > 1.0:
-                    g = 1.0
-                g = g + e / grace
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
-        return i, g
+        # the loop's g, where it stopped on one, is this same formula of the same state
+        return i, self.coordinate()
 
     # only benchmark/worker.py's l0_figures probe calls this
     def step(self, rng: np.random.Generator) -> None:

@@ -69,6 +69,10 @@ class SmcConfig:
             raise ValueError(f"attempt_target must be >= 1, got {self.attempt_target}")
         if self.initial_pool < 1:
             raise ValueError(f"initial_pool must be >= 1, got {self.initial_pool}")
+        for name in ("safety_factor", "prob_floor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 1 <= self.pool_min <= self.pool_max:
             raise ValueError(
                 f"need 1 <= pool_min <= pool_max, got {self.pool_min}, {self.pool_max}"
@@ -285,13 +289,20 @@ def _initial_pool(factory: SimFactory, schedule: LevelSchedule):
     A factory takes no argument and every simulator it builds starts in the
     same state, so one checkpoint is the whole pool and stage 0 draws no
     picks.  Every attempt restores a checkpoint before it steps, so the same
-    simulator serves as the run's worker.
+    simulator serves as the run's worker.  A schedule that the fresh state
+    starts below, or whose top threshold no coordinate reaches, is a
+    ``ValueError``.
     """
     sim = factory()
     g = sim.coordinate()
-    base = schedule.thresholds[0]
+    base, top = schedule.thresholds[0], schedule.thresholds[-1]
     if g < base:
         raise ValueError(f"fresh initial state has coordinate {g} below the base threshold {base}")
+    if top > sim.failure_value:
+        raise ValueError(
+            f"top threshold {top} is above the failure value {sim.failure_value}, "
+            "which no coordinate passes"
+        )
     return [Checkpoint(sim.snapshot(), 0, sim.step_index, g)], sim
 
 

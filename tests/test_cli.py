@@ -1,6 +1,7 @@
 """CLI layer: summary payloads, sweep tables, artifact determinism, exit codes."""
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from resplit.cli import main, run_single, run_sweep, write_summary, write_sweep_
 from resplit.config import ConfigError, config_from_dict, point_seed, sweep_points
 from resplit.netmodel import simulator_factory
 from resplit.policy import run_smc_with_reconfiguration
+from resplit.smc import LevelRecord, SmcDiagnostics, SmcReport
 
 # A stressed, short-horizon operating point so every engine finishes in
 # milliseconds.  40 steps per path, failures common.
@@ -27,6 +29,9 @@ CHEAP_SMC = {
     "budget_steps": 20_000,
 }
 
+# an smc result's keys: the report's fields and its diagnostics
+SMC_KEYS = {f.name for f in fields(SmcReport)} | {"diagnostics"}
+
 
 def cheap_dict(**extra):
     raw = {"model": dict(CHEAP_MODEL), "smc": dict(CHEAP_SMC),
@@ -39,7 +44,7 @@ class TestRunSingle:
     def test_smc_payload_shape(self):
         cfg = config_from_dict(cheap_dict(master_seed=11, replications=2))
         payload = run_single(cfg)
-        assert payload["schema"] == "resplit-summary/1"
+        assert payload["schema"] == "resplit-summary/2"
         assert payload["engine"] == "smc"
         assert payload["master_seed"] == 11
         assert payload["config"]["smc"]["success_target"] == 4
@@ -48,31 +53,26 @@ class TestRunSingle:
         rep0 = payload["replications"][0]
         assert rep0["replication"] == 0
         result = rep0["result"]
-        assert set(result) == {
-            "estimate", "resolution_floor", "cost_steps_used",
-            "budget_exhausted", "extinction_level", "levels", "diagnostics",
-        }
-        assert len(result["levels"]) == 4
-        assert result["levels"][0]["target_threshold"] == 0.1
+        # the report's own fields, each level's without its checkpoints
+        assert set(result) == SMC_KEYS
+        assert [level["level"] for level in result["levels"]] == [0, 1, 2, 3]
+        for level in result["levels"]:
+            assert set(level) == {f.name for f in fields(LevelRecord)} - {"checkpoints"}
+        # level k's target lives in the config echo
+        assert payload["config"]["levels"]["thresholds"][1] == 0.1
         agg = payload["aggregate"]
         assert agg["mean_estimate"] == pytest.approx(
             sum(r["result"]["estimate"] for r in payload["replications"]) / 2
         )
         assert 0.0 <= agg["positive_fraction"] <= 1.0
 
-    def test_diagnostics_keys_repeat_the_twin_predictions(self):
+    def test_diagnostics_are_the_report_fields(self):
         cfg = config_from_dict(cheap_dict(master_seed=11, replications=4))
         results = [r["result"] for r in run_single(cfg)["replications"]]
         defined = [r["diagnostics"] for r in results if r["diagnostics"] is not None]
         assert defined, "no replication completed with a positive estimate"
         for diag in defined:
-            assert set(diag) == {
-                "stage_rel_bias", "stage_rel_var", "rel_bias", "rel_var",
-                "rel_bias_first_order", "rel_var_first_order", "classical_rel_var",
-            }
-            # a stopped stage's relative variance is predicted equal to its relative bias
-            assert diag["stage_rel_var"] == diag["stage_rel_bias"]
-            assert diag["rel_var_first_order"] == diag["rel_bias_first_order"]
+            assert set(diag) == {f.name for f in fields(SmcDiagnostics)}
             assert diag["rel_bias_first_order"] == sum(diag["stage_rel_bias"])
         for r in results:
             assert (r["diagnostics"] is None) == (r["estimate"] == 0.0)
@@ -92,16 +92,15 @@ class TestRunSingle:
                        lookahead={"host_level": 2, "continuations": 5})
         )
         result = run_single(cfg)["replications"][0]["result"]
-        for key in ("selections", "selection_counts", "selection_frequencies",
-                    "scored_count", "fallback_count", "degenerate_count", "inner_cost_steps",
-                    "lookahead_steps_by_candidate", "host_level", "levels"):
-            assert key in result
-        assert "inner_budget_exhausted" not in result
-        assert result["host_level"] == 2
-        assert len(result["selection_counts"]) == 5
-        assert len(result["selections"]) == result["levels"][1]["successes"]
-        # unscored checkpoints are the fallbacks; every lookahead step lands on a candidate
-        assert result["scored_count"] == len(result["selections"]) - result["fallback_count"]
+        assert set(result) == SMC_KEYS | {
+            "selection_frequencies", "scored_count", "fallback_count", "degenerate_count",
+            "inner_cost_steps", "lookahead_steps_by_candidate",
+        }
+        # every host-level checkpoint is scored or falls back, and every
+        # lookahead step lands on a candidate
+        assert result["scored_count"] + result["fallback_count"] == \
+            result["levels"][1]["successes"]
+        assert (result["selection_frequencies"] is None) == (result["scored_count"] == 0)
         assert len(result["lookahead_steps_by_candidate"]) == 5
         assert sum(result["lookahead_steps_by_candidate"]) == result["inner_cost_steps"]
 
@@ -229,6 +228,16 @@ class TestRunSweep:
             # the placeholders of unscored checkpoints are not counted
             assert len(report.selections) > len(chosen)
         assert scored > 0
+
+    def test_swept_replications_set_each_points_rows(self):
+        cfg = config_from_dict(
+            cheap_dict(sweep={"axes": [{"name": "replications", "values": [1, 3]}]})
+        )
+        header, rows = run_sweep(cfg)
+        col = {name: i for i, name in enumerate(header)}
+        assert [(r[col["axis:replications"]], r[col["replication"]]) for r in rows] == [
+            ("1", "0"), ("3", "0"), ("3", "1"), ("3", "2"),
+        ]
 
     def test_bad_policy_point_fails_before_any_point_runs(self, monkeypatch):
         ran = []
@@ -374,6 +383,10 @@ class TestMain:
          "lookahead.host_level: 4 needs a later stage"),
         ("policy", {"policy": {"size": 0}}, "policy: need at least one candidate"),
         ("policy", {"lookahead": {"host_level": 4}}, "lookahead.host_level: 4 needs a later stage"),
+        ("run", {"levels": {"thresholds": [0.5, 1.0, 2.0]}},
+         "levels.thresholds: fresh initial state has coordinate 0.0 below the base threshold 0.5"),
+        ("run", {"engine": "smc+policy", "levels": {"thresholds": [0.0, 0.1, 1.0, 3.0]}},
+         "levels.thresholds: top threshold 3.0 is above the failure value 2.0"),
     ])
     def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                     command, raw, message):

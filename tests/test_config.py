@@ -179,6 +179,39 @@ class TestPolicyEngineChecks:
             replace(cfg, engine="smc+policy")
 
 
+class TestLevelsAgainstModel:
+    """Splitting engines check their levels against the model's coordinate at load."""
+
+    @pytest.mark.parametrize("engine", ["smc", "smc+policy"])
+    @pytest.mark.parametrize("thresholds, message", [
+        ([0.5, 1.0, 2.0], r"^levels\.thresholds: fresh initial state has coordinate 0\.0 "
+                          r"below the base threshold 0\.5$"),
+        ([0.0, 0.1, 1.0, 3.0], r"^levels\.thresholds: top threshold 3\.0 is above the "
+                               r"failure value 2\.0, "),
+    ])
+    def test_rejected_with_its_path(self, engine, thresholds, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"engine": engine, "levels": {"thresholds": thresholds}})
+
+    def test_mc_ignores_the_unused_levels(self):
+        cfg = config_from_dict({"engine": "mc", "levels": {"thresholds": [0.5, 1.0, 3.0]}})
+        assert cfg.levels.thresholds == (0.5, 1.0, 3.0)
+        with pytest.raises(ConfigError, match=r"^levels\.thresholds: "):
+            replace(cfg, engine="smc")
+
+    def test_checked_against_each_sweep_point(self):
+        # a backlog of 0.05 starts the coordinate at 0.5 / capacity(0.95) = 0.69,
+        # and an empty queue at 0.0, below the base threshold
+        cfg = config_from_dict({"model": {"initial_backlog": 0.05},
+                                "levels": {"thresholds": [0.5, 1.0, 2.0]},
+                                "sweep": {"axes": [{"name": "model.initial_backlog",
+                                                    "values": [0.05, 0.0]}]}})
+        points = sweep_points(cfg)
+        next(points)
+        with pytest.raises(ConfigError, match=r"^levels\.thresholds: fresh initial state "):
+            next(points)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("section, name", [

@@ -85,6 +85,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SmcConfig(**kw)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["safety_factor", "prob_floor"])
+    def test_rejects_non_finite_fields_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            SmcConfig(**{name: value})
+
 
 class TestNextPoolSize:
     def test_worked_examples(self):
@@ -228,6 +234,14 @@ class TestRunSmc:
         assert report.cost_steps_used == sum(r.cost_steps for r in report.levels)
         assert report.levels[0].next_pool_size is not None
         assert report.levels[1].next_pool_size is None
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((0.5, 1.0, 2.0), r"^fresh initial state has coordinate 0\.0 below the base threshold 0\.5$"),
+        ((0.0, 1.0, 3.0), r"^top threshold 3\.0 is above the failure value 2\.0, "),
+    ])
+    def test_levels_the_coordinate_cannot_span_rejected(self, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            run_smc(ladder_factory((0.5, 0.4)), LevelSchedule(thresholds), _small_cfg(), seed=1)
 
     def test_deterministic_reports(self):
         args = (ladder_factory((0.5, 0.4)), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg())

@@ -23,11 +23,12 @@ its checkpoints), so a change to the lookahead that must leave the outer run
 alone shows as a diff in the first line only.  Last come one ``smc-result``,
 ``mc-result`` and ``smc+policy-result`` line, each a hash of the
 ``replications`` that ``resplit run`` writes into ``summary.json`` at the
-acceptance checks' cheap operating point, with the ``DROPPED`` keys left out
-too, so artifact identity is diffed the same way.  Every scored checkpoint
-there picks candidate 0, so a ``smc+policy-noisy-result`` line hashes a
-three-candidate run on the noisy model, where the candidates compete.  The
-script takes no options and imports ``resplit`` from the checkout it sits in.
+acceptance checks' cheap operating point, with the ``DROPPED`` and
+``RETIRED_KEYS`` names left out, so artifact identity is diffed the same
+way.  Every scored checkpoint there picks candidate 0, so a
+``smc+policy-noisy-result`` line hashes a three-candidate run on the noisy
+model, where the candidates compete.  The script takes no options and
+imports ``resplit`` from the checkout it sits in.
 """
 from __future__ import annotations
 
@@ -52,6 +53,10 @@ from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted"}
+# summary keys retired by schema 2, skipped in the result lines alone: the reports
+# still hold ``selections`` and ``selection_counts``
+RETIRED_KEYS = {"stage_rel_var", "rel_var_first_order", "target_threshold", "target_label",
+                "host_level", "selections", "selection_counts"}
 SMALL = smc.SmcConfig(success_target=5, attempt_target=12, pool_min=3, pool_max=12,
                       budget_steps=2_000)
 
@@ -130,7 +135,8 @@ def main() -> None:
         for s in seeds:
             emit(shape, s, run(s))
     for shape, cfg in result_configs():
-        print(shape, cfg.master_seed, digest(run_single(cfg)["replications"]), flush=True)
+        replications = run_single(cfg)["replications"]
+        print(shape, cfg.master_seed, digest(replications, DROPPED | RETIRED_KEYS), flush=True)
 
 
 if __name__ == "__main__":
