@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -84,6 +85,12 @@ class NetParams:
             raise ValueError(
                 f"grace_seconds / step_seconds = {self.grace_seconds} / {self.step_seconds}"
                 " is not finite"
+            )
+        if self.grace_steps > self.horizon_steps:
+            # the counter rises at most once a step, so the failure set is out of reach
+            raise ValueError(
+                f"grace window of {self.grace_steps} steps is longer than the"
+                f" {self.horizon_steps}-step horizon"
             )
 
     @property
@@ -210,47 +217,55 @@ class NetSimulator:
         every target above 0.  So while capacity covers the load, a step
         changes only health and stress, and the inner loop updates only
         those until capacity falls below the load or ``stop`` is reached.
+
+        Both loops read the one iterator over ``noise[pos:stop]``, in place,
+        so setting up a call costs the same whatever the window's size, and
+        the cursor returned is how far that iterator got.
         """
         j = self._j
         if stop - pos > self._horizon - j:
             raise HorizonExceededError(
                 f"{stop - pos} steps from step {j} pass the {self._horizon}-step horizon"
             )
+        n = len(noise)
+        if stop > n:  # the iterator would stop short at the end of the list without a word
+            raise IndexError(f"noise window [{pos}, {stop}) passes the end of {n} values")
         load, dt, delta, grace = self._load, self._dt, self._delta, self._grace
         nu, phi, rho, mu_blend, sigma = self._nu, self._phi, self._rho, self._mu_blend, self._sigma
-        exp = math.exp
+        # capacity(h) with one comparison: above the clip exp(-h) < 2**-53, so c is 1.0 either way
+        exp, clip, floor = math.exp, _HEALTH_CLIP, -_HEALTH_CLIP
         b, h, x, e, c = self._backlog, self._health, self._log_stress, self._exceed, self._c
         r = b / c  # the pre-step delay, carried from each step into the next
         zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
-        i = pos
-        while i < stop:
+        # noise[pos:stop] read in place: a slice would copy stop - pos values per call
+        unread = iter(noise)
+        unread.__setstate__(pos)
+        window = islice(unread, stop - pos)
+        for z in window:
+            h = h + nu * (1.0 - c) ** phi - exp(x)
+            x = rho * x + mu_blend + z * sigma
             if b == 0.0 and zero_misses and c >= load:
                 # idle queue: it stays empty while capacity covers the load
                 b, e, r = 0.0, 0, 0.0
-                while i < stop:
-                    h = h + nu * (1.0 - c) ** phi - exp(x)
-                    x = rho * x + mu_blend + noise[i] * sigma
-                    i += 1
-                    hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
-                    c = 1.0 / (1.0 + exp(-hc))
-                    if not c >= load:  # a NaN capacity leaves too
-                        break
+                c = 1.0 / (1.0 + exp(clip if h < floor else -h))
+                if c >= load:
+                    for z in window:
+                        h = h + nu * (1.0 - c) ** phi - exp(x)
+                        x = rho * x + mu_blend + z * sigma
+                        c = 1.0 / (1.0 + exp(clip if h < floor else -h))
+                        if not c >= load:  # a NaN capacity leaves too
+                            break
                 continue
-            backlog = b + (load - c) * dt
-            if backlog < 0.0:
-                backlog = 0.0
-            h = h + nu * (1.0 - c) ** phi - exp(x)
-            x = rho * x + mu_blend + noise[i] * sigma
-            i += 1
+            b = b + (load - c) * dt
+            if b < 0.0:
+                b = 0.0
             if r >= delta:
                 e += 1
                 if e > grace:
                     e = grace
             else:
                 e = 0
-            b = backlog
-            hc = -_HEALTH_CLIP if h < -_HEALTH_CLIP else (_HEALTH_CLIP if h > _HEALTH_CLIP else h)
-            c = 1.0 / (1.0 + exp(-hc))
+            c = 1.0 / (1.0 + exp(clip if h < floor else -h))
             r = b / c
             if e >= grace:
                 g = 2.0
@@ -261,6 +276,7 @@ class NetSimulator:
                 g = g + e / grace
             if g >= target:
                 break
+        i = n - unread.__length_hint__()
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
         # the loop's g, where it stopped on one, is this same formula of the same state

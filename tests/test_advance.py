@@ -12,7 +12,9 @@ simulator must satisfy the ``Simulator`` protocol, and the engines built on
 it must not depend on how their noise buffers are chunked.  The network
 kernel's idle-queue fast path is checked on paths that leave and re-enter
 it, with snapshots compared by ``repr`` so that the sign of a zero backlog
-shows.
+shows.  The network kernel must read no noise outside ``[pos, stop)``, take
+no step on an empty window, and match the oracle's clamped capacity at and
+past the health clip and on non-finite health.
 """
 from __future__ import annotations
 
@@ -183,6 +185,17 @@ class TestKernelMatchesStepping:
                            three_state_reference(0.3, 0.2, 0.3, 9), seed, targets=(1.0, 2.0))
 
 
+def oracle_from(p, snap, noise):
+    """The oracle's ``(snapshot, coordinate)`` after each step on ``noise`` from ``snap``."""
+    state, rate = NetState(*snap[:5]), snap[5]
+    out = []
+    for gamma in noise:
+        state = step_dynamics(state, p, rate, gamma)
+        out.append(((*(getattr(state, f) for f in NetState.__slots__), rate),
+                    reaction_coordinate(state, p)))
+    return out
+
+
 def oracle_path(p, noise):
     """The oracle's ``(snapshot, coordinate, idle)`` after each step on ``noise``.
 
@@ -191,14 +204,9 @@ def oracle_path(p, noise):
     its idle-queue fast path.  Snapshots are compared by ``repr``, so a
     backlog of ``-0.0`` does not pass for ``0.0``.
     """
-    state = NetState(0, p.initial_backlog, p.initial_health, p.start_log_stress, 0)
-    out = []
-    for gamma in noise:
-        state = step_dynamics(state, p, p.recovery_rate, gamma)
-        snap = (*(getattr(state, f) for f in NetState.__slots__), p.recovery_rate)
-        idle = state.backlog == 0.0 and capacity(state.health) >= p.arrival_load
-        out.append((snap, reaction_coordinate(state, p), idle))
-    return out
+    start = (0, p.initial_backlog, p.initial_health, p.start_log_stress, 0, p.recovery_rate)
+    return [(snap, g, snap[1] == 0.0 and capacity(snap[2]) >= p.arrival_load)
+            for snap, g in oracle_from(p, start, noise)]
 
 
 class TestIdleQueue:
@@ -363,3 +371,111 @@ class TestEnginesIgnoreChunking:
             return res, ledger.used
 
         _same_under_chunk_sizes(monkeypatch, run)
+
+
+
+class TestNoiseWindow:
+    """``advance`` reads ``noise[pos:stop]`` in place and nothing outside it."""
+
+    # a noisy model whose paths cross 1.0 and still pass through idle stretches
+    PARAMS = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+    SEEDS = (0, 1, 4)
+
+    def starts(self, path):
+        """An idle start and a busy start, each a step index on ``path``, past step 0."""
+        idle = next(k for k in range(1, len(path)) if path[k][2] and not path[k - 1][2])
+        busy = next(k for k in range(1, len(path)) if not path[k][2])
+        return idle, busy
+
+    @pytest.mark.parametrize("target", [math.inf, 1.0])
+    def test_values_outside_the_window_are_not_read(self, target):
+        p = self.PARAMS
+        for seed in self.SEEDS:
+            noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
+            path = oracle_path(p, noise)
+            for start in self.starts(path):
+                pos = start + 1  # the state after step `start` reads noise[start + 1] next
+                for stop in (pos + 1, pos + 40, min(pos + 300, len(noise)), len(noise)):
+                    poisoned = noise[:]
+                    poisoned[:pos] = [math.nan] * pos
+                    poisoned[stop:] = [math.nan] * (len(noise) - stop)
+                    got = []
+                    for values in (noise, poisoned):
+                        sim = NetSimulator(p)
+                        sim.restore(path[start][0])
+                        got.append((sim.advance(values, pos, stop, target), repr(sim.snapshot())))
+                    hit = next((k for k in range(pos, stop) if path[k][1] >= target), stop - 1)
+                    assert got[0] == got[1] == ((hit + 1, path[hit][1]), repr(path[hit][0]))
+
+    def test_empty_window_takes_no_step(self):
+        emptied = NetParams(delay_threshold=0.01, initial_backlog=0.012, initial_health=3.0)
+        sim = NetSimulator(emptied)
+        sim.advance([0.0], 0, 1, math.inf)  # empties the queue with the counter at 1
+        assert (sim.snapshot()[1], sim.snapshot()[4]) == (0.0, 1)
+        sims = [sim, NetSimulator(NetParams(initial_backlog=-0.0))]
+        p = self.PARAMS
+        noise = stream(0, "noise").standard_normal(p.horizon_steps).tolist()
+        path = oracle_path(p, noise)
+        for start in self.starts(path):
+            sims.append(NetSimulator(p))
+            sims[-1].restore(path[start][0])
+        for sim in sims:
+            before = repr(sim.snapshot())
+            for pos in (0, 1, 17, len(noise)):
+                for target in (math.inf, 1.0, 0.0, -1.0):
+                    assert sim.advance(noise, pos, pos, target) == (pos, sim.coordinate())
+                    assert repr(sim.snapshot()) == before
+
+    def test_window_ending_at_the_end_of_the_list(self):
+        p = self.PARAMS
+        for seed in self.SEEDS:
+            noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
+            path = oracle_path(p, noise)
+            for start in self.starts(path):
+                for size in (1, 2, len(noise) - start - 1):
+                    # the list holds exactly the window's values after `start`
+                    values = noise[:start + 1 + size]
+                    sim = NetSimulator(p)
+                    sim.restore(path[start][0])
+                    end = start + size
+                    assert sim.advance(values, start + 1, len(values), math.inf) == \
+                        (len(values), path[end][1])
+                    assert repr(sim.snapshot()) == repr(path[end][0])
+                # one value past the end raises and leaves the state alone
+                sim = NetSimulator(p)
+                sim.restore(path[start][0])
+                with pytest.raises(IndexError):
+                    sim.advance(noise[:start + 3], start + 1, start + 4, math.inf)
+                assert repr(sim.snapshot()) == repr(path[start][0])
+
+
+# around the logistic clip, far past it, and the non-finite values
+SATURATED = [s * v for v in (49.999, 50.0, 50.001, 60.0, 700.0, 1e308, math.inf)
+             for s in (1.0, -1.0)] + [math.nan]
+
+
+class TestSaturatedHealth:
+    """At and past the clip, the kernel's one-sided capacity equals ``capacity``."""
+
+    @pytest.mark.parametrize("health", SATURATED)
+    @pytest.mark.parametrize("backlog", [0.0, 0.3])
+    def test_matches_the_oracle(self, health, backlog):
+        p = NetParams()
+        noise = stream(11, "noise").standard_normal(8).tolist()
+        for exceed in (0, 3):
+            snap = (0, backlog, health, p.stress_log_mean, exceed, p.recovery_rate)
+            path = oracle_from(p, snap, noise)
+            for target in (math.inf, 0.0):
+                # one step, then all eight in one call, then eight one-step calls
+                for size in (1, len(noise)):
+                    sim = NetSimulator(p)
+                    sim.restore(snap)
+                    hit = next((k for k in range(size) if path[k][1] >= target), size - 1)
+                    assert sim.advance(noise, 0, size, target)[0] == hit + 1
+                    assert repr((sim.snapshot(), sim.coordinate())) == repr(path[hit])
+                sim = NetSimulator(p)
+                sim.restore(snap)
+                for k, want in enumerate(path):
+                    pos, g = sim.advance(noise, k, k + 1, target)
+                    assert pos == k + 1
+                    assert repr((sim.snapshot(), g)) == repr(want)

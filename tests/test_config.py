@@ -117,6 +117,19 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"model.*arrival_load.*\(0, 1\)"):
             config_from_dict({"model": {"arrival_load": 1.2}})
 
+    def test_grace_window_longer_than_the_horizon(self):
+        with pytest.raises(ConfigError, match=r"^model: grace window of 1220 steps is longer"
+                                              r" than the 1200-step horizon$"):
+            config_from_dict({"model": {"grace_seconds": 61.0}})
+        assert config_from_dict({"model": {"grace_seconds": 60.0}}).model.grace_steps == 1200
+        # a sweep point that shortens the horizon under the window fails the same way
+        cfg = config_from_dict({"sweep": {"axes": [{"name": "model.horizon_seconds",
+                                                    "values": [60.0, 2.0]}]}})
+        points = sweep_points(cfg)
+        next(points)
+        with pytest.raises(ConfigError, match=r"^model: grace window of 100 steps .* 40-step"):
+            next(points)
+
     def test_engine_must_be_known(self):
         with pytest.raises(ConfigError, match="engine"):
             config_from_dict({"engine": "exact"})

@@ -76,7 +76,7 @@ class TestRunMc:
 
     def test_budget_mode_on_network_model(self):
         # tiny budget: 25 trajectories of 40 steps each
-        params = NetParams(horizon_seconds=2.0)
+        params = NetParams(horizon_seconds=2.0, grace_seconds=0.25)
         report = run_mc(simulator_factory(params), McConfig(budget_steps=1000), 7)
         assert report.trajectories == 25
         assert report.cost_steps_used <= 1000

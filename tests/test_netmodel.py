@@ -71,6 +71,16 @@ class TestParams:
             with pytest.raises(ValueError):
                 NetParams(**{name: math.nan})
 
+    def test_grace_window_must_fit_the_horizon(self):
+        # the counter rises at most once a step, so a longer window never fills
+        with pytest.raises(ValueError, match="^grace window of 1220 steps is longer than the"
+                                             " 1200-step horizon$"):
+            NetParams(grace_seconds=61.0)
+        with pytest.raises(ValueError, match="^grace window of 100 steps .* 40-step horizon$"):
+            NetParams(horizon_seconds=2.0)
+        p = NetParams(grace_seconds=60.0)  # a window as long as the horizon can still fill
+        assert p.grace_steps == p.horizon_steps == 1200
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name", ["initial_backlog", "initial_health", "initial_log_stress", "stress_log_mean"]
@@ -187,7 +197,7 @@ class TestStepDynamics:
         assert nxt.exceed_count == 1
 
     def test_horizon_guard(self):
-        p = NetParams(horizon_seconds=0.1)  # two steps
+        p = NetParams(horizon_seconds=0.1, grace_seconds=0.1)  # two steps
         state = NetState(2, 0.0, 0.0, -5.0, 0)
         with pytest.raises(HorizonExceededError):
             step_dynamics(state, p, p.recovery_rate, 0.0)
