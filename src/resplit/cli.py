@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -87,9 +88,15 @@ def _smc_dict(report: SmcReport, cfg: ExperimentConfig) -> dict:
 # --- single runs ------------------------------------------------------------
 
 def _map(fn, workers: int, *iterables) -> list:
-    """``list(map(fn, *iterables))``, over ``workers`` processes when more than one."""
+    """``list(map(fn, *iterables))``, over ``workers`` processes when more than one.
+
+    Workers are spawned, not forked: once numpy is loaded the parent has
+    threads, and a forked child inherits their locks in whatever state
+    they were.
+    """
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             return list(pool.map(fn, *iterables))
     return list(map(fn, *iterables))
 

@@ -15,9 +15,10 @@ over ``g`` interpolate between "nominal" and "failed".
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -203,10 +204,14 @@ class NetSimulator:
         self._j, self._backlog, self._health, self._log_stress, self._exceed, self._nu = snap
         self._c = capacity(self._health)
 
-    def draw_noise(self, rng: np.random.Generator, n: int) -> list[float]:
-        return rng.standard_normal(n).tolist()
+    def draw_noise(self, rng: np.random.Generator, n: int) -> array:
+        """``n`` standard normals packed in an ``array('d')``: the kernel makes
+        a Python float of a value only when it reads it."""
+        return array("d", rng.standard_normal(n).tobytes())
 
-    def advance(self, noise: list[float], pos: int, stop: int, target: float) -> tuple[int, float]:
+    def advance(
+        self, noise: Sequence[float], pos: int, stop: int, target: float
+    ) -> tuple[int, float]:
         """Step until the coordinate reaches ``target`` or ``stop``; see ``core.Simulator``.
 
         Idle steps are exact without the queue.  When the pre-step backlog
@@ -220,7 +225,9 @@ class NetSimulator:
 
         Both loops read the one iterator over ``noise[pos:stop]``, in place,
         so setting up a call costs the same whatever the window's size, and
-        the cursor returned is how far that iterator got.
+        the cursor returned is how far that iterator got.  ``noise`` is a
+        list or an ``array('d')``, whose iterators both report their index
+        through ``__reduce__``.
         """
         j = self._j
         if stop - pos > self._horizon - j:
@@ -228,7 +235,7 @@ class NetSimulator:
                 f"{stop - pos} steps from step {j} pass the {self._horizon}-step horizon"
             )
         n = len(noise)
-        if stop > n:  # the iterator would stop short at the end of the list without a word
+        if stop > n:  # the iterator would stop short at the end without a word
             raise IndexError(f"noise window [{pos}, {stop}) passes the end of {n} values")
         load, dt, delta, grace = self._load, self._dt, self._delta, self._grace
         nu, phi, rho, mu_blend, sigma = self._nu, self._phi, self._rho, self._mu_blend, self._sigma
@@ -276,7 +283,8 @@ class NetSimulator:
                 g = g + e / grace
             if g >= target:
                 break
-        i = n - unread.__length_hint__()
+        # the iterator's index; never exhausted, since islice stops at stop <= len(noise)
+        i = unread.__reduce__()[2]
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
         # the loop's g, where it stopped on one, is this same formula of the same state

@@ -14,11 +14,16 @@ kernel's idle-queue fast path is checked on paths that leave and re-enter
 it, with snapshots compared by ``repr`` so that the sign of a zero backlog
 shows.  The network kernel must read no noise outside ``[pos, stop)``, take
 no step on an empty window, and match the oracle's clamped capacity at and
-past the health clip and on non-finite health.
+past the health clip and on non-finite health.  Noise comes as a list or as
+an ``array('d')``, the network model's own packing, and every check holds for
+both.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -85,13 +90,22 @@ def three_state_reference(lo, hi, relapse, horizon):
     return run
 
 
+# the two noise packings: a list of floats, and the network model's array('d')
+PACKINGS = (list, partial(array, "d"))
+
+
 def check_contract(make, reference, seed, targets=()):
+    for pack in PACKINGS:
+        check_contract_on(make, reference, seed, pack, targets)
+
+
+def check_contract_on(make, reference, seed, pack, targets):
     rng = stream(seed, "noise")
     states, coords, fails = map(list, zip(*reference(rng)))
     next_draw = make().draw_noise(rng, 1)[0]
     steps = len(states)
     start = make().step_index
-    noise = make().draw_noise(stream(seed, "noise"), steps + 1)
+    noise = pack(make().draw_noise(stream(seed, "noise"), steps + 1))
 
     # one-step calls on scalar draws follow the reference, whose failure set
     # is exactly the coordinates at or above the failure value
@@ -170,14 +184,15 @@ class TestKernelMatchesStepping:
                            targets=(1.0, 2.0))
 
     def test_ladder_dead_steps_read_no_noise(self):
-        sim = LadderSim((0.5, 0.5, 0.5))
-        pos, g = sim.advance([0.9, 0.0, 0.0], 0, 3, math.inf)  # dies on the first step
-        assert (pos, g, sim.step_index) == (1, 0.0, 3)
-        # a dead ladder already at the target stops after one step, else takes them all
-        for target, steps_taken in ((1.0, 1), (0.5, 1), (2.0, 2)):
-            sim.restore((1, 1, True))
-            assert sim.advance([], 0, 2, target) == (0, 1.0)
-            assert sim.step_index == 1 + steps_taken
+        for pack in PACKINGS:
+            sim = LadderSim((0.5, 0.5, 0.5))
+            pos, g = sim.advance(pack([0.9, 0.0, 0.0]), 0, 3, math.inf)  # dies on the first step
+            assert (pos, g, sim.step_index) == (1, 0.0, 3)
+            # a dead ladder at the target stops after one step, else takes them all
+            for target, steps_taken in ((1.0, 1), (0.5, 1), (2.0, 2)):
+                sim.restore((1, 1, True))
+                assert sim.advance(pack([]), 0, 2, target) == (0, 1.0)
+                assert sim.step_index == 1 + steps_taken
 
     def test_three_state(self):
         for seed in range(12):
@@ -298,12 +313,22 @@ class TestIdleQueue:
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)
 
 
+def _packed(draw, pack):
+    return lambda self, rng, n: pack(draw(self, rng, n))
+
+
 def _same_under_chunk_sizes(monkeypatch, run):
-    """``run()``'s repr under several refill caps; 1 makes every refill exactly the need."""
+    """``run()``'s repr under several refill caps, with every simulator's noise
+    packed as a list and as an ``array('d')``; cap 1 makes every refill
+    exactly the need."""
     reports = []
-    for size in CHUNK_SIZES:
-        monkeypatch.setattr(core, "NOISE_CHUNK_MAX", size)
-        reports.append(repr(run()))
+    for pack in PACKINGS:
+        for size in CHUNK_SIZES:
+            with monkeypatch.context() as m:
+                m.setattr(core, "NOISE_CHUNK_MAX", size)
+                for cls in (NetSimulator, LadderSim, ThreeStateSim):
+                    m.setattr(cls, "draw_noise", _packed(cls.draw_noise, pack))
+                reports.append(repr(run()))
     assert len(set(reports)) == 1
     return reports[0]
 
@@ -399,13 +424,13 @@ class TestNoiseWindow:
                     poisoned = noise[:]
                     poisoned[:pos] = [math.nan] * pos
                     poisoned[stop:] = [math.nan] * (len(noise) - stop)
-                    got = []
-                    for values in (noise, poisoned):
+                    got = set()
+                    for values in (pack(v) for pack in PACKINGS for v in (noise, poisoned)):
                         sim = NetSimulator(p)
                         sim.restore(path[start][0])
-                        got.append((sim.advance(values, pos, stop, target), repr(sim.snapshot())))
+                        got.add((sim.advance(values, pos, stop, target), repr(sim.snapshot())))
                     hit = next((k for k in range(pos, stop) if path[k][1] >= target), stop - 1)
-                    assert got[0] == got[1] == ((hit + 1, path[hit][1]), repr(path[hit][0]))
+                    assert got == {((hit + 1, path[hit][1]), repr(path[hit][0]))}
 
     def test_empty_window_takes_no_step(self):
         emptied = NetParams(delay_threshold=0.01, initial_backlog=0.012, initial_health=3.0)
@@ -421,19 +446,21 @@ class TestNoiseWindow:
             sims[-1].restore(path[start][0])
         for sim in sims:
             before = repr(sim.snapshot())
-            for pos in (0, 1, 17, len(noise)):
-                for target in (math.inf, 1.0, 0.0, -1.0):
-                    assert sim.advance(noise, pos, pos, target) == (pos, sim.coordinate())
-                    assert repr(sim.snapshot()) == before
+            for values in (pack(noise) for pack in PACKINGS):
+                for pos in (0, 1, 17, len(noise)):
+                    for target in (math.inf, 1.0, 0.0, -1.0):
+                        assert sim.advance(values, pos, pos, target) == (pos, sim.coordinate())
+                        assert repr(sim.snapshot()) == before
 
     def test_window_ending_at_the_end_of_the_list(self):
         p = self.PARAMS
-        for seed in self.SEEDS:
+        for seed, pack in product(self.SEEDS, PACKINGS):
             noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
             path = oracle_path(p, noise)
+            noise = pack(noise)
             for start in self.starts(path):
                 for size in (1, 2, len(noise) - start - 1):
-                    # the list holds exactly the window's values after `start`
+                    # the sequence holds exactly the window's values after `start`
                     values = noise[:start + 1 + size]
                     sim = NetSimulator(p)
                     sim.restore(path[start][0])

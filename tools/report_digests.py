@@ -11,8 +11,12 @@ outputs::
 The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
-Monte Carlo, network runs cut short by their step budget, and lookahead runs
-on a model whose recovery exponent is not the default 2.0.  Each digest is a
+Monte Carlo, network runs cut short by their step budget, lookahead runs
+on a model whose recovery exponent is not the default 2.0, and two network
+Monte Carlo shapes for ``core.stream``: one at raw seeds below 2**32, where
+streams are numpy's own ``SeedSequence``, and one at the acceptance checks'
+cheap model, whose 40-step trajectories make the per-trajectory stream most
+of a run.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
@@ -46,7 +50,7 @@ from resplit import mc, policy, smc  # noqa: E402
 from resplit.acceptance import _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
 from resplit.cli import run_single  # noqa: E402
 from resplit.config import config_from_dict  # noqa: E402
-from resplit.core import LevelSchedule  # noqa: E402
+from resplit.core import LevelSchedule, derive_seed  # noqa: E402
 from resplit.netmodel import NetParams, default_levels, simulator_factory  # noqa: E402
 from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 
@@ -74,6 +78,7 @@ def extra_shapes():
     look = policy.LookaheadConfig(host_level=2, continuations=4)
     outer = smc.SmcConfig(success_target=8, attempt_target=30, pool_min=10, pool_max=30,
                           budget_steps=200_000)
+    cheap = simulator_factory(NetParams(**_CHEAP_MODEL))
     return (
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
@@ -84,6 +89,10 @@ def extra_shapes():
         ("net-policy-exponent", range(4),
          lambda s: policy.run_smc_with_reconfiguration(simulator_factory(steep), default_levels(),
                                                        outer, steep_policies, look, s)),
+        ("net-mc-small-seed", (0, 1, 7, 2**32 - 1),
+         lambda s: mc.run_mc(noisy, mc.McConfig(budget_steps=200 * NOISY.horizon_steps), s)),
+        ("net-mc-cheap", [derive_seed(5, "net-mc-cheap", r) for r in range(3)],
+         lambda s: mc.run_mc(cheap, mc.McConfig(budget_steps=400_000), s)),
     )
 
 
