@@ -237,159 +237,16 @@ def _purpose_code(purpose: str) -> int:
     return int.from_bytes(hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "little")
 
 
-# numpy's SeedSequence, as NEP 19 fixes it (after O'Neill's seed_seq): the
-# hash constants run through fixed sequences, so the k-th hashmix of a word
-# uses (_HASH_A[k], _HASH_A[k + 1]) whatever the data
-_M32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _M32)
-    return out
-
-
-_MAX_WORDS = 32  # index words a cached head takes; past them, numpy's own path
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * _MAX_WORDS)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
-# (xor, multiplier) pairs of the four hashmixes that mix the t-th word after
-# the pool's first four, one per pool word
-_WORD_MIX = tuple(
-    tuple(v for k in range(16 + 4 * t, 20 + 4 * t) for v in (_HASH_A[k], _HASH_A[k + 1]))
-    for t in range(_MAX_WORDS)
-)
-_STATE_MIX = tuple(v for k in range(4) for v in (_HASH_B[k], _HASH_B[k + 1]))
-
-
-def _hashmix(value: int, k: int) -> int:
-    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _M32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _head_pool(seed: int, code: int) -> tuple[int, ...]:
-    """The SeedSequence pool after the words of ``(seed, code)``, or ``()`` when
-    they are fewer than four, so that the pool depends on the words after them."""
-    if not (seed >> 32 and code >> 32):
-        return ()
-    words = (seed & _M32, seed >> 32, code & _M32, code >> 32)
-    pool = [_hashmix(w, i) for i, w in enumerate(words)]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
-                k += 1
-    return tuple(pool)
-
-
-def _philox_key(pool: tuple[int, ...], indices: tuple[int, ...]) -> tuple[int, int] | None:
-    """``SeedSequence(head + indices).generate_state(2, np.uint64)`` from the head's pool.
-
-    Each index is split into little-endian uint32 words, 0 being one word, and
-    each word is mixed into every pool word, as ``SeedSequence`` does past
-    its first four words.  None past ``_MAX_WORDS`` index words.
-    """
-    a, b, c, d = pool
-    t = 0
-    for i in indices:
-        i = int(i)
-        if i < 0:
-            raise ValueError("expected non-negative integer")
-        while True:
-            if t == _MAX_WORDS:
-                return None
-            w = i & _M32
-            x0, y0, x1, y1, x2, y2, x3, y3 = _WORD_MIX[t]
-            t += 1
-            v = (w ^ x0) * y0 & _M32
-            r = (_MIX_L * a - _MIX_R * (v ^ v >> 16)) & _M32
-            a = r ^ r >> 16
-            v = (w ^ x1) * y1 & _M32
-            r = (_MIX_L * b - _MIX_R * (v ^ v >> 16)) & _M32
-            b = r ^ r >> 16
-            v = (w ^ x2) * y2 & _M32
-            r = (_MIX_L * c - _MIX_R * (v ^ v >> 16)) & _M32
-            c = r ^ r >> 16
-            v = (w ^ x3) * y3 & _M32
-            r = (_MIX_L * d - _MIX_R * (v ^ v >> 16)) & _M32
-            d = r ^ r >> 16
-            i >>= 32
-            if not i:
-                break
-    x0, y0, x1, y1, x2, y2, x3, y3 = _STATE_MIX
-    a = (a ^ x0) * y0 & _M32
-    b = (b ^ x1) * y1 & _M32
-    c = (c ^ x2) * y2 & _M32
-    d = (d ^ x3) * y3 & _M32
-    return (a ^ a >> 16) | (b ^ b >> 16) << 32, (c ^ c >> 16) | (d ^ d >> 16) << 32
-
-
-class _PhiloxKey:
-    """A Philox key derived already: the one request ``Philox`` makes of its
-    seed sequence, ``generate_state(2, np.uint64)``, returns it.
-
-    ``stream`` registers it as numpy's ``ISeedSequence`` when it first keeps
-    a pool, so that importing this module does not import ``numpy.random``.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple[int, int]) -> None:
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or dtype is not np.uint64:
-            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
-        return np.array(self.key, dtype=np.uint64)
-
-
-# the last (seed, purpose) head asked for, and its pool once it came twice in
-# a row; a cache only, since the pool is a function of the head
-_last_head: tuple[tuple[int, str], tuple[int, ...] | None] = ((-1, ""), None)
-
-
 def stream(master_seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Independent counter-based generator keyed by ``(master_seed, purpose, indices)``.
 
     Streams with distinct keys are statistically independent, and a given key
     yields the same draw sequence on every platform, so results depend only on
-    the seed and the order in which each consumer uses its own stream.
-
-    The generator is ``Generator(Philox(SeedSequence(entropy)))`` with entropy
-    ``(master_seed & (2**63 - 1), blake2b-64(purpose), *indices)``.  When one
-    ``(master_seed, purpose)`` head comes on two calls in a row and spans
-    four uint32 words (a seed and a purpose hash each of 2**32 or more), its
-    ``SeedSequence`` pool is kept, and each call after mixes in only its own
-    indices and builds the ``Philox`` from the 128-bit key: the same
-    generator for about half the cost, as ``run_mc``'s per-trajectory streams
-    are built.  Any other call goes through numpy's ``SeedSequence``.  Each
-    call returns a generator of its own.
+    the seed and the order in which each consumer uses its own stream.  The
+    generator is ``Generator(Philox(SeedSequence(entropy)))`` with entropy
+    ``(master_seed & (2**63 - 1), blake2b-64(purpose), *indices)``.
     """
-    global _last_head
-    seed = int(master_seed) & _SEED_MASK
-    head = (seed, purpose)
-    last, pool = _last_head
-    if last != head:
-        _last_head, pool = (head, None), None
-    elif pool is None:
-        # loaded already: the head's first call went through numpy's SeedSequence
-        from numpy.random.bit_generator import ISeedSequence
-
-        ISeedSequence.register(_PhiloxKey)
-        pool = _head_pool(seed, _purpose_code(purpose))
-        _last_head = (head, pool)
-    if pool:
-        key = _philox_key(pool, indices)
-        if key is not None:
-            return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-    entropy = (seed, _purpose_code(purpose), *(int(i) for i in indices))
+    entropy = (int(master_seed) & _SEED_MASK, _purpose_code(purpose), *(int(i) for i in indices))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 

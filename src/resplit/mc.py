@@ -56,24 +56,27 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
     """Run the planned trajectories; each stops at its first absorption or the horizon.
 
     Every trajectory starts from the factory's initial state, which one
-    simulator captures once and restores before each trajectory.  Trajectory
-    ``i`` reads its noise from the stream ``("mc-traj", i)``; randomness
-    enters only there.
+    simulator captures once and restores before each trajectory.  The run
+    reads one stream, ``("mc",)``, and randomness enters only there: each
+    trajectory draws its whole ``n = horizon - start`` values whether or not
+    it fails early, so trajectory ``i`` reads block ``i``, values
+    ``[i n, (i + 1) n)`` of the stream.
     """
     sim = factory()
     count, min_resolvable = mc_plan(cfg, sim.horizon_steps)
     origin = sim.snapshot()
+    rng = stream(seed, "mc")
 
     hits = 0
     cost = 0
-    for i in range(count):
+    for _ in range(count):
         sim.restore(origin)
         start = sim.step_index
         g = sim.coordinate()
         if g < sim.failure_value:
-            # one bulk draw covers the horizon; draws past the failure step are never read
+            # one bulk draw covers the horizon, so the next trajectory starts at its
+            # own block; draws past the failure step are never read
             n = sim.horizon_steps - start
-            rng = stream(seed, "mc-traj", i)
             _, g = sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
         cost += sim.step_index - start
         hits += g >= sim.failure_value

@@ -366,11 +366,14 @@ class TestEnginesIgnoreChunking:
         cfg = McConfig(budget_steps=40 * factory().horizon_steps)
         got = _same_under_chunk_sizes(monkeypatch, lambda: run_mc(factory, cfg, 5))
         hits = cost = 0
-        for i in range(40):
-            rng = stream(5, "mc-traj", i)
+        rng = stream(5, "mc")
+        for _ in range(40):
             sim = factory()
+            # trajectory i's block is the stream's next horizon of values, drawn
+            # whole; it steps one at a time, only as far as it needs
+            block, pos = sim.draw_noise(rng, sim.horizon_steps), 0
             while sim.coordinate() < sim.failure_value and sim.step_index < sim.horizon_steps:
-                step(sim, rng)
+                pos, _ = sim.advance(block, pos, pos + 1, math.inf)
                 cost += 1
             hits += sim.coordinate() >= sim.failure_value
         rep = run_mc(factory, cfg, 5)

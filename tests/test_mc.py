@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from test_advance import ladder_reference, three_state_reference
 
+from resplit import mc
+from resplit.core import stream
 from resplit.mc import McConfig, McReport, mc_plan, run_mc
 from resplit.netmodel import NetParams, simulator_factory
 from resplit.toys import ladder_factory, three_state_factory
@@ -87,3 +90,43 @@ class TestRunMc:
         assert report.trajectories == 40
         assert report.cost_steps_used <= 400
         assert 0.0 < report.estimate <= 1.0
+
+
+class _BlockReader:
+    """Scalar draws read in order from one trajectory's block."""
+
+    def __init__(self, block):
+        self.random = iter(block).__next__
+
+
+class TestOneStream:
+    def test_one_stream_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(mc, "stream", counted)
+        report = run_mc(three_state_factory(0.3, 0.2, 0.3, 9), McConfig(budget_steps=40 * 9), 5)
+        assert report.trajectories == 40
+        assert calls == [(5, "mc")]
+
+    @pytest.mark.parametrize("make, reference", [
+        # a climb that fails leaves the ladder dead: its later steps read nothing
+        (ladder_factory((0.5, 0.4, 0.3)), ladder_reference((0.5, 0.4, 0.3))),
+        # state 2 absorbs before the horizon, leaving the block's tail unread
+        (three_state_factory(0.3, 0.2, 0.3, 9), three_state_reference(0.3, 0.2, 0.3, 9)),
+    ], ids=["ladder", "three-state"])
+    def test_trajectory_i_reads_block_i(self, make, reference):
+        count, seed = 60, 11
+        n = make().horizon_steps
+        values = stream(seed, "mc").random(count * n).tolist()
+        hits = cost = 0
+        for i in range(count):
+            failed = [f for _, _, f in reference(_BlockReader(values[i * n:(i + 1) * n]))]
+            hits += any(failed)
+            cost += failed.index(True) + 1 if any(failed) else n
+        assert 0 < hits < count
+        report = run_mc(make, McConfig(budget_steps=count * n), seed)
+        assert (report.trajectories, report.hits, report.cost_steps_used) == (count, hits, cost)

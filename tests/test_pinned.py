@@ -34,11 +34,13 @@ SMC_DEFAULT = {
     6: (0.01463709677419355, 49696, ((31, 5), (20, 6), (20, 11), (20, 11))),
 }
 
-# seed: (estimate, cost_steps_used, hits)
+# seed: (estimate, cost_steps_used, hits).  Re-recorded when a run came to read
+# one stream ("mc",), trajectory i its block i, in place of one stream
+# ("mc-traj", i) per trajectory.
 MC_NOISY = {
-    1: (0.68, 75699, 68),
-    2: (0.75, 66188, 75),
-    3: (0.73, 72352, 73),
+    1: (0.66, 74997, 66),
+    2: (0.61, 80135, 61),
+    3: (0.73, 72300, 73),
 }
 
 LADDER_ONE_STAGE = {

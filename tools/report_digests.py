@@ -12,11 +12,10 @@ The runs are seed lists 1 and 2 of the four benchmark workloads (read from
 ``benchmark/workloads.py``, so the shapes stay those the benchmark times),
 then a multi-stage ladder, the three-state chain through splitting and plain
 Monte Carlo, network runs cut short by their step budget, lookahead runs
-on a model whose recovery exponent is not the default 2.0, and two network
-Monte Carlo shapes for ``core.stream``: one at raw seeds below 2**32, where
-streams are numpy's own ``SeedSequence``, and one at the acceptance checks'
-cheap model, whose 40-step trajectories make the per-trajectory stream most
-of a run.  Each digest is a
+on a model whose recovery exponent is not the default 2.0, and two more
+network Monte Carlo shapes: one at raw seeds below 2**32, where a seed is a
+single ``SeedSequence`` word, and one at the acceptance checks' cheap model,
+where a run's one stream is read in many short 40-step blocks.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
