@@ -12,29 +12,6 @@ Subpackages by role:
 - :mod:`resplit.cli`       ``resplit`` command line (run / sweep / policy / verify)
 - :mod:`resplit.acceptance`  seeded end-to-end checks behind ``resplit verify``
 """
-from __future__ import annotations
-
-from resplit.core import (
-    BudgetLedger,
-    Checkpoint,
-    EmptyPoolError,
-    HorizonExceededError,
-    LevelSchedule,
-    Simulator,
-    derive_seed,
-    stream,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetLedger",
-    "Checkpoint",
-    "EmptyPoolError",
-    "HorizonExceededError",
-    "LevelSchedule",
-    "Simulator",
-    "derive_seed",
-    "stream",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "ChainPrediction",
     "chain_prediction",
-    "classical_rel_variance",
     "exact_stage_moments",
     "geometric_spread",
     "wilson_interval",
@@ -63,7 +62,6 @@ class ChainPrediction:
 
     rel_bias: float
     rel_var: float
-    rel_bias_first_order: float
 
 
 def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
@@ -73,12 +71,9 @@ def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
 
     - bias factor: ``prod(1 + b_k) - 1``
     - variance:    ``prod((1 + b_k)^2 + v_k) - prod(1 + b_k)^2``
-
-    plus the small-error linearisation of the bias, ``sum(b_k)``.
     """
     bias_prod = 1.0
     second_prod = 1.0
-    bias_sum = 0.0
     count = 0
     for b, v in stages:
         if v < 0.0:
@@ -86,36 +81,13 @@ def chain_prediction(stages: Iterable[tuple[float, float]]) -> ChainPrediction:
         m = 1.0 + b
         bias_prod *= m
         second_prod *= m * m + v
-        bias_sum += b
         count += 1
     if count == 0:
         raise ValueError("chain_prediction needs at least one stage")
     return ChainPrediction(
         rel_bias=bias_prod - 1.0,
         rel_var=second_prod - bias_prod * bias_prod,
-        rel_bias_first_order=bias_sum,
     )
-
-
-def classical_rel_variance(stage_probs: Sequence[float], pool_sizes: Sequence[int]) -> float:
-    """Fixed-effort splitting variance ``sum (1 - p_k) / (p_k * M_k)``, one effort per stage.
-
-    This ignores stopping effects entirely and is reported as a diagnostic only.
-    """
-    probs = list(stage_probs)
-    if not probs:
-        raise ValueError("need at least one stage probability")
-    sizes = [int(m) for m in pool_sizes]
-    if len(sizes) != len(probs):
-        raise ValueError(f"{len(sizes)} pool sizes for {len(probs)} stages")
-    total = 0.0
-    for p, m in zip(probs, sizes):
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"stage probability must be in (0, 1], got {p}")
-        if m < 1:
-            raise ValueError(f"pool size must be >= 1, got {m}")
-        total += (1.0 - p) / (p * m)
-    return total
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:

@@ -113,9 +113,7 @@ def run_single(cfg: ExperimentConfig, workers: int = 1) -> dict:
         total += result["estimate"]
         positive += result["estimate"] > 0.0
     return {
-        "schema": "resplit-summary/2",
-        "engine": cfg.engine,
-        "master_seed": cfg.master_seed,
+        "schema": "resplit-summary/3",
         "config": config_to_dict(cfg),
         "replications": reps,
         "aggregate": {
@@ -139,8 +137,7 @@ def write_summary(payload: dict, out_dir: str | Path) -> Path:
 _BASE_COLUMNS = (
     "replication", "seed", "engine", "estimate", "cost_steps_used",
     "budget_exhausted", "extinction_level", "resolution_floor",
-    "min_resolvable", "trajectories", "hits",
-    "rel_bias_pred", "rel_var_pred", "classical_rel_var",
+    "trajectories", "hits", "rel_bias_pred", "rel_var_pred",
 )
 _STAGE_COLUMNS = ("p_hat", "successes", "attempts", "cost_steps", "next_pool_size")
 _POLICY_COLUMNS = (
@@ -182,8 +179,7 @@ def _sweep_row(task) -> list[str]:
     cells.update(result, replication=rep, seed=seed, engine=cfg.engine,
                  host_level=cfg.lookahead.host_level if cfg.engine == "smc+policy" else None)
     diag = result.get("diagnostics") or {}
-    cells.update(rel_bias_pred=diag.get("rel_bias"),
-                 classical_rel_var=diag.get("classical_rel_var"))
+    cells["rel_bias_pred"] = diag.get("rel_bias")
     cells.setdefault("rel_var_pred", diag.get("rel_var"))  # mc reports its own
     for k, rec in enumerate(result.get("levels", ())):
         cells.update((f"{stat}_{k}", rec[stat]) for stat in _STAGE_COLUMNS)

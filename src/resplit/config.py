@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -267,17 +267,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _section_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical plain-data echo; feeding it back reproduces the config."""
     return {
         "engine": cfg.engine,
         "master_seed": cfg.master_seed,
         "replications": cfg.replications,
-        **{key: _section_dict(getattr(cfg, key)) for key in _SECTIONS},
+        **{key: asdict(getattr(cfg, key)) for key in _SECTIONS},
         "levels": {
             "thresholds": list(cfg.levels.thresholds),
             "labels": list(cfg.levels.labels) if cfg.levels.labels else None,

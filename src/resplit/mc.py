@@ -2,8 +2,9 @@
 
 Runs as many full trajectories as the step budget affords, each from a fresh
 initial state, and reports the hit fraction.  The report carries the
-accounting needed to compare against splitting runs: the smallest resolvable
-probability ``1 / N`` and the predicted relative variance ``(1 - p) / (p N)``.
+accounting needed to compare against splitting runs: the trajectory count
+``N``, whose inverse is the smallest resolvable probability, and the
+predicted relative variance ``(1 - p) / (p N)``.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ class McConfig:
             raise ValueError(f"budget_steps must be >= 1, got {self.budget_steps}")
 
 
-def mc_plan(cfg: McConfig, horizon_steps: int) -> tuple[int, float]:
-    """Trajectory count and resolution floor, before any simulation.
+def mc_plan(cfg: McConfig, horizon_steps: int) -> int:
+    """Trajectory count, before any simulation.
 
     The count is ``budget // horizon``: every planned trajectory must be
     affordable at full length.
@@ -39,7 +40,7 @@ def mc_plan(cfg: McConfig, horizon_steps: int) -> tuple[int, float]:
         raise ValueError(
             f"budget of {cfg.budget_steps} steps is below one {horizon_steps}-step trajectory"
         )
-    return count, 1.0 / count
+    return count
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class McReport:
     hits: int
     estimate: float
     cost_steps_used: int
-    min_resolvable: float
     rel_var_pred: float | None  # (1 - p)(p N)^-1, None when no hits landed
 
 
@@ -63,7 +63,7 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
     ``[i n, (i + 1) n)`` of the stream.
     """
     sim = factory()
-    count, min_resolvable = mc_plan(cfg, sim.horizon_steps)
+    count = mc_plan(cfg, sim.horizon_steps)
     origin = sim.snapshot()
     rng = stream(seed, "mc")
 
@@ -92,6 +92,5 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
         hits=hits,
         estimate=estimate,
         cost_steps_used=cost,
-        min_resolvable=min_resolvable,
         rel_var_pred=rel_var,
     )

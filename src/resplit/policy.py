@@ -297,7 +297,8 @@ class PolicySmcReport:
     ``evaluations`` holds their scored candidates in ordinal order and
     ``scored`` the ordinal behind each.  Every other entry of ``selections``
     is 0, the baseline rate its snapshot carries, and is counted in
-    ``fallback_count``: a checkpoint the pool never drew.  ``selection_counts``
+    ``fallback_count``: a checkpoint the pool never drew, or any checkpoint
+    of a one-candidate set, which scores none.  ``selection_counts``
     counts those zeros too, so the choices made are
     ``ev.selected for ev in evaluations``.
     """
@@ -396,7 +397,7 @@ def run_smc_with_reconfiguration(
         selection_counts=tuple(selections.count(i) for i in range(policies.size)),
         evaluations=tuple(evaluations),
         scored=tuple(scored),
-        fallback_count=len(selections) - len(evaluations) if policies.size > 1 else 0,
+        fallback_count=len(selections) - len(evaluations),
         degenerate_count=sum(ev.degenerate for ev in evaluations),
         inner_cost_steps=inner_ledger.used,
     )

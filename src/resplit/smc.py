@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from resplit.analysis import chain_prediction, classical_rel_variance
+from resplit.analysis import chain_prediction
 from resplit.core import (
     BudgetLedger,
     Checkpoint,
@@ -104,7 +104,14 @@ StageHook = Callable[[LevelRecord, list[Checkpoint], Simulator], list[Checkpoint
 
 @dataclass(frozen=True)
 class SmcReport:
-    """Result of a full splitting run."""
+    """Result of a full splitting run.
+
+    ``resolution_floor`` is ``1 / attempt_target**K`` for the schedule's
+    ``K`` stages.  Despite its name it bounds a positive estimate from below
+    only when every stage stops at exactly ``attempt_target`` attempts; a
+    stage that attempts on until it banks ``success_target`` successes can
+    report a smaller ``p_hat``, so the estimate can sit under it.
+    """
 
     levels: tuple[LevelRecord, ...]
     estimate: float
@@ -379,36 +386,23 @@ class SmcDiagnostics:
     """Predicted estimator quality, with observed stage estimates substituted in.
 
     Per stage the relative bias and the relative variance are the same
-    value, ``stage_rel_bias``, and so are their first-order compositions,
-    ``rel_bias_first_order``.
+    value, ``stage_rel_bias``.
     """
 
     stage_rel_bias: tuple[float, ...]
     rel_bias: float
     rel_var: float
-    rel_bias_first_order: float
-    classical_rel_var: float
 
 
 def predict_diagnostics(report: SmcReport, cfg: SmcConfig) -> SmcDiagnostics | None:
     """Stopping-bias and variance predictions for a completed run.
 
     Per stage both relative bias and relative variance are
-    ``(1 - p_hat) / success_target``; stages compose multiplicatively, and the
-    fixed-effort variance formula (attempt counts standing in for the common
-    effort) is included for comparison.  None when the run reported zero.
+    ``(1 - p_hat) / success_target``, and stages compose multiplicatively.
+    None when the run reported zero.
     """
     if report.estimate <= 0.0 or any(rec.p_hat <= 0.0 for rec in report.levels):
         return None
     q = tuple((1.0 - rec.p_hat) / cfg.success_target for rec in report.levels)
     chain = chain_prediction((q_k, q_k) for q_k in q)
-    classical = classical_rel_variance(
-        [rec.p_hat for rec in report.levels], [rec.attempts for rec in report.levels]
-    )
-    return SmcDiagnostics(
-        stage_rel_bias=q,
-        rel_bias=chain.rel_bias,
-        rel_var=chain.rel_var,
-        rel_bias_first_order=chain.rel_bias_first_order,
-        classical_rel_var=classical,
-    )
+    return SmcDiagnostics(stage_rel_bias=q, rel_bias=chain.rel_bias, rel_var=chain.rel_var)

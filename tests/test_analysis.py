@@ -11,7 +11,6 @@ import resplit
 from resplit.analysis import (
     ChainPrediction,
     chain_prediction,
-    classical_rel_variance,
     exact_stage_moments,
     geometric_spread,
     wilson_interval,
@@ -85,7 +84,6 @@ class TestChainPrediction:
         got = chain_prediction([(0.04, 0.04), (0.04, 0.04)])
         assert got.rel_bias == pytest.approx(1.04**2 - 1.0)  # 0.0816
         assert got.rel_var == pytest.approx((1.04**2 + 0.04) ** 2 - 1.04**4)
-        assert got.rel_bias_first_order == pytest.approx(0.08)
 
     def test_accepts_a_generator_of_pairs(self):
         # per-stage (q, q) pairs, q = (1 - p) / s, streamed from a generator
@@ -125,25 +123,6 @@ class TestChainPrediction:
         assert isinstance(got, ChainPrediction)
         with pytest.raises(AttributeError):
             got.rel_bias = 0.0
-
-
-class TestClassicalRelVariance:
-    def test_hand_value(self):
-        assert classical_rel_variance([0.5, 0.5], [100, 100]) == pytest.approx(0.02)
-
-    def test_per_stage_sizes(self):
-        got = classical_rel_variance([0.5, 0.25], [100, 300])
-        assert got == pytest.approx(0.5 / 50.0 / 1.0 + 0.75 / (0.25 * 300))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            classical_rel_variance([], [])
-        with pytest.raises(ValueError):
-            classical_rel_variance([0.0], [10])
-        with pytest.raises(ValueError):
-            classical_rel_variance([0.5], [10, 20])
-        with pytest.raises(ValueError):
-            classical_rel_variance([0.5], [0])
 
 
 class TestIntervalHelpers:

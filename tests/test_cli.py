@@ -44,9 +44,10 @@ class TestRunSingle:
     def test_smc_payload_shape(self):
         cfg = config_from_dict(cheap_dict(master_seed=11, replications=2))
         payload = run_single(cfg)
-        assert payload["schema"] == "resplit-summary/2"
-        assert payload["engine"] == "smc"
-        assert payload["master_seed"] == 11
+        assert set(payload) == {"schema", "config", "replications", "aggregate"}
+        assert payload["schema"] == "resplit-summary/3"
+        assert payload["config"]["engine"] == "smc"
+        assert payload["config"]["master_seed"] == 11
         assert payload["config"]["smc"]["success_target"] == 4
         assert "output_dir" not in payload["config"]
         assert len(payload["replications"]) == 2
@@ -73,7 +74,6 @@ class TestRunSingle:
         assert defined, "no replication completed with a positive estimate"
         for diag in defined:
             assert set(diag) == {f.name for f in fields(SmcDiagnostics)}
-            assert diag["rel_bias_first_order"] == sum(diag["stage_rel_bias"])
         for r in results:
             assert (r["diagnostics"] is None) == (r["estimate"] == 0.0)
 
@@ -81,8 +81,7 @@ class TestRunSingle:
         cfg = config_from_dict(cheap_dict(engine="mc"))
         result = run_single(cfg)["replications"][0]["result"]
         assert set(result) == {
-            "estimate", "trajectories", "hits", "cost_steps_used",
-            "min_resolvable", "rel_var_pred",
+            "estimate", "trajectories", "hits", "cost_steps_used", "rel_var_pred",
         }
         assert result["trajectories"] == 500  # 20k steps / 40-step horizon
 
@@ -158,6 +157,18 @@ class TestRunSweep:
         assert combos == [("mc", "0.02"), ("mc", "0.05"),
                           ("smc", "0.02"), ("smc", "0.05")]
 
+    def test_fixed_columns(self):
+        header, _ = run_sweep(sweep_cfg())
+        stages = [f"{stat}_{k}" for k in range(4)
+                  for stat in ("p_hat", "successes", "attempts", "cost_steps", "next_pool_size")]
+        assert header == [
+            "axis:engine", "axis:model.delay_threshold",
+            "replication", "seed", "engine", "estimate", "cost_steps_used",
+            "budget_exhausted", "extinction_level", "resolution_floor",
+            "trajectories", "hits", "rel_bias_pred", "rel_var_pred",
+            *stages,
+        ]
+
     def test_engine_specific_cells(self):
         header, rows = run_sweep(sweep_cfg())
         col = {name: i for i, name in enumerate(header)}
@@ -193,13 +204,17 @@ class TestRunSweep:
         )
         header, rows = run_sweep(cfg)
         col = {name: i for i, name in enumerate(header)}
-        assert "select_freq_2" in col and "select_freq_3" not in col
+        assert header[-7:] == ["host_level", "inner_cost_steps", "fallback_count",
+                               "degenerate_count", "select_freq_0", "select_freq_1",
+                               "select_freq_2"]
         small, large = rows
         assert small[col["host_level"]] == "2"
         assert small[col["select_freq_0"]] == ""  # a singleton set scores nothing
         assert small[col["select_freq_1"]] == ""
         assert large[col["select_freq_2"]] != ""
         assert small[col["inner_cost_steps"]] == "0"
+        # a singleton set scores nothing, so every host-level checkpoint falls back
+        assert small[col["fallback_count"]] == small[col["successes_1"]]
 
     def test_selection_shares_are_the_scored_choices(self):
         cfg = config_from_dict(
@@ -312,7 +327,7 @@ class TestMain:
         a = (tmp_path / "a" / "summary.json").read_bytes()
         b = (tmp_path / "b" / "summary.json").read_bytes()
         assert a == b
-        assert json.loads(a)["master_seed"] == 42
+        assert json.loads(a)["config"]["master_seed"] == 42
 
     def test_sweep_writes_csv(self, tmp_path):
         cfg_path = tmp_path / "exp.json"

@@ -19,14 +19,12 @@ class TestConfig:
             McConfig(budget_steps=-1200)
 
     def test_plan_accounting(self):
-        count, floor = mc_plan(McConfig(budget_steps=5_000_000), horizon_steps=1200)
+        count = mc_plan(McConfig(budget_steps=5_000_000), horizon_steps=1200)
         assert count == 4166
-        assert floor == pytest.approx(2.4e-4, rel=0.01)
 
     def test_plan_explicit_count(self):
         # a budget of exactly N horizons plans N trajectories
-        count, floor = mc_plan(McConfig(budget_steps=500 * 1200), 1200)
-        assert count == 500 and floor == 0.002
+        assert mc_plan(McConfig(budget_steps=500 * 1200), 1200) == 500
 
     def test_plan_budget_below_one_trajectory(self):
         with pytest.raises(ValueError):
@@ -61,13 +59,11 @@ class TestRunMc:
         assert report.rel_var_pred == pytest.approx(
             (1 - report.estimate) / (report.estimate * n)
         )
-        assert report.min_resolvable == pytest.approx(1 / n)
 
     def test_zero_hits(self):
         report = run_mc(ladder_factory((1e-9,)), McConfig(budget_steps=100), 4)
         assert report.hits == 0 and report.estimate == 0.0
         assert report.rel_var_pred is None
-        assert report.min_resolvable == 0.01
 
     def test_deterministic(self):
         cfg = McConfig(budget_steps=200)  # 200 one-step trajectories

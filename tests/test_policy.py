@@ -464,7 +464,7 @@ class TestLazyScoring:
             rep = self._run(seed, policies=single)
             assert rep.smc == run_smc(simulator_factory(NOISY), HOST_SCHEDULE, HOST_CFG, seed)
             assert rep.scored == () and rep.evaluations == ()
-            assert rep.fallback_count == 0 and rep.inner_cost_steps == 0
+            assert rep.fallback_count == len(rep.selections) and rep.inner_cost_steps == 0
 
 
 class TestRunWithReconfiguration:
@@ -490,7 +490,7 @@ class TestRunWithReconfiguration:
             assert rep.selections == (0,) * plain.levels[1].successes
             assert rep.selection_counts == (len(rep.selections),)
             assert rep.evaluations == () and rep.scored == ()
-            assert rep.fallback_count == 0
+            assert rep.fallback_count == len(rep.selections)
             assert rep.inner_cost_steps == 0
 
     def test_selections_recorded_and_stamped(self, monkeypatch):

@@ -475,8 +475,6 @@ class TestDiagnostics:
         assert diag.stage_rel_bias == pytest.approx((0.04, 0.04))  # (1 - 0.2) / 20
         assert diag.rel_bias == pytest.approx(1.04**2 - 1.0)
         assert diag.rel_var == pytest.approx((1.04**2 + 0.04) ** 2 - 1.04**4)
-        assert diag.rel_bias_first_order == pytest.approx(0.08)
-        assert diag.classical_rel_var == pytest.approx(0.8 / (0.2 * 100) + 0.8 / (0.2 * 50))
 
     def test_sure_stage_is_exact(self):
         report = SmcReport(

@@ -55,7 +55,8 @@ from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
-DROPPED = {"inner_budget_exhausted"}
+DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
+           "classical_rel_var"}
 # summary keys retired by schema 2, skipped in the result lines alone: the reports
 # still hold ``selections`` and ``selection_counts``
 RETIRED_KEYS = {"stage_rel_var", "rel_var_first_order", "target_threshold", "target_label",
