@@ -169,6 +169,13 @@ class Simulator(Protocol):
     that draw nothing (a dead ladder).  Asking for more steps than remain to
     the horizon raises :class:`HorizonExceededError`.
 
+    A miss may stop before ``stop`` once no step left can reach the target
+    (the network model's idle tail); its cursor is still ``stop``, but
+    ``step_index`` and the state are where it stopped.  So callers charge a
+    miss its whole window and read a missed trajectory's state only by
+    restoring a snapshot: the budget counts model steps, whether simulated
+    or not.
+
     ``failure_value`` is the coordinate that marks the failure set: a
     trajectory has failed exactly when its coordinate is at or above it.
     These members are all the engines call.

@@ -61,6 +61,11 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
     trajectory draws its whole ``n = horizon - start`` values whether or not
     it fails early, so trajectory ``i`` reads block ``i``, values
     ``[i n, (i + 1) n)`` of the stream.
+
+    A hit costs the steps to its failure and a miss its whole ``n`` steps.
+    ``advance`` may end a miss before the horizon, once no step left can
+    reach the failure set, so a miss's cost is never read from
+    ``step_index``: the budget counts model steps, simulated or not.
     """
     sim = factory()
     count = mc_plan(cfg, sim.horizon_steps)
@@ -78,7 +83,8 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
             # own block; draws past the failure step are never read
             n = sim.horizon_steps - start
             _, g = sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
-        cost += sim.step_index - start
+            # a miss costs its whole window, however few steps advance took
+            cost += sim.step_index - start if g >= sim.failure_value else n
         hits += g >= sim.failure_value
 
     estimate = hits / count

@@ -118,6 +118,19 @@ def default_levels() -> LevelSchedule:
     )
 
 
+def _reach(grace: int, target: float) -> int:
+    """The least exceedance count whose coordinate can reach ``target``.
+
+    Below the failure set the coordinate is at most ``1.0 + e / grace``, so
+    this is the least ``e <= grace`` with ``e == grace`` or
+    ``1.0 + e / grace >= target``, in the kernel's own arithmetic.
+    """
+    for e in range(grace):
+        if 1.0 + e / grace >= target:
+            return e
+    return grace
+
+
 def capacity(health: float) -> float:
     """Service capacity in (0, 1): logistic in the health state."""
     h = -_HEALTH_CLIP if health < -_HEALTH_CLIP else (_HEALTH_CLIP if health > _HEALTH_CLIP else health)
@@ -145,7 +158,7 @@ class NetSimulator:
     __slots__ = (
         "_j", "_backlog", "_health", "_log_stress", "_exceed",
         "_nu", "_phi", "_horizon", "_grace", "_load", "_dt", "_delta",
-        "_rho", "_mu_blend", "_sigma", "_c",
+        "_rho", "_mu_blend", "_sigma", "_c", "_reaches",
     )
 
     def __init__(self, params: NetParams) -> None:
@@ -165,6 +178,7 @@ class NetSimulator:
         self._c = capacity(self._health)  # kept equal to capacity(health) throughout
         self._log_stress = params.start_log_stress
         self._exceed = 0
+        self._reaches: dict[float, int] = {}  # _reach(grace, target) by target
 
     @property
     def step_index(self) -> int:
@@ -223,10 +237,23 @@ class NetSimulator:
         changes only health and stress, and the inner loop updates only
         those until capacity falls below the load or ``stop`` is reached.
 
-        Both loops read the one iterator over ``noise[pos:stop]``, in place,
-        so setting up a call costs the same whatever the window's size, and
-        the cursor returned is how far that iterator got.  ``noise`` is a
-        list or an ``array('d')``, whose iterators both report their index
+        A miss may stop early, at an idle state from which no step left can
+        reach the target.  Below the failure set the coordinate is at most
+        ``1.0 + e / grace`` for a counter ``e < grace``, so a target in
+        ``(1, failure_value]`` needs the counter at ``reach``, the least
+        ``e`` with ``e == grace`` or ``1.0 + e / grace >= target``.  The
+        step after an idle state reads a pre-step delay of 0 and resets the
+        counter, so ``k`` steps from an idle state leave it at most
+        ``k - 1``; with at most ``reach`` steps left the target is out of
+        reach, and the idle loop stops there.  Such a miss still returns
+        ``stop`` as its cursor, but ``step_index`` and the state are those of
+        the idle state it stopped at.  Targets at or below 1, and above
+        ``failure_value``, are never cut.
+
+        The loops read one iterator over ``noise[pos:stop]``, in place, so
+        setting up a call costs the same whatever the window's size, and the
+        cursor returned on a hit is how far that iterator got.  ``noise`` is
+        a list or an ``array('d')``, whose iterators both report their index
         through ``__reduce__``.
         """
         j = self._j
@@ -244,51 +271,72 @@ class NetSimulator:
         b, h, x, e, c = self._backlog, self._health, self._log_stress, self._exceed, self._c
         r = b / c  # the pre-step delay, carried from each step into the next
         zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
-        # noise[pos:stop] read in place: a slice would copy stop - pos values per call
+        reach = 0  # steps left at which an idle state is cut; 0 never cuts
+        if 1.0 < target <= 2.0:
+            reach = self._reaches.get(target)
+            if reach is None:
+                reach = self._reaches[target] = _reach(grace, target)
+        # noise[pos:stop] read in place: a slice would copy stop - pos values per call;
+        # each busy stretch and each idle stretch is one islice of this iterator
         unread = iter(noise)
         unread.__setstate__(pos)
-        window = islice(unread, stop - pos)
-        for z in window:
-            h = h + nu * (1.0 - c) ** phi - exp(x)
-            x = rho * x + mu_blend + z * sigma
-            if b == 0.0 and zero_misses and c >= load:
-                # idle queue: it stays empty while capacity covers the load
-                b, e, r = 0.0, 0, 0.0
+        i = pos
+        while True:
+            for z in islice(unread, stop - i):
+                h = h + nu * (1.0 - c) ** phi - exp(x)
+                x = rho * x + mu_blend + z * sigma
+                if b == 0.0 and zero_misses and c >= load:
+                    # idle queue: it stays empty while capacity covers the load
+                    b, e, r, g = 0.0, 0, 0.0, 0.0
+                    c = 1.0 / (1.0 + exp(clip if h < floor else -h))
+                    if c >= load:
+                        break
+                    continue
+                b = b + (load - c) * dt
+                if b < 0.0:
+                    b = 0.0
+                if r >= delta:
+                    e += 1
+                    if e > grace:
+                        e = grace
+                else:
+                    e = 0
                 c = 1.0 / (1.0 + exp(clip if h < floor else -h))
-                if c >= load:
-                    for z in window:
-                        h = h + nu * (1.0 - c) ** phi - exp(x)
-                        x = rho * x + mu_blend + z * sigma
-                        c = 1.0 / (1.0 + exp(clip if h < floor else -h))
-                        if not c >= load:  # a NaN capacity leaves too
-                            break
-                continue
-            b = b + (load - c) * dt
-            if b < 0.0:
-                b = 0.0
-            if r >= delta:
-                e += 1
-                if e > grace:
-                    e = grace
+                r = b / c
+                if e >= grace:
+                    g = 2.0
+                else:
+                    g = r / delta
+                    if g > 1.0:
+                        g = 1.0
+                    g = g + e / grace
+                if g >= target:
+                    break
             else:
-                e = 0
-            c = 1.0 / (1.0 + exp(clip if h < floor else -h))
-            r = b / c
-            if e >= grace:
-                g = 2.0
-            else:
-                g = r / delta
-                if g > 1.0:
-                    g = 1.0
-                g = g + e / grace
+                break  # every step of the window taken
             if g >= target:
                 break
-        # the iterator's index; never exhausted, since islice stops at stop <= len(noise)
+            # an idle state: step health and stress while capacity covers the load,
+            # up to the last idle state from which the target is still in reach
+            i = unread.__reduce__()[2]
+            if stop - i <= reach:
+                break
+            for z in islice(unread, stop - i - reach):
+                h = h + nu * (1.0 - c) ** phi - exp(x)
+                x = rho * x + mu_blend + z * sigma
+                c = 1.0 / (1.0 + exp(clip if h < floor else -h))
+                if not c >= load:  # a NaN capacity leaves too
+                    break
+            else:
+                break  # at stop, or cut with reach steps left
+            i = unread.__reduce__()[2]
+        # the iterator's index; never exhausted, since every islice stops at or before stop
         i = unread.__reduce__()[2]
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
         # the loop's g, where it stopped on one, is this same formula of the same state
-        return i, self.coordinate()
+        g = self.coordinate()
+        return (i if g >= target else stop), g
 
     # only benchmark/worker.py's l0_figures probe calls this
     def step(self, rng: np.random.Generator) -> None:

@@ -167,9 +167,11 @@ def run_attempts(
     (None for a one-checkpoint pool) and steps it on ``noise`` until it
     crosses ``target`` (success: captured at ``next_level``), reaches the
     horizon (failure) or runs out of budget mid-flight (void: cost paid,
-    counted as neither).  Targets and budget are checked before every
-    attempt.  Returns the attempt count, the captures and the attempt index
-    of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
+    counted as neither).  A failure or a void attempt costs its whole
+    window, also when ``advance`` ended it early with the target out of
+    reach.  Targets and budget are checked before every attempt.  Returns
+    the attempt count, the captures and the attempt index of each;
+    ``ledger.used`` and ``noise.pos`` are written back on exit.
 
     By default each attempt reads on from where the last one stopped.  With
     ``rows`` (one-checkpoint pools only), attempt ``a`` reads from
@@ -241,7 +243,8 @@ def run_attempts(
                 success_attempts.append(attempts)
                 successes += 1
             else:
-                # no crossing: advance took every step it was allowed
+                # no crossing: the attempt costs every step it was allowed,
+                # whether advance stepped them all or cut an idle tail
                 used += room
                 if room < horizon - j:
                     break  # budget ran out mid-flight: the attempt is void

@@ -7,7 +7,10 @@ docstrings for the toys.  Stepped one draw at a time, and over a bulk-drawn
 noise list, ``advance`` must reproduce the reference bit for bit, stop right
 after the first step at or above its target, take exactly ``stop - pos``
 steps otherwise and refuse to pass the horizon; the reference's failure set
-must be exactly the coordinates at or above ``failure_value``.  Each
+must be exactly the coordinates at or above ``failure_value``.  The network
+kernel may end a miss early, and only at an idle state from which the
+steps left cannot fill the exceedance counter to the least count the
+target needs, which the tests work out from the reference coordinate.  Each
 simulator must satisfy the ``Simulator`` protocol, and the engines built on
 it must not depend on how their noise buffers are chunked.  The network
 kernel's idle-queue fast path is checked on paths that leave and re-enter
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import partial
+from dataclasses import replace
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -30,7 +34,7 @@ import pytest
 from oracle import NetState, is_failure, reaction_coordinate, step, step_dynamics
 from test_netmodel import _random_params
 
-from resplit import core
+from resplit import core, netmodel
 from resplit.core import BudgetLedger, Checkpoint, HorizonExceededError, LevelSchedule, stream
 from resplit.mc import McConfig, run_mc
 from resplit.netmodel import (
@@ -94,12 +98,27 @@ def three_state_reference(lo, hi, relapse, horizon):
 PACKINGS = (list, partial(array, "d"))
 
 
-def check_contract(make, reference, seed, targets=()):
+@lru_cache(maxsize=None)
+def top_coordinates(grace):
+    """The oracle's largest coordinate at each exceedance count ``0..grace``."""
+    p = NetParams(step_seconds=1.0, horizon_seconds=float(grace), grace_seconds=float(grace))
+    # a backlog far over the threshold caps the delay term at 1
+    return tuple(reaction_coordinate(NetState(0, 1e6, 0.0, -5.0, e), p)
+                 for e in range(grace + 1))
+
+
+def least_reach(grace, target):
+    """The least exceedance count at which some network state's coordinate,
+    by the oracle's ``reaction_coordinate``, is at or above ``target``."""
+    return next(e for e, g in enumerate(top_coordinates(grace)) if g >= target)
+
+
+def check_contract(make, reference, seed, targets=(), grace=None):
     for pack in PACKINGS:
-        check_contract_on(make, reference, seed, pack, targets)
+        check_contract_on(make, reference, seed, pack, targets, grace)
 
 
-def check_contract_on(make, reference, seed, pack, targets):
+def check_contract_on(make, reference, seed, pack, targets, grace):
     rng = stream(seed, "noise")
     states, coords, fails = map(list, zip(*reference(rng)))
     next_draw = make().draw_noise(rng, 1)[0]
@@ -139,13 +158,27 @@ def check_contract_on(make, reference, seed, pack, targets):
         assert sim.step_index == start + done
         assert sim.snapshot() == states[done - 1] and g == coords[done - 1]
 
-    # a target stops the call right after the first step at or above it
+    # a target stops the call right after the first step at or above it; a
+    # miss either takes every step or, in the network model (``grace`` given),
+    # may stop at an idle state (backlog 0, counter 0) from which the steps
+    # left are too few to fill the counter to the target's least reach, and
+    # its cursor is then still the window's end
     for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
         sim = make()
         pos, g = sim.advance(noise, 0, steps, target)
         hit = next((k for k, c in enumerate(coords) if c >= target), None)
         if hit is None:
-            assert sim.step_index == start + steps and g == coords[-1] < target
+            assert g < target
+            k = sim.step_index - start
+            if k == steps:
+                assert sim.snapshot() == states[-1] and g == coords[-1]
+            else:
+                assert grace is not None and 1.0 < target <= value and 0 < k < steps
+                assert pos == steps
+                snap = sim.snapshot()
+                assert snap == states[k - 1] and g == coords[k - 1]
+                assert (snap[1], snap[4]) == (0.0, 0)
+                assert steps - k <= least_reach(grace, target)
         else:
             assert sim.step_index == start + hit + 1
             assert sim.snapshot() == states[hit] and g == coords[hit] >= target
@@ -169,13 +202,13 @@ class TestKernelMatchesStepping:
         for trial in range(8):
             p = _random_params(master)
             check_contract(lambda: NetSimulator(p), net_reference(p), 100 + trial,
-                           targets=(0.1, 0.5, 1.0, 1.5))
+                           targets=(0.1, 0.5, 1.0, 1.5), grace=p.grace_steps)
 
     def test_network_baseline_from_a_stressed_start(self):
         p = NetParams(initial_backlog=0.3, initial_health=-1.0, horizon_seconds=20.0)
         for seed in range(3):
             check_contract(lambda: NetSimulator(p), net_reference(p), seed,
-                           targets=default_levels().thresholds)
+                           targets=default_levels().thresholds, grace=p.grace_steps)
 
     @pytest.mark.parametrize("probs", [(0.5, 0.4, 0.3), (1.0, 1.0), (0.2,), (0.9, 0.9, 0.9, 0.9)])
     def test_ladder(self, probs):
@@ -308,6 +341,64 @@ class TestIdleQueue:
                 end = len(path) - 1 if hit is None else hit
                 assert (pos, g) == (end + 1, path[end][1])
                 assert repr(sim.snapshot()) == repr(path[end][0])
+
+
+def long_grace_params(rng):
+    """``_random_params`` with a grace window of most of a 6-12 s horizon."""
+    p = _random_params(rng)
+    dt = p.step_seconds
+    return replace(p, horizon_seconds=float(rng.integers(120, 241)) * dt,
+                   grace_seconds=float(rng.integers(5, 101)) * dt)
+
+
+class TestIdleTailCut:
+    """A miss whose target is out of reach stops at an idle state: with ``k``
+    steps left from an idle state the counter ends at most ``k - 1``, and a
+    target in ``(1, 2]`` needs it at ``reach``."""
+
+    def test_reach_is_the_least_count(self):
+        for grace in range(1, 201):
+            targets = {1.5, 2.0}
+            for k in range(1, grace + 1):
+                t = 1.0 + k / grace
+                targets.update((math.nextafter(t, 0.0), t, math.nextafter(t, 3.0)))
+            for t in targets:
+                if 1.0 < t <= 2.0:
+                    assert netmodel._reach(grace, t) == least_reach(grace, t), (grace, t)
+
+    def test_random_models_from_random_starts(self):
+        master = np.random.default_rng(23)
+        hits = cuts = 0
+        for trial in range(40):
+            p = long_grace_params(master)
+            steps = p.horizon_steps
+            noise = stream(trial, "noise").standard_normal(steps).tolist()
+            path = oracle_path(p, noise)
+            for start in master.integers(0, steps, size=6).tolist():
+                # targets out of the cut's range, at 1 and just past 2, take every step
+                for target in (float(master.uniform(1.0, 2.0)), 2.0, 1.0, math.nextafter(2.0, 3.0)):
+                    sim = NetSimulator(p)
+                    if start:
+                        sim.restore(path[start - 1][0])
+                    pos, g = sim.advance(noise, start, steps, target)
+                    hit = next((k for k in range(start, steps) if path[k][1] >= target), None)
+                    if hit is not None:
+                        # a hit stops at the oracle's first crossing
+                        hits += 1
+                        assert (pos, g) == (hit + 1, path[hit][1])
+                        assert repr(sim.snapshot()) == repr(path[hit][0])
+                        continue
+                    # a miss is a state on the oracle's path, with the window's end as cursor
+                    k = sim.step_index
+                    snap, coord, idle = path[k - 1]
+                    assert (pos, g) == (steps, coord) and g < target
+                    assert repr(sim.snapshot()) == repr(snap)
+                    if k < steps:
+                        cuts += 1
+                        assert 1.0 < target <= 2.0 and k > start
+                        assert idle and snap[4] == 0
+                        assert steps - k <= least_reach(p.grace_steps, target)
+        assert hits >= 100 and cuts >= 200
 
 
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)

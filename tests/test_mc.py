@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
-from test_advance import ladder_reference, three_state_reference
+from test_advance import ladder_reference, net_reference, three_state_reference
 
 from resplit import mc
 from resplit.core import stream
-from resplit.mc import McConfig, McReport, mc_plan, run_mc
-from resplit.netmodel import NetParams, simulator_factory
+from resplit.mc import McConfig, mc_plan, run_mc
+from resplit.netmodel import NetParams, NetSimulator, simulator_factory
 from resplit.toys import ladder_factory, three_state_factory
 
 
@@ -92,7 +91,7 @@ class _BlockReader:
     """Scalar draws read in order from one trajectory's block."""
 
     def __init__(self, block):
-        self.random = iter(block).__next__
+        self.random = self.standard_normal = iter(block).__next__
 
 
 class TestOneStream:
@@ -126,3 +125,33 @@ class TestOneStream:
         assert 0 < hits < count
         report = run_mc(make, McConfig(budget_steps=count * n), seed)
         assert (report.trajectories, report.hits, report.cost_steps_used) == (count, hits, cost)
+
+
+class TestMissCost:
+    def test_a_miss_costs_its_horizon_however_few_steps_it_takes(self, monkeypatch):
+        # a grace window of most of the horizon: the kernel ends most misses
+        # early, once the failure set is out of reach
+        p = NetParams(delay_threshold=0.05, stress_log_sd=1.0, horizon_seconds=6.0,
+                      grace_seconds=4.0)
+        count, seed, n = 60, 3, p.horizon_steps
+        values = stream(seed, "mc").standard_normal(count * n).tolist()
+        hits = cost = 0
+        for i in range(count):
+            failed = [f for _, _, f in net_reference(p)(_BlockReader(values[i * n:(i + 1) * n]))]
+            hits += any(failed)
+            cost += failed.index(True) + 1 if any(failed) else n
+        assert 0 < hits < count
+
+        simulated = []
+        advance = NetSimulator.advance
+
+        def counted(sim, *args):
+            before = sim.step_index
+            out = advance(sim, *args)
+            simulated.append(sim.step_index - before)
+            return out
+
+        monkeypatch.setattr(NetSimulator, "advance", counted)
+        report = run_mc(simulator_factory(p), McConfig(budget_steps=count * n), seed)
+        assert (report.trajectories, report.hits, report.cost_steps_used) == (count, hits, cost)
+        assert len(simulated) == count and sum(simulated) < cost

@@ -15,7 +15,10 @@ Monte Carlo, network runs cut short by their step budget, lookahead runs
 on a model whose recovery exponent is not the default 2.0, and two more
 network Monte Carlo shapes: one at raw seeds below 2**32, where a seed is a
 single ``SeedSequence`` word, and one at the acceptance checks' cheap model,
-where a run's one stream is read in many short 40-step blocks.  Each digest is a
+where a run's one stream is read in many short 40-step blocks.  Last among
+them, splitting over levels above 1 up to 2.0 and plain Monte Carlo on a
+model whose grace window is most of its horizon, where the kernel ends most
+misses at an idle state with the target out of reach.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
@@ -54,6 +57,7 @@ from resplit.netmodel import NetParams, default_levels, simulator_factory  # noq
 from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
+LONG_GRACE = replace(NOISY, horizon_seconds=6.0, grace_seconds=4.0)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
            "classical_rel_var"}
@@ -79,6 +83,8 @@ def extra_shapes():
     outer = smc.SmcConfig(success_target=8, attempt_target=30, pool_min=10, pool_max=30,
                           budget_steps=200_000)
     cheap = simulator_factory(NetParams(**_CHEAP_MODEL))
+    long_grace = simulator_factory(LONG_GRACE)
+    above_one = LevelSchedule((0.0, 1.25, 1.5, 1.75, 2.0))
     return (
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
@@ -93,6 +99,10 @@ def extra_shapes():
          lambda s: mc.run_mc(noisy, mc.McConfig(budget_steps=200 * NOISY.horizon_steps), s)),
         ("net-mc-cheap", [derive_seed(5, "net-mc-cheap", r) for r in range(3)],
          lambda s: mc.run_mc(cheap, mc.McConfig(budget_steps=400_000), s)),
+        ("net-long-grace-smc", range(4), lambda s: smc.run_smc(long_grace, above_one, outer, s)),
+        ("net-long-grace-mc", range(4),
+         lambda s: mc.run_mc(long_grace, mc.McConfig(budget_steps=200 * LONG_GRACE.horizon_steps),
+                             s)),
     )
 
 
