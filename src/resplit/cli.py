@@ -113,7 +113,7 @@ def run_single(cfg: ExperimentConfig, workers: int = 1) -> dict:
         total += result["estimate"]
         positive += result["estimate"] > 0.0
     return {
-        "schema": "resplit-summary/3",
+        "schema": "resplit-summary/4",
         "config": config_to_dict(cfg),
         "replications": reps,
         "aggregate": {
@@ -136,8 +136,8 @@ def write_summary(payload: dict, out_dir: str | Path) -> Path:
 
 _BASE_COLUMNS = (
     "replication", "seed", "engine", "estimate", "cost_steps_used",
-    "budget_exhausted", "extinction_level", "resolution_floor",
-    "trajectories", "hits", "rel_bias_pred", "rel_var_pred",
+    "budget_exhausted", "extinction_level", "trajectories", "hits",
+    "rel_bias_pred", "rel_var_pred",
 )
 _STAGE_COLUMNS = ("p_hat", "successes", "attempts", "cost_steps", "next_pool_size")
 _POLICY_COLUMNS = (
@@ -224,9 +224,9 @@ def write_sweep_csv(header: list[str], rows: list[list[str]], out_dir: str | Pat
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     return cfg
 
@@ -274,8 +274,7 @@ def _cmd_policy(args) -> int:
 def _cmd_verify(args) -> int:
     from resplit.acceptance import run_acceptance
 
-    cfg = _load(args)
-    return run_acceptance(Path(_out_dir(cfg)), quick=args.quick)
+    return run_acceptance(Path(args.out), quick=args.quick)
 
 
 def _worker_count(text: str) -> int:
@@ -292,31 +291,30 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=False, quick=False):
+    def common(p):
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--out", help="output directory (default 'out')")
-        if workers:
-            p.add_argument("--workers", type=_worker_count, default=1,
-                           help="parallel worker processes (default 1)")
-        if quick:
-            p.add_argument("--quick", action="store_true",
-                           help="skip the heavy statistical criteria")
+        p.add_argument("--workers", type=_worker_count, default=1,
+                       help="parallel worker processes (default 1)")
 
     p_run = sub.add_parser("run", help="single run of the configured engine")
-    common(p_run, workers=True)
+    common(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cross-product sweep to sweep.csv")
-    common(p_sweep, workers=True)
+    common(p_sweep)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_policy = sub.add_parser("policy", help="policy study (stress grid x set size)")
-    common(p_policy, workers=True)
+    common(p_policy)
     p_policy.set_defaults(fn=_cmd_policy)
 
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
-    common(p_verify, quick=True)
+    p_verify.add_argument("--out", default="out",
+                          help="output directory (default 'out'); checks write under <out>/verify")
+    p_verify.add_argument("--quick", action="store_true",
+                          help="skip the heavy statistical criteria")
     p_verify.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from resplit.core import LevelSchedule, derive_seed
-from resplit.mc import McConfig
+from resplit.mc import McConfig, mc_plan
 from resplit.netmodel import NetParams, default_levels, simulator_factory
 from resplit.policy import LookaheadConfig, PolicySet
 from resplit.smc import SmcConfig, _initial_pool
@@ -90,7 +90,13 @@ class ExperimentConfig:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError(f"sweep axes overlap: {names}")
-        if self.engine != "mc":
+        if self.engine == "mc":
+            # the Monte Carlo run's own check on its budget, made before it runs
+            try:
+                mc_plan(self.mc, self.model.horizon_steps)
+            except ValueError as exc:
+                raise ConfigError(f"mc.budget_steps: {exc}") from exc
+        else:
             # the splitting run's own check on its levels, made before it runs
             try:
                 _initial_pool(simulator_factory(self.model), self.levels)

@@ -5,10 +5,11 @@ checkpoints from the previous stage's pool (uniformly, with replacement),
 propagates them until they reach the next threshold, the horizon or the
 absorbing failure set, and reports the fraction that made it.  A stage keeps
 attempting until it has banked both enough successes and enough attempts, so
-downstream pools never run dry while estimates retain a minimum resolution.
-Every simulated step is charged against one global step budget; runs that
-exhaust it before completing all stages, or that lose every trajectory at some
-stage, report an estimate of zero with the cause flagged.
+downstream pools never run dry and every stage ratio rests on at least
+``attempt_target`` attempts.  Every simulated step is charged against one
+global step budget; runs that exhaust it before completing all stages, or that
+lose every trajectory at some stage, report an estimate of zero with the cause
+flagged.
 """
 from __future__ import annotations
 
@@ -44,6 +45,11 @@ __all__ = [
 
 SimFactory = Callable[[], Simulator]
 
+# next_pool_size's margin over the expected attempts per success, and the
+# stage estimate below which it stops growing the pool
+SAFETY_FACTOR = 1.5
+PROB_FLOOR = 0.05
+
 
 @dataclass(frozen=True)
 class SmcConfig:
@@ -58,8 +64,6 @@ class SmcConfig:
     initial_pool: int = 20
     pool_min: int = 20
     pool_max: int = 200
-    safety_factor: float = 1.5
-    prob_floor: float = 0.05
     budget_steps: int = 5_000_000
 
     def __post_init__(self) -> None:
@@ -69,18 +73,10 @@ class SmcConfig:
             raise ValueError(f"attempt_target must be >= 1, got {self.attempt_target}")
         if self.initial_pool < 1:
             raise ValueError(f"initial_pool must be >= 1, got {self.initial_pool}")
-        for name in ("safety_factor", "prob_floor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if not 1 <= self.pool_min <= self.pool_max:
             raise ValueError(
                 f"need 1 <= pool_min <= pool_max, got {self.pool_min}, {self.pool_max}"
             )
-        if not self.safety_factor > 0.0:
-            raise ValueError(f"safety_factor must be > 0, got {self.safety_factor}")
-        if not 0.0 < self.prob_floor <= 1.0:
-            raise ValueError(f"prob_floor must be in (0, 1], got {self.prob_floor}")
         if self.budget_steps < 1:
             raise ValueError(f"budget_steps must be >= 1, got {self.budget_steps}")
 
@@ -104,32 +100,24 @@ StageHook = Callable[[LevelRecord, list[Checkpoint], Simulator], list[Checkpoint
 
 @dataclass(frozen=True)
 class SmcReport:
-    """Result of a full splitting run.
-
-    ``resolution_floor`` is ``1 / attempt_target**K`` for the schedule's
-    ``K`` stages.  Despite its name it bounds a positive estimate from below
-    only when every stage stops at exactly ``attempt_target`` attempts; a
-    stage that attempts on until it banks ``success_target`` successes can
-    report a smaller ``p_hat``, so the estimate can sit under it.
-    """
+    """Result of a full splitting run."""
 
     levels: tuple[LevelRecord, ...]
     estimate: float
     cost_steps_used: int
     budget_exhausted: bool
     extinction_level: int | None
-    resolution_floor: float
 
 
 def next_pool_size(p_hat: float, cfg: SmcConfig) -> int:
     """Pool size for the next stage: enough attempts to bank the success target.
 
-    Scales the success target by ``safety_factor / max(p_hat, prob_floor)``
+    Scales the success target by ``SAFETY_FACTOR / max(p_hat, PROB_FLOOR)``
     and clamps into ``[pool_min, pool_max]``.
     """
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"stage estimate must be in [0, 1], got {p_hat}")
-    demand = math.ceil(cfg.safety_factor * cfg.success_target / max(p_hat, cfg.prob_floor))
+    demand = math.ceil(SAFETY_FACTOR * cfg.success_target / max(p_hat, PROB_FLOOR))
     return min(cfg.pool_max, max(cfg.pool_min, demand))
 
 
@@ -380,7 +368,6 @@ def run_smc(
         cost_steps_used=ledger.used,
         budget_exhausted=budget_exhausted,
         extinction_level=extinction_level,
-        resolution_floor=1.0 / (cfg.attempt_target**stages),
     )
 
 

@@ -27,7 +27,6 @@ class TestStagePrediction:
             cost_steps_used=0,
             budget_exhausted=False,
             extinction_level=None,
-            resolution_floor=1e-4,
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=20))
         assert diag.stage_rel_bias == pytest.approx((0.04,))

@@ -2,9 +2,11 @@
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from resplit import acceptance
 from resplit.cli import main, run_single, run_sweep, write_summary, write_sweep_csv
 from resplit.config import ConfigError, config_from_dict, point_seed, sweep_points
 from resplit.netmodel import simulator_factory
@@ -45,7 +47,7 @@ class TestRunSingle:
         cfg = config_from_dict(cheap_dict(master_seed=11, replications=2))
         payload = run_single(cfg)
         assert set(payload) == {"schema", "config", "replications", "aggregate"}
-        assert payload["schema"] == "resplit-summary/3"
+        assert payload["schema"] == "resplit-summary/4"
         assert payload["config"]["engine"] == "smc"
         assert payload["config"]["master_seed"] == 11
         assert payload["config"]["smc"]["success_target"] == 4
@@ -164,7 +166,7 @@ class TestRunSweep:
         assert header == [
             "axis:engine", "axis:model.delay_threshold",
             "replication", "seed", "engine", "estimate", "cost_steps_used",
-            "budget_exhausted", "extinction_level", "resolution_floor",
+            "budget_exhausted", "extinction_level",
             "trajectories", "hits", "rel_bias_pred", "rel_var_pred",
             *stages,
         ]
@@ -262,6 +264,19 @@ class TestRunSweep:
             sweep={"axes": [{"name": "policy.size", "values": [2, 0]}]},
         ))
         with pytest.raises(ConfigError, match=r"^policy: need at least one candidate"):
+            run_sweep(cfg)
+        assert ran == []
+
+    def test_unaffordable_mc_point_fails_before_any_point_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("resplit.cli._execute", lambda cfg, seed: ran.append(seed))
+        # 30 steps buy no 40-step path; the smc point before it never reads mc
+        cfg = config_from_dict(cheap_dict(
+            mc={"budget_steps": 30},
+            sweep={"axes": [{"name": "engine", "values": ["smc", "mc"]}]},
+        ))
+        with pytest.raises(ConfigError, match=r"^mc\.budget_steps: budget of 30 steps is "
+                                              r"below one 40-step trajectory$"):
             run_sweep(cfg)
         assert ran == []
 
@@ -383,7 +398,7 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, raw, message", [
-        ("run", {"smc": {"safety_factor": True}}, "smc.safety_factor: must be a number"),
+        ("run", {"model": {"grace_seconds": True}}, "model.grace_seconds: must be a number"),
         ("run", {"levels": {"thresholds": [False, True]}},
          "levels.thresholds[0]: must be a number"),
         ("run", {"output_dir": 5, "engine": "mc", "mc": {"budget_steps": 2400}},
@@ -402,6 +417,8 @@ class TestMain:
          "levels.thresholds: fresh initial state has coordinate 0.0 below the base threshold 0.5"),
         ("run", {"engine": "smc+policy", "levels": {"thresholds": [0.0, 0.1, 1.0, 3.0]}},
          "levels.thresholds: top threshold 3.0 is above the failure value 2.0"),
+        ("run", {"engine": "mc", "mc": {"budget_steps": 100}},
+         "mc.budget_steps: budget of 100 steps is below one 1200-step trajectory"),
     ])
     def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                     command, raw, message):
@@ -411,6 +428,40 @@ class TestMain:
         assert rc == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_verify_runs_each_check_in_its_work_dir(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def instant(number, quick, passed):
+            def fn(work):
+                seen.append(work)
+                return passed, "detail"
+            return acceptance.Check(number, f"check {number}", quick, fn)
+
+        for passed, code, verdict in ((True, 0, "PASS"), (False, 1, "FAIL")):
+            monkeypatch.setattr(acceptance, "CHECKS",
+                                (instant(1, True, passed), instant(3, False, passed)))
+            seen.clear()
+            assert main(["verify", "--out", str(tmp_path)]) == code
+            assert seen == [tmp_path / "verify" / "1", tmp_path / "verify" / "3"]
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split(" time=")[0] for line in lines] == [
+                f" 1 {verdict}  check 1: detail", f" 3 {verdict}  check 3: detail"]
+
+            seen.clear()
+            monkeypatch.chdir(tmp_path)
+            assert main(["verify", "--quick"]) == code
+            assert seen == [Path("out") / "verify" / "1"]
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(f" 1 {verdict}  check 1: detail time=")
+            assert lines[1] == " 3 SKIP  check 3"
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--config", "exp.json"]])
+    def test_verify_takes_no_seed_or_config(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quick", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "policy", "run"])
     @pytest.mark.parametrize("workers", ["0", "-3", "2.5"])

@@ -98,6 +98,12 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"^lookahead\.inner_budget_steps: unknown key"):
             config_from_dict({"lookahead": {"inner_budget_steps": None, "host_level": 2}})
 
+    @pytest.mark.parametrize("key", ["safety_factor", "prob_floor"])
+    def test_retired_pool_sizing_constants_rejected(self, key):
+        # next_pool_size reads them as the constants smc.SAFETY_FACTOR and PROB_FLOOR
+        with pytest.raises(ConfigError, match=rf"^smc\.{key}: unknown key \(allowed: "):
+            config_from_dict({"smc": {key: 1.5}})
+
     def test_retired_depth_rejected(self):
         with pytest.raises(ConfigError, match=r"lookahead\.depth: unknown key"):
             config_from_dict({"lookahead": {"depth": 3}})
@@ -275,9 +281,8 @@ class TestNumberFields:
             config_from_dict({section: {name: value}})
 
     def test_integer_and_null_accepted_where_allowed(self):
-        cfg = config_from_dict({"smc": {"safety_factor": 2},
-                                "model": {"initial_log_stress": None}})
-        assert cfg.smc.safety_factor == 2 and cfg.model.initial_log_stress is None
+        cfg = config_from_dict({"model": {"grace_seconds": 2, "initial_log_stress": None}})
+        assert cfg.model.grace_seconds == 2 and cfg.model.initial_log_stress is None
 
     def test_threshold_entries_must_be_numbers(self):
         with pytest.raises(ConfigError, match=r"^levels\.thresholds\[0\]: must be a number"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resplit.smc as smc
+from resplit.acceptance import _CHEAP_MODEL, MASTER_SEED
 from resplit.analysis import exact_stage_moments
 from resplit.core import (
     BudgetLedger,
@@ -13,6 +14,7 @@ from resplit.core import (
     LevelSchedule,
     NoiseBuffer,
     Simulator,
+    derive_seed,
     stream,
 )
 from resplit.mc import McConfig, run_mc
@@ -61,8 +63,7 @@ class TestConfig:
         cfg = SmcConfig()
         assert (cfg.success_target, cfg.attempt_target) == (20, 100)
         assert (cfg.pool_min, cfg.pool_max) == (20, 200)
-        assert cfg.safety_factor == 1.5
-        assert cfg.prob_floor == 0.05
+        assert (smc.SAFETY_FACTOR, smc.PROB_FLOOR) == (1.5, 0.05)
         assert cfg.budget_steps == 5_000_000
 
     @pytest.mark.parametrize(
@@ -73,23 +74,12 @@ class TestConfig:
             dict(initial_pool=0),
             dict(pool_min=0),
             dict(pool_min=30, pool_max=20),
-            dict(safety_factor=0.0),
-            dict(prob_floor=0.0),
-            dict(prob_floor=1.5),
             dict(budget_steps=0),
-            dict(prob_floor=float("nan")),
-            dict(safety_factor=float("nan")),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SmcConfig(**kw)
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["safety_factor", "prob_floor"])
-    def test_rejects_non_finite_fields_by_name(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
-            SmcConfig(**{name: value})
 
 
 class TestNextPoolSize:
@@ -222,18 +212,23 @@ class TestRunAttempts:
 
 class TestRunSmc:
     def test_ladder_two_stages_completes(self):
-        report = run_smc(
-            ladder_factory((0.5, 0.4)), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), seed=42
-        )
-        assert len(report.levels) == 2
-        assert report.estimate > 0.0
-        assert not report.budget_exhausted and report.extinction_level is None
-        assert report.estimate == pytest.approx(
-            report.levels[0].p_hat * report.levels[1].p_hat
-        )
-        assert report.cost_steps_used == sum(r.cost_steps for r in report.levels)
-        assert report.levels[0].next_pool_size is not None
-        assert report.levels[1].next_pool_size is None
+        # and the acceptance checks' cheap network point: all four stages at
+        # 100 attempts each inside 200,000 steps
+        cheap = (simulator_factory(NetParams(**_CHEAP_MODEL)), default_levels(),
+                 SmcConfig(attempt_target=100, budget_steps=200_000),
+                 derive_seed(MASTER_SEED, "floor"))
+        for factory, levels, cfg, seed in (
+            (ladder_factory((0.5, 0.4)), LevelSchedule((0.0, 1.0, 2.0)), _small_cfg(), 42),
+            cheap,
+        ):
+            report = run_smc(factory, levels, cfg, seed=seed)
+            assert len(report.levels) == levels.stage_count
+            assert report.estimate > 0.0
+            assert not report.budget_exhausted and report.extinction_level is None
+            assert report.estimate == pytest.approx(math.prod(r.p_hat for r in report.levels))
+            assert report.cost_steps_used == sum(r.cost_steps for r in report.levels)
+            assert all(r.next_pool_size is not None for r in report.levels[:-1])
+            assert report.levels[-1].next_pool_size is None
 
     @pytest.mark.parametrize("thresholds, message", [
         ((0.5, 1.0, 2.0), r"^fresh initial state has coordinate 0\.0 below the base threshold 0\.5$"),
@@ -365,20 +360,6 @@ class TestRunSmc:
         run_smc(simulator_factory(NetParams()), default_levels(), SmcConfig(), seed=1)
         assert "level-propagate" in purposes and "init" not in purposes
 
-    def test_resolution_floor(self):
-        report = run_smc(
-            ladder_factory((0.5,)), LevelSchedule((0.0, 1.0)), _small_cfg(attempt_target=100), 1
-        )
-        assert report.resolution_floor == 0.01
-        cfg = SmcConfig(attempt_target=100)
-        floor = run_smc(
-            ladder_factory((0.9, 0.9, 0.9, 0.9)),
-            LevelSchedule((0.0, 1.0, 2.0, 3.0, 4.0)),
-            cfg,
-            seed=2,
-        ).resolution_floor
-        assert floor == 1e-8
-
 
 class TestStageHook:
     ARGS = (ladder_factory((0.5, 0.4, 0.3)), LevelSchedule((0.0, 1.0, 2.0, 3.0)))
@@ -469,7 +450,6 @@ class TestDiagnostics:
             cost_steps_used=0,
             budget_exhausted=False,
             extinction_level=None,
-            resolution_floor=1e-4,
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=20))
         assert diag.stage_rel_bias == pytest.approx((0.04, 0.04))  # (1 - 0.2) / 20
@@ -483,7 +463,6 @@ class TestDiagnostics:
             cost_steps_used=0,
             budget_exhausted=False,
             extinction_level=None,
-            resolution_floor=1e-4,
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=5))
         assert diag.stage_rel_bias == (0.0, pytest.approx(0.16))
@@ -496,7 +475,6 @@ class TestDiagnostics:
             cost_steps_used=10,
             budget_exhausted=True,
             extinction_level=0,
-            resolution_floor=0.01,
         )
         assert predict_diagnostics(report, SmcConfig()) is None
 
@@ -516,7 +494,6 @@ class TestDiagnostics:
             cost_steps_used=10 * len(p_hats),
             budget_exhausted=estimate == 0.0,
             extinction_level=None,
-            resolution_floor=0.01,
         )
         diag = predict_diagnostics(report, SmcConfig(success_target=2))
         assert (diag is not None) == defined

@@ -60,7 +60,7 @@ NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
 LONG_GRACE = replace(NOISY, horizon_seconds=6.0, grace_seconds=4.0)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
-           "classical_rel_var"}
+           "classical_rel_var", "resolution_floor"}
 # summary keys retired by schema 2, skipped in the result lines alone: the reports
 # still hold ``selections`` and ``selection_counts``
 RETIRED_KEYS = {"stage_rel_var", "rel_var_first_order", "target_threshold", "target_label",
