@@ -34,6 +34,18 @@ __all__ = [
 
 _HEALTH_CLIP = 50.0  # logistic input clamp; capacity saturates far before this
 
+# The idle certificate of NetSimulator.advance (see _IdleBound).  Both the
+# kernel's health path and numpy's bound round at about 2**-52 of magnitudes
+# that stay under ~100 wherever the bound nears its threshold, so over a
+# 1200-step window each differs from exact arithmetic by at most ~1e-11, and
+# by ~1e-14 in practice: the slack covers that many times over.
+_CERT_SLACK = 1e-6  # health margin a proof asks above logit(load)
+_CERT_HEALTH_MAX = 100.0  # no proof from a health this high, which keeps the rounding small
+_CERT_STEPS = 200  # what a proof costs (~40-60 us), counted in idle steps
+_CERT_FORGET = 32  # refused proofs per proof made at which a rate's record halves
+_CERT_SCALE_LOG = 500.0 * math.log(2.0)  # log of the largest power a proof's sums scale by
+_CERT_LOG_STRESS_CAP = 300.0  # larger log-stress is capped: one such step fails any proof
+
 
 @dataclass(frozen=True)
 class NetParams:
@@ -131,6 +143,111 @@ def _reach(grace: int, target: float) -> int:
     return grace
 
 
+class _IdleBound:
+    """A proof that an idle queue stays idle to the end of a window.
+
+    While the queue is idle, health follows ``h' = f(h) - exp(x)`` with
+    ``f(h) = h + r(h)`` and ``r(h) = nu * (1 - c(h)) ** phi``.  For ``nu``
+    up to ``monotone_rate_bound``, ``f`` is non-decreasing, and ``r`` is
+    convex for ``h >= -log(phi)``, so for ``h >= 0`` it lies above its
+    tangent at any ``H >= 0``: ``r(h) >= alpha - beta * h`` with
+    ``beta = nu * phi * (1 - c(H)) ** phi * c(H)`` and
+    ``alpha = r(H) + beta * H``.  So ``L' = (1 - beta) * L + alpha - exp(x)``
+    from ``L = h`` bounds health from below for as long as ``L >= 0``.  The
+    log-stress ``x`` follows the noise alone.  Both are linear recursions,
+    which numpy sums for a whole window as cumulative sums scaled by powers
+    of ``rho`` and ``1 - beta`` (kept per simulator and rate, in blocks short
+    enough that no power overflows).  If every ``L`` is at or above
+    ``theta``, ``logit(load)`` plus the slack (above 0 as ``load > 0.5``),
+    capacity covers the load at every state to the window's end.
+
+    ``H`` lies halfway between that threshold and the health at which
+    recovery balances the stationary mean stress, where the tangent is tight
+    on the paths that come near the threshold.  ``tries`` and ``wins`` count
+    the proofs made and those that held, and ``refused`` the proofs
+    ``worth_trying`` turned down since those counts last halved.
+    """
+
+    __slots__ = ("theta", "mu_rinv", "sigma_rinv", "rpow", "log_ainv", "apow", "ageo",
+                 "block", "tries", "wins", "refused")
+
+    def __init__(self, theta, H, nu, phi, rho, mu_blend, sigma, horizon):
+        c = 1.0 / (1.0 + math.exp(-H))
+        beta = nu * phi * (1.0 - c) ** phi * c
+        alpha = nu * (1.0 - c) ** phi + beta * H
+        a = 1.0 - beta
+        block = horizon
+        for base in (rho, a):
+            if base < 1.0:
+                block = min(block, int(_CERT_SCALE_LOG / -math.log(base)) if base > 0.0 else 0)
+        k = np.arange(block + 1, dtype=float)
+        rinv = rho ** -k[1:]
+        self.theta, self.block = theta, block
+        self.mu_rinv, self.sigma_rinv, self.rpow = mu_blend * rinv, sigma * rinv, rho ** k
+        self.apow = a ** k
+        self.log_ainv = -math.log(a) * k[1:] if block else k[1:]  # a ** -(k + 1) = exp(this)
+        self.ageo = np.empty(block + 1)  # alpha * sum(a ** j for j < k)
+        self.ageo[0] = 0.0
+        np.cumsum(self.apow[:-1], out=self.ageo[1:])
+        self.ageo *= alpha
+        self.tries = self.wins = self.refused = 0
+
+    def worth_trying(self, n: int) -> bool:
+        """Whether a proof over ``n`` steps pays for itself: the steps it
+        would save times the share of this rate's proofs that held, with one
+        held and one failed proof as the prior, against ``_CERT_STEPS``.
+        Refusals decay the record, so a rate whose early proofs failed is
+        tried again rather than never."""
+        if (self.wins + 1) * n >= (self.tries + 2) * _CERT_STEPS:
+            return True
+        self.refused += 1
+        if self.refused > _CERT_FORGET * self.tries:
+            self.tries //= 2
+            self.wins //= 2
+            self.refused = 0
+        return False
+
+    def first_failure(self, noise, i: int, n: int, h: float, x: float) -> int:
+        """0 if every one of the ``n`` states after ``(h, x)``, stepped on
+        ``noise[i:i + n - 1]``, is proven idle; else the number of steps to the
+        first state the bound does not clear.  Counted in ``tries`` and ``wins``."""
+        self.tries += 1
+        if isinstance(noise, array):
+            z = np.frombuffer(noise, count=n - 1, offset=noise.itemsize * i)
+        else:
+            z = np.array(noise[i:i + n - 1], dtype=float)
+        theta, block = self.theta, self.block
+        done = 0
+        while done < n:
+            m = min(n - done, block)
+            # x_k = rho**k * (x_0 + sum_{j<k} rho**-(j+1) * (mu_blend + sigma * z_j)),
+            # one past the block when another follows
+            mx = m + 1 if done + m < n else m
+            xs = np.empty(mx)
+            xs[0] = x
+            np.multiply(z[done:done + mx - 1], self.sigma_rinv[:mx - 1], out=xs[1:])
+            xs[1:] += self.mu_rinv[:mx - 1]
+            np.add.accumulate(xs, out=xs)
+            xs *= self.rpow[:mx]
+            if mx > m:
+                x = float(xs[m])
+            # L_k = a**k * (L_0 - sum_{j<k} a**-(j+1) * exp(x_j)) + alpha * (1 + ... + a**(k-1))
+            low = xs[:m]
+            np.minimum(low, _CERT_LOG_STRESS_CAP, out=low)
+            low += self.log_ainv[:m]
+            np.exp(low, out=low)
+            np.add.accumulate(low, out=low)
+            np.subtract(h, low, out=low)
+            low *= self.apow[1:m + 1]
+            low += self.ageo[1:m + 1]
+            if not np.minimum.reduce(low) >= theta:  # a NaN fails too
+                return done + 1 + int(np.argmin(low >= theta))
+            h = float(low[-1])
+            done += m
+        self.wins += 1
+        return 0
+
+
 def capacity(health: float) -> float:
     """Service capacity in (0, 1): logistic in the health state."""
     h = -_HEALTH_CLIP if health < -_HEALTH_CLIP else (_HEALTH_CLIP if health > _HEALTH_CLIP else health)
@@ -158,7 +275,7 @@ class NetSimulator:
     __slots__ = (
         "_j", "_backlog", "_health", "_log_stress", "_exceed",
         "_nu", "_phi", "_horizon", "_grace", "_load", "_dt", "_delta",
-        "_rho", "_mu_blend", "_sigma", "_c", "_reaches",
+        "_rho", "_mu_blend", "_sigma", "_c", "_reaches", "_bounds",
     )
 
     def __init__(self, params: NetParams) -> None:
@@ -179,6 +296,7 @@ class NetSimulator:
         self._log_stress = params.start_log_stress
         self._exceed = 0
         self._reaches: dict[float, int] = {}  # _reach(grace, target) by target
+        self._bounds: dict[float, _IdleBound | None] = {}  # _idle_bound(rate) by rate
 
     @property
     def step_index(self) -> int:
@@ -202,6 +320,27 @@ class NetSimulator:
         """
         phi = self._phi
         return ((1.0 + phi) / phi) ** (phi + 1.0)
+
+    def _idle_bound(self, nu: float) -> _IdleBound | None:
+        """The idle certificate at rate ``nu``, or None where its proof does not hold:
+        ``nu`` above ``monotone_rate_bound``, a load at or below 1/2, or a
+        ``rho`` or ``1 - beta`` so small that its powers overflow within 64 steps."""
+        load, phi, rho = self._load, self._phi, self._rho
+        if not (load > 0.5 and nu <= self.monotone_rate_bound):
+            return None
+        # capacity rounds to within 2**-52 of load, so near load it resolves
+        # health only to about 2**-52 / (1 - load): the threshold adds that too
+        theta = math.log(load / (1.0 - load)) + _CERT_SLACK + 2.0 ** -50 / (1.0 - load)
+        # the balance point: nu * (1 - c) ** phi equals the mean of exp(x) at stationarity
+        log_mean_stress = (self._mu_blend / (1.0 - rho)
+                           + self._sigma ** 2 / (2.0 * (1.0 - rho * rho)))
+        log_q = (log_mean_stress - math.log(nu)) / phi  # log(1 - c) there
+        H = theta
+        if log_q < 0.0:
+            q = math.exp(log_q)
+            H = max(theta, 0.5 * (theta + math.log((1.0 - q) / q)))
+        bound = _IdleBound(theta, H, nu, phi, rho, self._mu_blend, self._sigma, self._horizon)
+        return bound if bound.block >= 64 else None
 
     def set_policy(self, rate: float) -> None:
         """Switch the recovery rate in force (takes effect from the next step)."""
@@ -245,10 +384,29 @@ class NetSimulator:
         step after an idle state reads a pre-step delay of 0 and resets the
         counter, so ``k`` steps from an idle state leave it at most
         ``k - 1``; with at most ``reach`` steps left the target is out of
-        reach, and the idle loop stops there.  Such a miss still returns
-        ``stop`` as its cursor, but ``step_index`` and the state are those of
-        the idle state it stopped at.  Targets at or below 1, and above
-        ``failure_value``, are never cut.
+        reach, and the idle loop stops there.  Targets at or below 1, and
+        above ``failure_value``, are never cut this way.
+
+        A miss may also stop at an idle state once a lower bound on health
+        proves that capacity covers the load at every state left, so that
+        every coordinate left is 0 (see ``_IdleBound``).  This holds for any
+        target in ``(0, failure_value]``, where the recovery rate is at most
+        ``monotone_rate_bound`` and the load above 1/2: the bound must clear
+        ``logit(load)`` by a slack of ``_CERT_SLACK`` plus capacity's own
+        rounding near the load, and the health must be under
+        ``_CERT_HEALTH_MAX``.  A proof costs about as much as 200 idle steps,
+        so it is tried only at an idle state whose steps left, times the
+        share of this rate's proofs on this simulator that held, pay for it
+        (``_IdleBound.worth_trying``), and, after a proof fails, not before
+        the step at which its bound fell short.
+
+        Either way, such a miss still returns ``stop`` as its cursor and the
+        coordinate of the idle state it stopped at, below the target as every
+        step's would be (a proven miss returns ``(stop, 0.0)``, as stepping to
+        ``stop`` would); its ``step_index`` and state are those of that idle
+        state.  Callers charge a miss its whole window and never read its
+        state, so no result changes: numpy's last bits decide only whether a
+        proof holds.
 
         The loops read one iterator over ``noise[pos:stop]``, in place, so
         setting up a call costs the same whatever the window's size, and the
@@ -272,6 +430,10 @@ class NetSimulator:
         r = b / c  # the pre-step delay, carried from each step into the next
         zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
         reach = 0  # steps left at which an idle state is cut; 0 never cuts
+        # an idle state may be certified (see _IdleBound) only for a target that
+        # every idle state misses, up to the failure value
+        certify = zero_misses and target <= 2.0
+        wait = pos  # no proof before this index: the last proof's bound failed there
         if 1.0 < target <= 2.0:
             reach = self._reaches.get(target)
             if reach is None:
@@ -321,6 +483,15 @@ class NetSimulator:
             i = unread.__reduce__()[2]
             if stop - i <= reach:
                 break
+            if certify and i >= wait and h < _CERT_HEALTH_MAX:
+                bound = self._bounds.get(nu, False)
+                if bound is False:
+                    bound = self._bounds[nu] = self._idle_bound(nu)
+                if bound and bound.worth_trying(stop - i):
+                    k = bound.first_failure(noise, i, stop - i, h, x)
+                    if not k:
+                        break  # every state left is idle: the target is missed
+                    wait = i + k
             for z in islice(unread, stop - i - reach):
                 h = h + nu * (1.0 - c) ** phi - exp(x)
                 x = rho * x + mu_blend + z * sigma

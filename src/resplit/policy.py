@@ -152,7 +152,7 @@ class PolicyEvaluation:
     ``estimates`` holds each candidate's lookahead crossing fraction (see
     :func:`evaluate_candidate`) and ``objectives`` its log plus cost, with a
     zero estimate scored as half a count (``1 / (2 * continuations)``) so the
-    argmin stays finite.  ``steps`` holds the lookahead steps simulated for
+    argmin stays finite.  ``steps`` holds the lookahead steps charged to
     each candidate (empty when not recorded); a candidate the nesting made
     free shows 0 steps with a zero estimate.
     """

@@ -157,9 +157,10 @@ def run_attempts(
     horizon (failure) or runs out of budget mid-flight (void: cost paid,
     counted as neither).  A failure or a void attempt costs its whole
     window, also when ``advance`` ended it early with the target out of
-    reach.  Targets and budget are checked before every attempt.  Returns
-    the attempt count, the captures and the attempt index of each;
-    ``ledger.used`` and ``noise.pos`` are written back on exit.
+    reach or with the queue proven idle to the window's end, so the result
+    is the one every step would give.  Targets and budget are checked before
+    every attempt.  Returns the attempt count, the captures and the attempt
+    index of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
 
     By default each attempt reads on from where the last one stopped.  With
     ``rows`` (one-checkpoint pools only), attempt ``a`` reads from
@@ -232,7 +233,7 @@ def run_attempts(
                 successes += 1
             else:
                 # no crossing: the attempt costs every step it was allowed,
-                # whether advance stepped them all or cut an idle tail
+                # whether advance stepped them all or stopped at an idle state
                 used += room
                 if room < horizon - j:
                     break  # budget ran out mid-flight: the attempt is void

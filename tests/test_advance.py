@@ -8,9 +8,11 @@ noise list, ``advance`` must reproduce the reference bit for bit, stop right
 after the first step at or above its target, take exactly ``stop - pos``
 steps otherwise and refuse to pass the horizon; the reference's failure set
 must be exactly the coordinates at or above ``failure_value``.  The network
-kernel may end a miss early, and only at an idle state from which the
-steps left cannot fill the exceedance counter to the least count the
-target needs, which the tests work out from the reference coordinate.  Each
+kernel may end a miss early, and only at an idle state on the reference's
+path: one from which the steps left cannot fill the exceedance counter to
+the least count the target needs, which the tests work out from the
+reference coordinate, or, for a target in ``(0, failure_value]``, one from
+which its health bound proves the queue idle to the window's end.  Each
 simulator must satisfy the ``Simulator`` protocol, and the engines built on
 it must not depend on how their noise buffers are chunked.  The network
 kernel's idle-queue fast path is checked on paths that leave and re-enter
@@ -24,6 +26,7 @@ both.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import replace
 from functools import lru_cache, partial
@@ -113,12 +116,18 @@ def least_reach(grace, target):
     return next(e for e, g in enumerate(top_coordinates(grace)) if g >= target)
 
 
-def check_contract(make, reference, seed, targets=(), grace=None):
+def may_certify(p, rate):
+    """Whether the network kernel's health bound may end a miss at rate
+    ``rate``: the load is above 1/2 and ``rate`` is at most the monotone bound."""
+    return p.arrival_load > 0.5 and rate <= NetSimulator(p).monotone_rate_bound
+
+
+def check_contract(make, reference, seed, targets=(), params=None):
     for pack in PACKINGS:
-        check_contract_on(make, reference, seed, pack, targets, grace)
+        check_contract_on(make, reference, seed, pack, targets, params)
 
 
-def check_contract_on(make, reference, seed, pack, targets, grace):
+def check_contract_on(make, reference, seed, pack, targets, params):
     rng = stream(seed, "noise")
     states, coords, fails = map(list, zip(*reference(rng)))
     next_draw = make().draw_noise(rng, 1)[0]
@@ -159,10 +168,11 @@ def check_contract_on(make, reference, seed, pack, targets, grace):
         assert sim.snapshot() == states[done - 1] and g == coords[done - 1]
 
     # a target stops the call right after the first step at or above it; a
-    # miss either takes every step or, in the network model (``grace`` given),
-    # may stop at an idle state (backlog 0, counter 0) from which the steps
-    # left are too few to fill the counter to the target's least reach, and
-    # its cursor is then still the window's end
+    # miss either takes every step or, in the network model (``params``
+    # given), may stop at an idle state on the reference's path (backlog 0,
+    # counter 0, capacity covering the load), with the window's end as its
+    # cursor: one with too few steps left to fill the counter to the target's
+    # least reach, or, for a target in (0, failure_value], a certified one
     for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
         sim = make()
         pos, g = sim.advance(noise, 0, steps, target)
@@ -173,12 +183,14 @@ def check_contract_on(make, reference, seed, pack, targets, grace):
             if k == steps:
                 assert sim.snapshot() == states[-1] and g == coords[-1]
             else:
-                assert grace is not None and 1.0 < target <= value and 0 < k < steps
+                assert params is not None and 0.0 < target <= value and 0 < k < steps
                 assert pos == steps
                 snap = sim.snapshot()
                 assert snap == states[k - 1] and g == coords[k - 1]
                 assert (snap[1], snap[4]) == (0.0, 0)
-                assert steps - k <= least_reach(grace, target)
+                assert capacity(snap[2]) >= params.arrival_load
+                reach_cut = 1.0 < target and steps - k <= least_reach(params.grace_steps, target)
+                assert reach_cut or may_certify(params, snap[5])
         else:
             assert sim.step_index == start + hit + 1
             assert sim.snapshot() == states[hit] and g == coords[hit] >= target
@@ -202,13 +214,13 @@ class TestKernelMatchesStepping:
         for trial in range(8):
             p = _random_params(master)
             check_contract(lambda: NetSimulator(p), net_reference(p), 100 + trial,
-                           targets=(0.1, 0.5, 1.0, 1.5), grace=p.grace_steps)
+                           targets=(0.1, 0.5, 1.0, 1.5), params=p)
 
     def test_network_baseline_from_a_stressed_start(self):
         p = NetParams(initial_backlog=0.3, initial_health=-1.0, horizon_seconds=20.0)
         for seed in range(3):
             check_contract(lambda: NetSimulator(p), net_reference(p), seed,
-                           targets=default_levels().thresholds, grace=p.grace_steps)
+                           targets=default_levels().thresholds, params=p)
 
     @pytest.mark.parametrize("probs", [(0.5, 0.4, 0.3), (1.0, 1.0), (0.2,), (0.9, 0.9, 0.9, 0.9)])
     def test_ladder(self, probs):
@@ -338,6 +350,13 @@ class TestIdleQueue:
                     sim.restore(path[start - 1][0])
                 hit = next((k for k in range(start, len(path)) if path[k][1] >= target), None)
                 pos, g = sim.advance(noise, start, len(noise), target)
+                k = sim.step_index
+                if hit is None and k < len(path):
+                    # a certified miss: it stopped at an idle state on the path
+                    assert target > 0.0 and k > start and path[k - 1][2]
+                    assert (pos, g) == (len(path), path[k - 1][1])
+                    assert repr(sim.snapshot()) == repr(path[k - 1][0])
+                    continue
                 end = len(path) - 1 if hit is None else hit
                 assert (pos, g) == (end + 1, path[end][1])
                 assert repr(sim.snapshot()) == repr(path[end][0])
@@ -399,6 +418,194 @@ class TestIdleTailCut:
                         assert idle and snap[4] == 0
                         assert steps - k <= least_reach(p.grace_steps, target)
         assert hits >= 100 and cuts >= 200
+
+
+def near_threshold_params(rng):
+    """``_random_params`` on a 20-60 s horizon with the stress level set so that
+    recovery balances the mean stress at a health 0.005-0.3 above
+    ``logit(load)``, started there with an empty queue: paths that hover just
+    above the level where capacity stops covering the load, and cross it."""
+    p = _random_params(rng)
+    load = float(rng.uniform(0.55, 0.9))
+    phi, rho, sigma = p.recovery_exponent, p.stress_persistence, p.stress_log_sd
+    balance = math.log(load / (1.0 - load)) + float(rng.uniform(0.005, 0.3))
+    recovery = p.recovery_rate * (1.0 - capacity(balance)) ** phi
+    # the stationary mean of exp(x) is exp(mean + sigma**2 / (2 (1 - rho**2)))
+    mean = math.log(recovery) - sigma ** 2 / (2.0 * (1.0 - rho * rho))
+    return replace(p, arrival_load=load, stress_log_mean=mean, initial_health=balance,
+                   initial_backlog=0.0, horizon_seconds=float(rng.integers(400, 1201)) * 0.05)
+
+
+def certified(p, target, steps, k):
+    """Whether a miss that stopped after step ``k`` of ``steps`` was ended by
+    the health bound: any cut the idle-tail rule does not explain."""
+    return k < steps and not (1.0 < target and steps - k <= least_reach(p.grace_steps, target))
+
+
+class TestIdleCertificate:
+    """A miss may end at an idle state once a lower bound on health proves that
+    capacity covers the load at every state left; ``advance`` must still
+    report what the oracle's path gives."""
+
+    def run_from(self, p, noise, path, start, target, rate=None):
+        """One fresh simulator's call from state ``start`` to the end of
+        ``noise``, checked against ``path``; returns where it stopped."""
+        steps = len(path)
+        sim = NetSimulator(p)
+        if start:
+            sim.restore(path[start - 1][0])
+        if rate is not None:
+            sim.set_policy(rate)
+        pos, g = sim.advance(noise, start, steps, target)
+        hit = next((k for k in range(start, steps) if path[k][1] >= target), None)
+        if hit is not None:
+            assert (pos, g) == (hit + 1, path[hit][1])
+            assert repr(sim.snapshot()) == repr(path[hit][0])
+            return hit + 1, True
+        # a miss: the oracle never reaches the target before the window's end,
+        # and the call stopped at a state on the oracle's path
+        k = sim.step_index
+        assert (pos, g) == (steps, path[k - 1][1]) and g < target
+        assert repr(sim.snapshot()) == repr(path[k - 1][0])
+        if k < steps:
+            assert k > start and path[k - 1][2]  # an idle state
+        return k, False
+
+    def test_random_models_near_the_threshold(self):
+        master = np.random.default_rng(25)
+        certs = crossings = 0
+        for trial in range(48):
+            p = near_threshold_params(master)
+            steps = p.horizon_steps
+            noise = stream(trial, "noise").standard_normal(steps).tolist()
+            path = oracle_path(p, noise)
+            crossings += not all(idle for _, _, idle in path)
+            idle = [k + 1 for k in range(steps - 1) if path[k][2]]
+            for start in (0, *master.choice(idle, size=min(5, len(idle)), replace=False).tolist()):
+                for target in (5e-324, 1e-300, float(master.uniform(0.0, 1.0)),
+                               float(master.uniform(1.0, 2.0)), 2.0):
+                    k, hit = self.run_from(p, noise, path, start, target)
+                    certs += not hit and certified(p, target, steps, k)
+        # the bound proves many misses, and many paths leave the idle regime
+        assert certs >= 250 and crossings >= 20
+
+    def test_loads_within_rounding_of_the_path(self):
+        # frozen stress, health started 1e-9 above the point where recovery
+        # balances it: the path creeps down, and each load sits a few ulps from
+        # the capacity at its end, so the path stays idle or leaves it by one
+        # rounding; only the slack keeps the bound's own rounding from a false proof
+        master = np.random.default_rng(2525)
+        leaves = 0
+        for _ in range(20):
+            nu, phi = float(master.uniform(0.1, 2.0)), float(master.uniform(1.2, 4.0))
+            mean, rho = float(master.uniform(-9.0, -3.0)), float(master.uniform(0.0, 0.95))
+            q = (math.exp(mean) / nu) ** (1.0 / phi)  # 1 - capacity at the balance point
+            start = math.log((1.0 - q) / q) + 1e-9
+            p = NetParams(recovery_rate=nu, recovery_exponent=phi, stress_persistence=rho,
+                          stress_log_mean=mean, stress_log_sd=0.0, initial_health=start)
+            noise = [0.0] * p.horizon_steps
+            end = capacity(oracle_path(p, noise)[-1][0][2])
+            for j in range(-2, 5):
+                load = end + j * 2.0 ** -53
+                if not 0.5 < load <= capacity(start):
+                    continue
+                q = replace(p, arrival_load=load)
+                path = oracle_path(q, noise)
+                leaves += not path[-1][2]
+                for target in (5e-324, 2.0):
+                    self.run_from(q, noise, path, 0, target)
+        assert leaves >= 50
+
+    def test_a_proof_keeps_its_slack(self):
+        # frozen stress started at its balance point: health stays there, and
+        # so does the bound; a load whose logit lies half the slack below it is
+        # covered at every step, yet no proof may hold, while four slacks below
+        # the proof holds
+        p = NetParams(stress_log_sd=0.0)
+        q = (math.exp(p.stress_log_mean) / p.recovery_rate) ** (1.0 / p.recovery_exponent)
+        balance = math.log((1.0 - q) / q)
+        noise = [0.0] * p.horizon_steps
+        for gap, proven in ((0.5, False), (4.0, True)):
+            load = capacity(balance - gap * netmodel._CERT_SLACK)
+            q = replace(p, arrival_load=load, initial_health=balance)
+            path = oracle_path(q, noise)
+            assert all(idle for _, _, idle in path)
+            k, hit = self.run_from(q, noise, path, 0, 1e-300)
+            assert not hit and certified(q, 1e-300, q.horizon_steps, k) == proven
+
+    def test_no_certificate_where_the_proof_does_not_hold(self):
+        p = NetParams(initial_health=2.0, stress_log_sd=0.3)
+        bound = NetSimulator(p).monotone_rate_bound
+        low = replace(p, arrival_load=0.5, initial_health=0.5)
+        cases = [
+            (p, None, (0.0, -1.0, math.inf, math.nextafter(2.0, 3.0))),  # targets out of (0, 2]
+            (p, math.nextafter(bound, 4.0), (1e-300, 0.5, 1.0)),  # rate past the monotone bound
+            (replace(p, recovery_rate=10.0), None, (1e-300, 0.5, 1.0)),
+            (low, None, (1e-300, 0.5, 1.0)),  # load at 1/2 and below
+            (replace(low, arrival_load=0.3), None, (1e-300, 0.5, 1.0)),
+        ]
+        for params, rate, targets in cases:
+            steps = params.horizon_steps
+            for seed in range(6):
+                noise = stream(seed, "noise").standard_normal(steps).tolist()
+                path = oracle_from(params, (0, 0.0, params.initial_health, params.start_log_stress,
+                                            0, params.recovery_rate if rate is None else rate),
+                                   noise)
+                path = [(snap, g, snap[1] == 0.0 and capacity(snap[2]) >= params.arrival_load)
+                        for snap, g in path]
+                assert all(idle for _, _, idle in path)  # a calm path, idle throughout
+                for target in targets:
+                    k, hit = self.run_from(params, noise, path, 0, target, rate)
+                    assert k == (1 if target <= 0.0 else steps)
+        # the control: at the model's own rate and load, every such miss is proven
+        noise = stream(0, "noise").standard_normal(p.horizon_steps).tolist()
+        path = oracle_path(p, noise)
+        for target in (1e-300, 0.5, 1.0, 2.0):
+            k, hit = self.run_from(p, noise, path, 0, target)
+            assert not hit and certified(p, target, p.horizon_steps, k)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-6, 0.05, 0.3])
+    def test_small_persistence_emits_no_warning(self, rho):
+        # rho ** -k overflows within the window: the bound sums in blocks, or not at all
+        p = replace(NetParams(initial_health=1.5), stress_persistence=rho)
+        certs = 0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for seed in range(6):
+                noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
+                path = oracle_path(p, noise)
+                for pack in PACKINGS:
+                    for target in (1e-300, 2.0):
+                        k, hit = self.run_from(p, pack(noise), path, 0, target)
+                        certs += not hit and certified(p, target, p.horizon_steps, k)
+        assert certs == 0 if rho < 1e-3 else certs > 0
+
+    def test_a_rate_whose_proofs_failed_is_tried_again(self):
+        # twelve failed proofs close the gate even for a whole horizon; the
+        # refusals that follow halve the record until it opens again
+        p = NetParams()
+        bound = NetSimulator(p)._idle_bound(p.recovery_rate)
+        bound.tries = 12
+        refusals = 0
+        while not bound.worth_trying(p.horizon_steps):
+            refusals += 1
+            assert refusals <= 1000
+        assert refusals >= 12 and bound.tries < 12
+
+    def test_most_fresh_misses_are_certified(self):
+        # the positive control: from NetParams()'s fresh state, a failure-target
+        # call over the whole horizon is proven idle in most trajectories
+        p = NetParams()
+        steps = p.horizon_steps
+        misses = certs = 0
+        for seed in range(30):
+            sim = NetSimulator(p)
+            noise = sim.draw_noise(stream(seed, "mc"), steps)
+            pos, g = sim.advance(noise, 0, steps, sim.failure_value)
+            if g < sim.failure_value:
+                misses += 1
+                certs += certified(p, 2.0, steps, sim.step_index)
+        assert misses >= 25 and certs >= 0.7 * misses
 
 
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)

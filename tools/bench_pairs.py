@@ -4,12 +4,16 @@
         --workload ladder-tiny --pairs 10 --trace-pairs 2
 
 Each pair runs ``benchmark/run.py`` once in each checkout, alternating which
-goes first, with the same workload, seed and run length.  ``--pairs`` pairs
-give the end-to-end metrics and ``--trace-pairs`` more pairs, run with
-``--trace 1``, the per-layer ones.  The file holds every run's metrics and,
-for each metric, both medians, the parent's quartiles and how many pairs the
-change won.  A gain may be claimed only when the change wins at least nine
-pairs in ten and the medians differ by more than the parent's quartile gap.
+goes first, with the same workload, seed and run length.  Both sides run
+from sibling copies, ``parent`` and ``change`` in one temporary directory,
+of what the benchmark reads (``src``, ``benchmark`` and ``BENCHMARK.json``),
+so that neither side's timings, ``setup_s`` above all, depend on where its
+checkout lies.  ``--pairs`` pairs give the end-to-end metrics and
+``--trace-pairs`` more pairs, run with ``--trace 1``, the per-layer ones.
+The file holds every run's metrics and, for each metric, both medians, the
+parent's quartiles and how many pairs the change won.  A gain may be claimed
+only when the change wins at least nine pairs in ten and the medians differ
+by more than the parent's quartile gap.
 """
 from __future__ import annotations
 
@@ -17,9 +21,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +33,21 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_pairs(parent: Path, workload: str, seed: int, seconds: float, pairs: int, trace: int):
+def sibling_copies(parent: Path, base: Path) -> dict[str, Path]:
+    """Copies of what the benchmark reads from ``parent`` and from this
+    checkout, side by side under ``base``."""
+    dirs = {}
+    for side, source in (("parent", parent), ("change", ROOT)):
+        dest = dirs[side] = base / side
+        for tree in ("src", "benchmark"):
+            shutil.copytree(source / tree, dest / tree,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        shutil.copy2(source / "BENCHMARK.json", dest / "BENCHMARK.json")
+    return dirs
+
+
+def run_pairs(dirs: dict[str, Path], workload: str, seed: int, seconds: float, pairs: int,
+              trace: int):
     """``[(parent metrics, change metrics), ...]``, each run's last JSON line."""
     out = []
     for i in range(pairs):
@@ -36,8 +56,7 @@ def run_pairs(parent: Path, workload: str, seed: int, seconds: float, pairs: int
             proc = subprocess.run(
                 [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
                  "--seconds", str(seconds), "--trace", str(trace)],
-                cwd=parent if side == "parent" else ROOT, stdout=subprocess.PIPE, text=True,
-                check=True,
+                cwd=dirs[side], stdout=subprocess.PIPE, text=True, check=True,
             )
             sides[side] = json.loads(proc.stdout.strip().splitlines()[-1])
             print(f"pair {i} {side}: {json.dumps(sides[side])}", file=sys.stderr)
@@ -79,11 +98,14 @@ def main() -> None:
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
     }
-    for key, trace, count in (("end_to_end", 0, args.pairs), ("per_layer", 1, args.trace_pairs)):
-        if count:
-            pairs = run_pairs(args.parent, args.workload, args.seed, seconds, count, trace)
-            result[key] = {"summary": summarize(pairs, spec),
-                           "runs": [{"parent": a, "change": b} for a, b in pairs]}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as base:
+        dirs = sibling_copies(args.parent.resolve(), Path(base))
+        for key, trace, count in (("end_to_end", 0, args.pairs),
+                                  ("per_layer", 1, args.trace_pairs)):
+            if count:
+                pairs = run_pairs(dirs, args.workload, args.seed, seconds, count, trace)
+                result[key] = {"summary": summarize(pairs, spec),
+                               "runs": [{"parent": a, "change": b} for a, b in pairs]}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path.name}")

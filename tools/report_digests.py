@@ -15,10 +15,16 @@ Monte Carlo, network runs cut short by their step budget, lookahead runs
 on a model whose recovery exponent is not the default 2.0, and two more
 network Monte Carlo shapes: one at raw seeds below 2**32, where a seed is a
 single ``SeedSequence`` word, and one at the acceptance checks' cheap model,
-where a run's one stream is read in many short 40-step blocks.  Last among
-them, splitting over levels above 1 up to 2.0 and plain Monte Carlo on a
-model whose grace window is most of its horizon, where the kernel ends most
-misses at an idle state with the target out of reach.  Each digest is a
+where a run's one stream is read in many short 40-step blocks.  Then
+splitting over levels above 1 up to 2.0 and plain Monte Carlo on a model
+whose grace window is most of its horizon, where the kernel ends most misses
+at an idle state with the target out of reach.  Last among them, shapes
+where the kernel's idle certificate is marginal or off: the agreement
+check's model (load 0.73) under splitting and Monte Carlo, where health sits
+close to the load's logit; lookahead runs whose strongest candidate rate
+lies just past the model's monotone bound, where no proof is made at that
+rate; and a model whose stress persistence is 0.3, where a proof sums its
+window in blocks.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
@@ -49,7 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 from workloads import WORKLOADS  # noqa: E402
 
 from resplit import mc, policy, smc  # noqa: E402
-from resplit.acceptance import _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
+from resplit.acceptance import _AGREE_PARAMS, _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
 from resplit.cli import run_single  # noqa: E402
 from resplit.config import config_from_dict  # noqa: E402
 from resplit.core import LevelSchedule, derive_seed  # noqa: E402
@@ -58,6 +64,9 @@ from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
 
 NOISY = NetParams(delay_threshold=0.05, stress_log_sd=0.8)
 LONG_GRACE = replace(NOISY, horizon_seconds=6.0, grace_seconds=4.0)
+# candidate rates 1.13, 2.26 and 3.39, the last just past the monotone bound 3.375
+NEAR_BOUND = replace(NOISY, recovery_rate=1.13, stress_log_sd=1.2)
+FLEETING = replace(NOISY, stress_persistence=0.3, stress_log_sd=1.0)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
            "classical_rel_var", "resolution_floor"}
@@ -85,6 +94,9 @@ def extra_shapes():
     cheap = simulator_factory(NetParams(**_CHEAP_MODEL))
     long_grace = simulator_factory(LONG_GRACE)
     above_one = LevelSchedule((0.0, 1.25, 1.5, 1.75, 2.0))
+    agree = simulator_factory(_AGREE_PARAMS)
+    near_bound_policies = policy.PolicySet.from_params(NEAR_BOUND, size=3, increment_fraction=1.0)
+    fleeting = simulator_factory(FLEETING)
     return (
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
@@ -103,6 +115,16 @@ def extra_shapes():
         ("net-long-grace-mc", range(4),
          lambda s: mc.run_mc(long_grace, mc.McConfig(budget_steps=200 * LONG_GRACE.horizon_steps),
                              s)),
+        ("net-agree-smc", range(4), lambda s: smc.run_smc(agree, default_levels(), outer, s)),
+        ("net-agree-mc", range(3),
+         lambda s: mc.run_mc(agree, mc.McConfig(budget_steps=300_000), s)),
+        ("net-policy-near-bound", range(3),
+         lambda s: policy.run_smc_with_reconfiguration(simulator_factory(NEAR_BOUND),
+                                                       default_levels(), outer,
+                                                       near_bound_policies, look, s)),
+        ("net-fleeting-smc", range(3), lambda s: smc.run_smc(fleeting, default_levels(), outer, s)),
+        ("net-fleeting-mc", range(3),
+         lambda s: mc.run_mc(fleeting, mc.McConfig(budget_steps=300_000), s)),
     )
 
 
