@@ -169,15 +169,18 @@ class Simulator(Protocol):
     that draw nothing (a dead ladder).  Asking for more steps than remain to
     the horizon raises :class:`HorizonExceededError`.
 
-    A miss may stop before ``stop`` once it is certain that no step left can
-    reach the target: the network model stops at an idle state with too few
-    steps left to fill its exceedance counter, or one from which a lower
-    bound on health, with a slack for rounding, proves the queue idle to
-    ``stop``.  Its cursor is still ``stop``, but ``step_index`` and the state
-    are where it stopped.  So callers charge a miss its whole window and read
-    a missed trajectory's state only by restoring a snapshot: the budget
-    counts model steps, whether simulated or not, and a report is the same
-    whether a miss ran to ``stop`` or not.
+    A miss may stop at any state once proven, with a coordinate below the
+    target: once it is certain that no step left can reach the target.  The
+    network model stops at an idle state with too few steps left to fill its
+    exceedance counter, or at the call's first state or an idle one from
+    which bounds on health, backlog, delay and the counter, with slacks for
+    rounding, prove every coordinate to ``stop`` below the target.  Its
+    cursor is still ``stop`` and its coordinate that of the state it stopped
+    at, and ``step_index`` and the state are where it stopped.  So callers
+    charge a miss its whole window and read a missed trajectory's state only
+    by restoring a snapshot: the budget counts model steps, whether
+    simulated or not, and a report is the same whether a miss ran to
+    ``stop`` or not.
 
     ``failure_value`` is the coordinate that marks the failure set: a
     trajectory has failed exactly when its coordinate is at or above it.

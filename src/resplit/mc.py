@@ -63,11 +63,13 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
     ``[i n, (i + 1) n)`` of the stream.
 
     A hit costs the steps to its failure and a miss its whole ``n`` steps.
-    ``advance`` may end a miss before the horizon, once no step left can
-    reach the failure set: too few steps are left to fill the exceedance
-    counter, or a bound on health proves the queue idle to the horizon.  So
-    a miss's cost is never read from ``step_index``: the budget counts model
-    steps, simulated or not, and the report is the one every step would give.
+    A miss may stop at any state once proven, with a coordinate below the
+    failure value: ``advance`` may end it before the horizon, once no step
+    left can reach the failure set (too few steps are left to fill the
+    exceedance counter, or bounds on health, backlog and the counter prove
+    it).  So a miss's cost is never read from ``step_index``: the budget
+    counts model steps, simulated or not, and the report is the one every
+    step would give.
     """
     sim = factory()
     count = mc_plan(cfg, sim.horizon_steps)

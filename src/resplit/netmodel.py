@@ -34,14 +34,36 @@ __all__ = [
 
 _HEALTH_CLIP = 50.0  # logistic input clamp; capacity saturates far before this
 
-# The idle certificate of NetSimulator.advance (see _IdleBound).  Both the
-# kernel's health path and numpy's bound round at about 2**-52 of magnitudes
-# that stay under ~100 wherever the bound nears its threshold, so over a
-# 1200-step window each differs from exact arithmetic by at most ~1e-11, and
-# by ~1e-14 in practice: the slack covers that many times over.
-_CERT_SLACK = 1e-6  # health margin a proof asks above logit(load)
+# The miss certificate of NetSimulator.advance (see _MissCertificate).  Each
+# slack covers the rounding that separates the kernel's path from numpy's bound.
+#
+# Health: both the kernel's health path and numpy's bound round at about
+# 2**-52 of magnitudes that stay under ~100 (no proof starts at
+# _CERT_HEALTH_MAX or above, and the bound cannot climb past its start or
+# its fixed point), and neither step amplifies an error (the health step's
+# slope lies in [0, 1]), so over a 1200-step window each differs from exact
+# arithmetic by at most ~1e-11, and by ~1e-14 in practice.  The bound's
+# capacity is taken _CERT_SLACK lower in health, which moves exp(-h) by a
+# relative 1e-6, far past the few ulps by which math.exp and np.exp may
+# differ; rounding is monotone in the rest of the logistic, so C_k <= c_k.
+# The proof asks L >= _CERT_SLACK rather than L >= 0, so that the same
+# rounding cannot carry a state past the tangent's range.
+#
+# Backlog: with C_k <= c_k every bound increment (load - C_k) * dt is at least
+# the kernel's, up to a few roundings of magnitude dt, and Lindley's recursion
+# never amplifies an error.  The kernel rounds each step's backlog, numpy each
+# partial sum of the increments and the final difference, all by at most
+# 2**-53 of M = b + (m + 1) * dt, the largest backlog or sum a block of m steps
+# can hold.  That is under 18 * 2**-53 * M a step, so each increment gets
+# _CERT_BACKLOG_SLACK * M added, ~28 times that; where the minimum of the
+# sums is the current one the bound is exactly 0 and so is the kernel's
+# backlog.  Past the bound on backlog and capacity every comparison is
+# IEEE-monotone: the delay, its flag, the counter and the coordinate the
+# kernel computes never exceed the bound's.
+_CERT_SLACK = 1e-6  # health margin a proof takes off its bound before capacity
+_CERT_BACKLOG_SLACK = 2.0 ** -44  # backlog margin per step, times the block's largest backlog
 _CERT_HEALTH_MAX = 100.0  # no proof from a health this high, which keeps the rounding small
-_CERT_STEPS = 200  # what a proof costs (~40-60 us), counted in idle steps
+_CERT_STEPS = 200  # a proof's cost in idle steps: ~50 us, a step ~0.24 us (2-core x86_64)
 _CERT_FORGET = 32  # refused proofs per proof made at which a rate's record halves
 _CERT_SCALE_LOG = 500.0 * math.log(2.0)  # log of the largest power a proof's sums scale by
 _CERT_LOG_STRESS_CAP = 300.0  # larger log-stress is capped: one such step fails any proof
@@ -143,35 +165,50 @@ def _reach(grace: int, target: float) -> int:
     return grace
 
 
-class _IdleBound:
-    """A proof that an idle queue stays idle to the end of a window.
+class _MissCertificate:
+    """A proof that no state of a window reaches a target.
 
-    While the queue is idle, health follows ``h' = f(h) - exp(x)`` with
-    ``f(h) = h + r(h)`` and ``r(h) = nu * (1 - c(h)) ** phi``.  For ``nu``
+    Health follows ``h' = f(h) - exp(x)`` with ``f(h) = h + r(h)`` and
+    ``r(h) = nu * (1 - c(h)) ** phi``, whatever the queue does.  For ``nu``
     up to ``monotone_rate_bound``, ``f`` is non-decreasing, and ``r`` is
     convex for ``h >= -log(phi)``, so for ``h >= 0`` it lies above its
     tangent at any ``H >= 0``: ``r(h) >= alpha - beta * h`` with
     ``beta = nu * phi * (1 - c(H)) ** phi * c(H)`` and
     ``alpha = r(H) + beta * H``.  So ``L' = (1 - beta) * L + alpha - exp(x)``
-    from ``L = h`` bounds health from below for as long as ``L >= 0``.  The
-    log-stress ``x`` follows the noise alone.  Both are linear recursions,
-    which numpy sums for a whole window as cumulative sums scaled by powers
-    of ``rho`` and ``1 - beta`` (kept per simulator and rate, in blocks short
-    enough that no power overflows).  If every ``L`` is at or above
-    ``theta``, ``logit(load)`` plus the slack (above 0 as ``load > 0.5``),
-    capacity covers the load at every state to the window's end.
+    from ``L = h`` bounds health from below for as long as ``L >= 0``; the
+    proof asks ``L >= _CERT_SLACK`` at every state.  The log-stress ``x``
+    follows the noise alone.  Both are linear recursions, which numpy sums
+    for a whole window as cumulative sums scaled by powers of ``rho`` and
+    ``1 - beta`` (kept per simulator and rate, in blocks short enough that no
+    power overflows).
 
-    ``H`` lies halfway between that threshold and the health at which
+    From the health bound the proof bounds the queue, step by step of the
+    kernel: capacity from below by ``C = c(L - _CERT_SLACK)``, the backlog
+    from above by Lindley's recursion ``B' = max(0, B + (load - C) * dt)``
+    from ``B = b``, which is ``S - min(0, S[:k + 1].min())`` for the sums
+    ``S`` of the increments from ``S[0] = b``, and the delay by ``B / C``.  A
+    state whose delay bound reaches ``delta`` may raise the exceedance
+    counter, so the counter is at most the length of the run of such states
+    just before it, plus ``e`` for a run from the window's first state.  A
+    target at or below 1 is missed when every state's delay bound, over
+    ``delta``, is below it (then no counter rises); a target in ``(1, 2]``
+    when every counter bound is below ``reach``, since below the failure set
+    the coordinate is at most ``1 + e / grace``.  An idle queue that stays
+    idle is the case ``b = 0``, ``e = 0`` with every increment at most 0:
+    every ``B`` is 0, and so is every coordinate.  See ``_CERT_SLACK`` for
+    the rounding.
+
+    ``H`` lies halfway between ``logit(load)`` and the health at which
     recovery balances the stationary mean stress, where the tangent is tight
-    on the paths that come near the threshold.  ``tries`` and ``wins`` count
+    on the paths that come near the load.  ``tries`` and ``wins`` count
     the proofs made and those that held, and ``refused`` the proofs
     ``worth_trying`` turned down since those counts last halved.
     """
 
-    __slots__ = ("theta", "mu_rinv", "sigma_rinv", "rpow", "log_ainv", "apow", "ageo",
-                 "block", "tries", "wins", "refused")
+    __slots__ = ("mu_rinv", "sigma_rinv", "rpow", "log_ainv", "apow", "ageo", "block",
+                 "load", "dt", "delta", "tries", "wins", "refused")
 
-    def __init__(self, theta, H, nu, phi, rho, mu_blend, sigma, horizon):
+    def __init__(self, H, nu, phi, rho, mu_blend, sigma, horizon, load, dt, delta):
         c = 1.0 / (1.0 + math.exp(-H))
         beta = nu * phi * (1.0 - c) ** phi * c
         alpha = nu * (1.0 - c) ** phi + beta * H
@@ -182,14 +219,15 @@ class _IdleBound:
                 block = min(block, int(_CERT_SCALE_LOG / -math.log(base)) if base > 0.0 else 0)
         k = np.arange(block + 1, dtype=float)
         rinv = rho ** -k[1:]
-        self.theta, self.block = theta, block
+        self.block, self.load, self.dt, self.delta = block, load, dt, delta
         self.mu_rinv, self.sigma_rinv, self.rpow = mu_blend * rinv, sigma * rinv, rho ** k
         self.apow = a ** k
         self.log_ainv = -math.log(a) * k[1:] if block else k[1:]  # a ** -(k + 1) = exp(this)
-        self.ageo = np.empty(block + 1)  # alpha * sum(a ** j for j < k)
+        self.ageo = np.empty(block + 1)  # alpha * sum(a ** j for j < k) - _CERT_SLACK
         self.ageo[0] = 0.0
         np.cumsum(self.apow[:-1], out=self.ageo[1:])
         self.ageo *= alpha
+        self.ageo -= _CERT_SLACK
         self.tries = self.wins = self.refused = 0
 
     def worth_trying(self, n: int) -> bool:
@@ -207,42 +245,93 @@ class _IdleBound:
             self.refused = 0
         return False
 
-    def first_failure(self, noise, i: int, n: int, h: float, x: float) -> int:
-        """0 if every one of the ``n`` states after ``(h, x)``, stepped on
-        ``noise[i:i + n - 1]``, is proven idle; else the number of steps to the
-        first state the bound does not clear.  Counted in ``tries`` and ``wins``."""
+    def first_failure(self, noise, i: int, n: int, target: float, reach: int,
+                      b: float, h: float, x: float, e: int) -> int:
+        """0 if none of the ``n`` states after ``(b, h, x, e)``, stepped on
+        ``noise[i:i + n - 1]``, can reach ``target`` (``reach`` is the least
+        counter a target in ``(1, 2]`` needs); else the number of steps, at
+        least 1, to the first state the bound does not clear.  Counted in
+        ``tries`` and ``wins``."""
         self.tries += 1
         if isinstance(noise, array):
             z = np.frombuffer(noise, count=n - 1, offset=noise.itemsize * i)
         else:
             z = np.array(noise[i:i + n - 1], dtype=float)
-        theta, block = self.theta, self.block
+        block, load, dt, delta = self.block, self.load, self.dt, self.delta
         done = 0
         while done < n:
+            # states done .. done + m of the window are this block's 0 .. m
             m = min(n - done, block)
             # x_k = rho**k * (x_0 + sum_{j<k} rho**-(j+1) * (mu_blend + sigma * z_j)),
             # one past the block when another follows
-            mx = m + 1 if done + m < n else m
-            xs = np.empty(mx)
+            more = done + m < n
+            mx = m + 1 if more else m
+            xs = np.empty(m + 1)
             xs[0] = x
-            np.multiply(z[done:done + mx - 1], self.sigma_rinv[:mx - 1], out=xs[1:])
-            xs[1:] += self.mu_rinv[:mx - 1]
-            np.add.accumulate(xs, out=xs)
-            xs *= self.rpow[:mx]
-            if mx > m:
+            path = xs[:mx]
+            t = path[1:]
+            np.multiply(z[done:done + mx - 1], self.sigma_rinv[:mx - 1], out=t)
+            t += self.mu_rinv[:mx - 1]
+            np.add.accumulate(path, out=path)
+            path *= self.rpow[:mx]
+            if more:
                 x = float(xs[m])
+            # low_k = _CERT_SLACK - L_k, where
             # L_k = a**k * (L_0 - sum_{j<k} a**-(j+1) * exp(x_j)) + alpha * (1 + ... + a**(k-1))
-            low = xs[:m]
-            np.minimum(low, _CERT_LOG_STRESS_CAP, out=low)
-            low += self.log_ainv[:m]
-            np.exp(low, out=low)
+            low = np.empty(m + 1)
+            low[0] = -h
+            t = low[1:]
+            np.minimum(xs[:m], _CERT_LOG_STRESS_CAP, out=t)
+            t += self.log_ainv[:m]
+            np.exp(t, out=t)
             np.add.accumulate(low, out=low)
-            np.subtract(h, low, out=low)
-            low *= self.apow[1:m + 1]
-            low += self.ageo[1:m + 1]
-            if not np.minimum.reduce(low) >= theta:  # a NaN fails too
-                return done + 1 + int(np.argmin(low >= theta))
-            h = float(low[-1])
+            low *= self.apow[:m + 1]
+            low -= self.ageo[:m + 1]
+            if not np.maximum.reduce(low) <= 0.0:  # L < _CERT_SLACK, or a NaN
+                return done + max(1, int(np.argmin(low <= 0.0)))
+            if more:
+                h = _CERT_SLACK - float(low[m])
+            # capacity C_k = c(L_k - _CERT_SLACK), in place
+            np.exp(low, out=low)
+            low += 1.0
+            np.divide(1.0, low, out=low)
+            # the increments (load - C_k) * dt plus the slack, then their sums S from b
+            d = xs[1:]
+            np.multiply(low[:m], -dt, out=d)
+            d += load * dt + _CERT_BACKLOG_SLACK * (b + (m + 1) * dt)
+            rising = not np.maximum.reduce(d) <= 0.0
+            if b == 0.0 and not rising:
+                e = 0  # the queue stays empty: every delay and coordinate is 0
+            else:
+                xs[0] = b
+                np.add.accumulate(xs, out=xs)
+                # B_k = S_k - min(0, S_0, ..., S_k), which is max(S_k, 0) where
+                # the sums never rise
+                if rising:
+                    top = np.fmin.accumulate(xs)  # no NaN gets here: the guard refused it
+                    if b > 0.0:
+                        np.minimum(top, 0.0, out=top)
+                    np.subtract(xs, top, out=xs)
+                else:
+                    np.maximum(xs, 0.0, out=xs)
+                b = float(xs[m])
+                np.divide(xs, low, out=xs)  # the delay bound B_k / C_k
+                if target <= 1.0:
+                    if not np.maximum.reduce(xs) / delta < target:  # a NaN fails too
+                        return done + max(1, int(np.argmin(xs / delta < target)))
+                    e = 0
+                elif not np.maximum.reduce(xs[:m]) < delta:
+                    # a flagged state k raises the counter at k + 1: the run of
+                    # flags up to k, plus e for a run from state 0
+                    k = np.arange(m)
+                    runs = np.where(xs[:m] < delta, k, -1 - e)
+                    np.maximum.accumulate(runs, out=runs)
+                    np.subtract(k, runs, out=runs)
+                    if not np.maximum.reduce(runs) < reach:
+                        return done + 1 + int(np.argmax(runs >= reach))
+                    e = int(runs[-1])
+                else:
+                    e = 0
             done += m
         self.wins += 1
         return 0
@@ -275,7 +364,7 @@ class NetSimulator:
     __slots__ = (
         "_j", "_backlog", "_health", "_log_stress", "_exceed",
         "_nu", "_phi", "_horizon", "_grace", "_load", "_dt", "_delta",
-        "_rho", "_mu_blend", "_sigma", "_c", "_reaches", "_bounds",
+        "_rho", "_mu_blend", "_sigma", "_c", "_reaches", "_certs",
     )
 
     def __init__(self, params: NetParams) -> None:
@@ -296,7 +385,7 @@ class NetSimulator:
         self._log_stress = params.start_log_stress
         self._exceed = 0
         self._reaches: dict[float, int] = {}  # _reach(grace, target) by target
-        self._bounds: dict[float, _IdleBound | None] = {}  # _idle_bound(rate) by rate
+        self._certs: dict[float, _MissCertificate | None] = {}  # _certificate(rate) by rate
 
     @property
     def step_index(self) -> int:
@@ -321,26 +410,40 @@ class NetSimulator:
         phi = self._phi
         return ((1.0 + phi) / phi) ** (phi + 1.0)
 
-    def _idle_bound(self, nu: float) -> _IdleBound | None:
-        """The idle certificate at rate ``nu``, or None where its proof does not hold:
-        ``nu`` above ``monotone_rate_bound``, a load at or below 1/2, or a
+    def _certificate(self, nu: float) -> _MissCertificate | None:
+        """The miss certificate at rate ``nu``, or None where its proof does not
+        hold: ``nu`` above ``monotone_rate_bound``, a load at or below 1/2, or a
         ``rho`` or ``1 - beta`` so small that its powers overflow within 64 steps."""
         load, phi, rho = self._load, self._phi, self._rho
         if not (load > 0.5 and nu <= self.monotone_rate_bound):
             return None
-        # capacity rounds to within 2**-52 of load, so near load it resolves
-        # health only to about 2**-52 / (1 - load): the threshold adds that too
-        theta = math.log(load / (1.0 - load)) + _CERT_SLACK + 2.0 ** -50 / (1.0 - load)
         # the balance point: nu * (1 - c) ** phi equals the mean of exp(x) at stationarity
         log_mean_stress = (self._mu_blend / (1.0 - rho)
                            + self._sigma ** 2 / (2.0 * (1.0 - rho * rho)))
         log_q = (log_mean_stress - math.log(nu)) / phi  # log(1 - c) there
-        H = theta
+        H = math.log(load / (1.0 - load))
         if log_q < 0.0:
             q = math.exp(log_q)
-            H = max(theta, 0.5 * (theta + math.log((1.0 - q) / q)))
-        bound = _IdleBound(theta, H, nu, phi, rho, self._mu_blend, self._sigma, self._horizon)
-        return bound if bound.block >= 64 else None
+            H = max(H, 0.5 * (H + math.log((1.0 - q) / q)))
+        cert = _MissCertificate(H, nu, phi, rho, self._mu_blend, self._sigma, self._horizon,
+                                load, self._dt, self._delta)
+        return cert if cert.block >= 64 else None
+
+    def _prove(self, noise, i: int, stop: int, target: float, reach: int,
+               b: float, h: float, x: float, e: int) -> int:
+        """Try to prove that no state after ``(b, h, x, e)``, stepped on
+        ``noise[i:stop]``, reaches ``target``: 0 if a proof holds, else the
+        steps before which no proof is worth trying again (1 where none was
+        made: a health of ``_CERT_HEALTH_MAX`` or more, no certificate at this
+        rate, or too few steps left for one to pay)."""
+        if not h < _CERT_HEALTH_MAX:
+            return 1
+        cert = self._certs.get(self._nu, False)
+        if cert is False:
+            cert = self._certs[self._nu] = self._certificate(self._nu)
+        if cert is None or not cert.worth_trying(stop - i):
+            return 1
+        return cert.first_failure(noise, i, stop - i, target, reach, b, h, x, e)
 
     def set_policy(self, rate: float) -> None:
         """Switch the recovery rate in force (takes effect from the next step)."""
@@ -387,26 +490,28 @@ class NetSimulator:
         reach, and the idle loop stops there.  Targets at or below 1, and
         above ``failure_value``, are never cut this way.
 
-        A miss may also stop at an idle state once a lower bound on health
-        proves that capacity covers the load at every state left, so that
-        every coordinate left is 0 (see ``_IdleBound``).  This holds for any
-        target in ``(0, failure_value]``, where the recovery rate is at most
-        ``monotone_rate_bound`` and the load above 1/2: the bound must clear
-        ``logit(load)`` by a slack of ``_CERT_SLACK`` plus capacity's own
-        rounding near the load, and the health must be under
-        ``_CERT_HEALTH_MAX``.  A proof costs about as much as 200 idle steps,
-        so it is tried only at an idle state whose steps left, times the
-        share of this rate's proofs on this simulator that held, pay for it
-        (``_IdleBound.worth_trying``), and, after a proof fails, not before
-        the step at which its bound fell short.
+        A miss may also stop once ``_MissCertificate`` proves it: bounds on
+        health, capacity, backlog, delay and the exceedance counter over the
+        rest of the window keep every coordinate left below the target, busy
+        excursions of the queue included.  This holds for any target in
+        ``(0, failure_value]``, where the recovery rate is at most
+        ``monotone_rate_bound`` and the load above 1/2, from a health under
+        ``_CERT_HEALTH_MAX``.  A proof is tried at the call's first state
+        when that state is busy and its coordinate is below the target (a
+        splitting attempt from a checkpoint), and at idle states.  It costs
+        about as much as ``_CERT_STEPS`` idle steps, so it is tried only
+        where the steps left, times the share of this rate's proofs on this
+        simulator that held, pay for it (``_MissCertificate.worth_trying``),
+        and, after a proof fails, not before the step at which its bound
+        fell short.
 
-        Either way, such a miss still returns ``stop`` as its cursor and the
-        coordinate of the idle state it stopped at, below the target as every
-        step's would be (a proven miss returns ``(stop, 0.0)``, as stepping to
-        ``stop`` would); its ``step_index`` and state are those of that idle
-        state.  Callers charge a miss its whole window and never read its
-        state, so no result changes: numpy's last bits decide only whether a
-        proof holds.
+        Either way, a miss may stop at any state once proven, with a
+        coordinate below the target: it still returns ``stop`` as its
+        cursor, with the coordinate of the state it stopped at (an idle
+        state's ``0.0``, or the first state's own coordinate), and its
+        ``step_index`` and state are those of that state.  Callers charge a
+        miss its whole window and never read its state, so no result
+        changes: numpy's last bits decide only whether a proof holds.
 
         The loops read one iterator over ``noise[pos:stop]``, in place, so
         setting up a call costs the same whatever the window's size, and the
@@ -430,7 +535,7 @@ class NetSimulator:
         r = b / c  # the pre-step delay, carried from each step into the next
         zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
         reach = 0  # steps left at which an idle state is cut; 0 never cuts
-        # an idle state may be certified (see _IdleBound) only for a target that
+        # a miss may be proven (see _MissCertificate) only for a target that
         # every idle state misses, up to the failure value
         certify = zero_misses and target <= 2.0
         wait = pos  # no proof before this index: the last proof's bound failed there
@@ -438,6 +543,14 @@ class NetSimulator:
             reach = self._reaches.get(target)
             if reach is None:
                 reach = self._reaches[target] = _reach(grace, target)
+        if certify and not (b == 0.0 and c >= load):
+            # a busy first state, a checkpoint say: prove the miss before any step
+            g = self.coordinate()
+            if g < target:
+                k = self._prove(noise, pos, stop, target, reach, b, h, x, e)
+                if not k:
+                    return stop, g
+                wait = pos + k
         # noise[pos:stop] read in place: a slice would copy stop - pos values per call;
         # each busy stretch and each idle stretch is one islice of this iterator
         unread = iter(noise)
@@ -483,15 +596,11 @@ class NetSimulator:
             i = unread.__reduce__()[2]
             if stop - i <= reach:
                 break
-            if certify and i >= wait and h < _CERT_HEALTH_MAX:
-                bound = self._bounds.get(nu, False)
-                if bound is False:
-                    bound = self._bounds[nu] = self._idle_bound(nu)
-                if bound and bound.worth_trying(stop - i):
-                    k = bound.first_failure(noise, i, stop - i, h, x)
-                    if not k:
-                        break  # every state left is idle: the target is missed
-                    wait = i + k
+            if certify and i >= wait:
+                k = self._prove(noise, i, stop, target, reach, 0.0, h, x, 0)
+                if not k:
+                    break  # no state left reaches the target
+                wait = i + k
             for z in islice(unread, stop - i - reach):
                 h = h + nu * (1.0 - c) ** phi - exp(x)
                 x = rho * x + mu_blend + z * sigma

@@ -156,11 +156,12 @@ def run_attempts(
     crosses ``target`` (success: captured at ``next_level``), reaches the
     horizon (failure) or runs out of budget mid-flight (void: cost paid,
     counted as neither).  A failure or a void attempt costs its whole
-    window, also when ``advance`` ended it early with the target out of
-    reach or with the queue proven idle to the window's end, so the result
-    is the one every step would give.  Targets and budget are checked before
-    every attempt.  Returns the attempt count, the captures and the attempt
-    index of each; ``ledger.used`` and ``noise.pos`` are written back on exit.
+    window, also when ``advance`` ended it early: a miss may stop at any
+    state once proven, with a coordinate below the target, its checkpoint's
+    own state included, so the result is the one every step would give.
+    Targets and budget are checked before every attempt.  Returns the
+    attempt count, the captures and the attempt index of each;
+    ``ledger.used`` and ``noise.pos`` are written back on exit.
 
     By default each attempt reads on from where the last one stopped.  With
     ``rows`` (one-checkpoint pools only), attempt ``a`` reads from
@@ -233,7 +234,7 @@ def run_attempts(
                 successes += 1
             else:
                 # no crossing: the attempt costs every step it was allowed,
-                # whether advance stepped them all or stopped at an idle state
+                # whether advance stepped them all or stopped at a proven miss
                 used += room
                 if room < horizon - j:
                     break  # budget ran out mid-flight: the attempt is void

@@ -8,11 +8,15 @@ noise list, ``advance`` must reproduce the reference bit for bit, stop right
 after the first step at or above its target, take exactly ``stop - pos``
 steps otherwise and refuse to pass the horizon; the reference's failure set
 must be exactly the coordinates at or above ``failure_value``.  The network
-kernel may end a miss early, and only at an idle state on the reference's
-path: one from which the steps left cannot fill the exceedance counter to
-the least count the target needs, which the tests work out from the
-reference coordinate, or, for a target in ``(0, failure_value]``, one from
-which its health bound proves the queue idle to the window's end.  Each
+kernel may end a miss early: a miss may stop at any state once proven, with
+a coordinate below the target.  It may stop at an idle state on the
+reference's path from which the steps left cannot fill the exceedance
+counter to the least count the target needs, which the tests work out from
+the reference coordinate, or, for a target in ``(0, failure_value]``, at the
+call's first state or any later one on the path once its bounds on health,
+backlog, delay and the counter prove that no coordinate left in the window
+reaches the target; the reference must then miss the target over the whole
+window, and the call reports the state it stopped at.  Each
 simulator must satisfy the ``Simulator`` protocol, and the engines built on
 it must not depend on how their noise buffers are chunked.  The network
 kernel's idle-queue fast path is checked on paths that leave and re-enter
@@ -117,7 +121,7 @@ def least_reach(grace, target):
 
 
 def may_certify(p, rate):
-    """Whether the network kernel's health bound may end a miss at rate
+    """Whether the network kernel's miss certificate may end a miss at rate
     ``rate``: the load is above 1/2 and ``rate`` is at most the monotone bound."""
     return p.arrival_load > 0.5 and rate <= NetSimulator(p).monotone_rate_bound
 
@@ -169,10 +173,13 @@ def check_contract_on(make, reference, seed, pack, targets, params):
 
     # a target stops the call right after the first step at or above it; a
     # miss either takes every step or, in the network model (``params``
-    # given), may stop at an idle state on the reference's path (backlog 0,
-    # counter 0, capacity covering the load), with the window's end as its
-    # cursor: one with too few steps left to fill the counter to the target's
-    # least reach, or, for a target in (0, failure_value], a certified one
+    # given), may stop early with the window's end as its cursor: at an idle
+    # state on the reference's path (backlog 0, counter 0, capacity covering
+    # the load) with too few steps left to fill the counter to the target's
+    # least reach, or, for a target in (0, failure_value], at any state once
+    # proven, the call's first state (k = 0) included; no coordinate in the
+    # window reaches the target, and the call reports the coordinate of the
+    # state it stopped at
     for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
         sim = make()
         pos, g = sim.advance(noise, 0, steps, target)
@@ -183,13 +190,16 @@ def check_contract_on(make, reference, seed, pack, targets, params):
             if k == steps:
                 assert sim.snapshot() == states[-1] and g == coords[-1]
             else:
-                assert params is not None and 0.0 < target <= value and 0 < k < steps
+                assert params is not None and 0.0 < target <= value and 0 <= k < steps
                 assert pos == steps
                 snap = sim.snapshot()
-                assert snap == states[k - 1] and g == coords[k - 1]
-                assert (snap[1], snap[4]) == (0.0, 0)
-                assert capacity(snap[2]) >= params.arrival_load
-                reach_cut = 1.0 < target and steps - k <= least_reach(params.grace_steps, target)
+                if k:
+                    assert snap == states[k - 1] and g == coords[k - 1]
+                else:
+                    assert snap == make().snapshot() and g == make().coordinate()
+                idle = (snap[1], snap[4]) == (0.0, 0) and capacity(snap[2]) >= params.arrival_load
+                reach_cut = (idle and 1.0 < target
+                             and steps - k <= least_reach(params.grace_steps, target))
                 assert reach_cut or may_certify(params, snap[5])
         else:
             assert sim.step_index == start + hit + 1
@@ -267,6 +277,38 @@ def oracle_path(p, noise):
     start = (0, p.initial_backlog, p.initial_health, p.start_log_stress, 0, p.recovery_rate)
     return [(snap, g, snap[1] == 0.0 and capacity(snap[2]) >= p.arrival_load)
             for snap, g in oracle_from(p, start, noise)]
+
+
+def run_window(p, noise, path, start, target, first=None, rate=None):
+    """One fresh simulator's call from state ``start`` of ``path`` to the end
+    of ``noise``, checked against ``path``: the oracle's ``(snapshot,
+    coordinate, ...)`` after each step from ``first``, the model's initial
+    state by default.  A hit must stop at the oracle's first crossing; a miss
+    must be one for the oracle over the whole window, and may stop at the
+    call's first state or any later one on the path, with the window's end
+    as its cursor and that state's coordinate, below the target.  Returns the
+    index of the state it stopped at (``start`` for the first state, ``k``
+    for ``path[k - 1]``) and whether the call hit."""
+    steps = len(path)
+    sim = NetSimulator(p)
+    if first is not None:
+        sim.restore(first)
+    if start:
+        sim.restore(path[start - 1][0])
+    if rate is not None:
+        sim.set_policy(rate)
+    before = (sim.snapshot(), sim.coordinate())
+    pos, g = sim.advance(noise, start, steps, target)
+    k = start + (sim.step_index - before[0][0])
+    hit = next((j for j in range(start, steps) if path[j][1] >= target), None)
+    if hit is not None:
+        assert (pos, g) == (hit + 1, path[hit][1])
+        assert repr(sim.snapshot()) == repr(path[hit][0])
+        return hit + 1, True
+    want, coord = path[k - 1][:2] if k > start else before
+    assert (pos, g) == (steps, coord) and g < target
+    assert repr(sim.snapshot()) == repr(want)
+    return k, False
 
 
 class TestIdleQueue:
@@ -348,14 +390,16 @@ class TestIdleQueue:
                 sim = NetSimulator(p)
                 if start:
                     sim.restore(path[start - 1][0])
+                before = (sim.snapshot(), sim.coordinate())
                 hit = next((k for k in range(start, len(path)) if path[k][1] >= target), None)
                 pos, g = sim.advance(noise, start, len(noise), target)
                 k = sim.step_index
                 if hit is None and k < len(path):
-                    # a certified miss: it stopped at an idle state on the path
-                    assert target > 0.0 and k > start and path[k - 1][2]
-                    assert (pos, g) == (len(path), path[k - 1][1])
-                    assert repr(sim.snapshot()) == repr(path[k - 1][0])
+                    # a proven miss: it stopped at its first state or a later one on the path
+                    assert target > 0.0 and k >= start
+                    want, coord = path[k - 1][:2] if k > start else before
+                    assert (pos, g) == (len(path), coord)
+                    assert repr(sim.snapshot()) == repr(want)
                     continue
                 end = len(path) - 1 if hit is None else hit
                 assert (pos, g) == (end + 1, path[end][1])
@@ -438,38 +482,15 @@ def near_threshold_params(rng):
 
 def certified(p, target, steps, k):
     """Whether a miss that stopped after step ``k`` of ``steps`` was ended by
-    the health bound: any cut the idle-tail rule does not explain."""
+    a proof: any cut the idle-tail rule does not explain."""
     return k < steps and not (1.0 < target and steps - k <= least_reach(p.grace_steps, target))
 
 
 class TestIdleCertificate:
-    """A miss may end at an idle state once a lower bound on health proves that
-    capacity covers the load at every state left; ``advance`` must still
+    """A miss may end at an idle state once a proof shows that no state left
+    reaches the target, most simply when a lower bound on health keeps
+    capacity over the load at every state left; ``advance`` must still
     report what the oracle's path gives."""
-
-    def run_from(self, p, noise, path, start, target, rate=None):
-        """One fresh simulator's call from state ``start`` to the end of
-        ``noise``, checked against ``path``; returns where it stopped."""
-        steps = len(path)
-        sim = NetSimulator(p)
-        if start:
-            sim.restore(path[start - 1][0])
-        if rate is not None:
-            sim.set_policy(rate)
-        pos, g = sim.advance(noise, start, steps, target)
-        hit = next((k for k in range(start, steps) if path[k][1] >= target), None)
-        if hit is not None:
-            assert (pos, g) == (hit + 1, path[hit][1])
-            assert repr(sim.snapshot()) == repr(path[hit][0])
-            return hit + 1, True
-        # a miss: the oracle never reaches the target before the window's end,
-        # and the call stopped at a state on the oracle's path
-        k = sim.step_index
-        assert (pos, g) == (steps, path[k - 1][1]) and g < target
-        assert repr(sim.snapshot()) == repr(path[k - 1][0])
-        if k < steps:
-            assert k > start and path[k - 1][2]  # an idle state
-        return k, False
 
     def test_random_models_near_the_threshold(self):
         master = np.random.default_rng(25)
@@ -484,7 +505,7 @@ class TestIdleCertificate:
             for start in (0, *master.choice(idle, size=min(5, len(idle)), replace=False).tolist()):
                 for target in (5e-324, 1e-300, float(master.uniform(0.0, 1.0)),
                                float(master.uniform(1.0, 2.0)), 2.0):
-                    k, hit = self.run_from(p, noise, path, start, target)
+                    k, hit = run_window(p, noise, path, start, target)
                     certs += not hit and certified(p, target, steps, k)
         # the bound proves many misses, and many paths leave the idle regime
         assert certs >= 250 and crossings >= 20
@@ -513,7 +534,7 @@ class TestIdleCertificate:
                 path = oracle_path(q, noise)
                 leaves += not path[-1][2]
                 for target in (5e-324, 2.0):
-                    self.run_from(q, noise, path, 0, target)
+                    run_window(q, noise, path, 0, target)
         assert leaves >= 50
 
     def test_a_proof_keeps_its_slack(self):
@@ -530,7 +551,7 @@ class TestIdleCertificate:
             q = replace(p, arrival_load=load, initial_health=balance)
             path = oracle_path(q, noise)
             assert all(idle for _, _, idle in path)
-            k, hit = self.run_from(q, noise, path, 0, 1e-300)
+            k, hit = run_window(q, noise, path, 0, 1e-300)
             assert not hit and certified(q, 1e-300, q.horizon_steps, k) == proven
 
     def test_no_certificate_where_the_proof_does_not_hold(self):
@@ -555,13 +576,13 @@ class TestIdleCertificate:
                         for snap, g in path]
                 assert all(idle for _, _, idle in path)  # a calm path, idle throughout
                 for target in targets:
-                    k, hit = self.run_from(params, noise, path, 0, target, rate)
+                    k, hit = run_window(params, noise, path, 0, target, rate=rate)
                     assert k == (1 if target <= 0.0 else steps)
         # the control: at the model's own rate and load, every such miss is proven
         noise = stream(0, "noise").standard_normal(p.horizon_steps).tolist()
         path = oracle_path(p, noise)
         for target in (1e-300, 0.5, 1.0, 2.0):
-            k, hit = self.run_from(p, noise, path, 0, target)
+            k, hit = run_window(p, noise, path, 0, target)
             assert not hit and certified(p, target, p.horizon_steps, k)
 
     @pytest.mark.parametrize("rho", [0.0, 1e-6, 0.05, 0.3])
@@ -576,7 +597,7 @@ class TestIdleCertificate:
                 path = oracle_path(p, noise)
                 for pack in PACKINGS:
                     for target in (1e-300, 2.0):
-                        k, hit = self.run_from(p, pack(noise), path, 0, target)
+                        k, hit = run_window(p, pack(noise), path, 0, target)
                         certs += not hit and certified(p, target, p.horizon_steps, k)
         assert certs == 0 if rho < 1e-3 else certs > 0
 
@@ -584,7 +605,7 @@ class TestIdleCertificate:
         # twelve failed proofs close the gate even for a whole horizon; the
         # refusals that follow halve the record until it opens again
         p = NetParams()
-        bound = NetSimulator(p)._idle_bound(p.recovery_rate)
+        bound = NetSimulator(p)._certificate(p.recovery_rate)
         bound.tries = 12
         refusals = 0
         while not bound.worth_trying(p.horizon_steps):
@@ -594,18 +615,126 @@ class TestIdleCertificate:
 
     def test_most_fresh_misses_are_certified(self):
         # the positive control: from NetParams()'s fresh state, a failure-target
-        # call over the whole horizon is proven idle in most trajectories
+        # call over the whole horizon, a plain Monte Carlo trajectory, is proven
+        # a miss in nearly every trajectory
         p = NetParams()
         steps = p.horizon_steps
         misses = certs = 0
-        for seed in range(30):
+        for seed in range(100):
             sim = NetSimulator(p)
             noise = sim.draw_noise(stream(seed, "mc"), steps)
             pos, g = sim.advance(noise, 0, steps, sim.failure_value)
             if g < sim.failure_value:
                 misses += 1
                 certs += certified(p, 2.0, steps, sim.step_index)
-        assert misses >= 25 and certs >= 0.7 * misses
+        assert misses >= 90 and certs >= 0.95 * misses
+
+
+def busy_model(rng):
+    """A 1200-step model whose queue leaves idle: ``_random_params`` over a
+    default horizon, or ``NetParams()`` with its load, threshold, noise and
+    grace window drawn around the defaults."""
+    if rng.random() < 0.5:
+        p = replace(_random_params(rng), horizon_seconds=60.0)
+    else:
+        p = NetParams(arrival_load=float(rng.uniform(0.6, 0.8)),
+                      delay_threshold=float(rng.uniform(0.02, 0.5)),
+                      stress_log_sd=float(rng.uniform(0.3, 1.0)),
+                      grace_seconds=float(rng.integers(1, 400)) * 0.05)
+    if rng.random() < 0.3:
+        p = replace(p, grace_seconds=float(rng.integers(100, 1000)) * p.step_seconds)
+    return p
+
+
+class TestBusyCertificate:
+    """A proof may also end a miss whose queue is busy: at the call's first
+    state, a checkpoint in splitting, or at an idle state from which the
+    queue leaves idle again.  Every proof that holds must be a miss of the
+    oracle's path, and a call that ends at its first state reports it."""
+
+    def test_random_models_from_busy_starts(self):
+        master = np.random.default_rng(26)
+        proofs = busy = hits = 0
+        for trial in range(150):
+            p = busy_model(master)
+            steps = p.horizon_steps
+            noise = stream(trial, "noise").standard_normal(steps).tolist()
+            path = oracle_path(p, noise)
+            # busy states with at least 400 steps left, the fewest a first proof is made over
+            starts = [k for k in range(1, steps - 400) if not path[k - 1][2]]
+            if starts:
+                starts = master.choice(starts, size=min(4, len(starts)), replace=False).tolist()
+            noise = PACKINGS[trial % 2](noise)
+            for start in (0, *starts):
+                top = max(g for _, g, _ in path[start:])
+                above = math.nextafter(top, 3.0)
+                for target in (top, above, math.nextafter(above, 3.0), top + 1e-9,
+                               float(master.uniform(0.0, 1.0)), float(master.uniform(1.0, 2.0)),
+                               2.0):
+                    if not 0.0 < target <= 2.0:
+                        continue
+                    k, hit = run_window(p, noise, path, start, target)
+                    hits += hit
+                    if not hit and certified(p, target, steps, k):
+                        proofs += 1
+                        busy += k == start and start > 0
+        # many proofs hold, many at a busy first state, and the rest of the calls hit
+        assert proofs >= 500 and busy >= 200 and hits >= 500
+
+    def test_a_drain_across_the_threshold_within_rounding(self):
+        # capacity 1.0 in both the kernel and the bound, so only the backlog's
+        # rounding separates them: the queue drains 0.004 a step, with the
+        # counter running, and crosses the threshold within a few ulps of it.
+        # Whether the counter rises once more, and so the oracle's top
+        # coordinate, turns on the kernel's rounding, and the backlog slack
+        # must cover it.  The top is the delay term, over 0.9, plus the
+        # counter's top over a 10-step grace window, so no proof may hold at
+        # the top or just above it, while one may just above the counter's
+        # next value
+        p = NetParams(arrival_load=0.8, step_seconds=0.02, horizon_seconds=8.0,
+                      grace_seconds=0.2, stress_log_mean=-20.0, stress_log_sd=0.0,
+                      delay_threshold=0.05)
+        grace = p.grace_steps
+        noise = [0.0] * p.horizon_steps  # 400 steps, the shortest a first proof is made over
+        proofs = 0
+        for drain in (2, 4, 5):
+            for e in (0, 1, 3):
+                mid = p.delay_threshold + drain * (1.0 - p.arrival_load) * p.step_seconds
+                tops = set()
+                for ulps in range(-6, 7):
+                    first = (0, mid + ulps * math.ulp(mid), 40.0, p.stress_log_mean, e,
+                             p.recovery_rate)
+                    path = oracle_from(p, first, noise)
+                    top = max(g for _, g in path)
+                    count = max(snap[4] for snap, _ in path)
+                    tops.add(count)
+                    beyond = math.nextafter(1.0 + count / grace, 3.0)
+                    for target in (top, math.nextafter(top, 3.0), beyond):
+                        k, hit = run_window(p, noise, path, 0, target, first=first)
+                        assert hit == (target == top)
+                        proofs += not hit and k == 0
+                assert len(tops) == 2  # the crossing lies inside the ulps tried
+        assert proofs >= 30
+
+    def test_a_plunge_below_the_tangent_range(self):
+        # a stress spike sends health far below 0, where a strong recovery
+        # term lies under its tangent: the health bound holds only while it
+        # is at least 0, and past there would recover too fast.  The grace
+        # window is long, so the counter's top, and the oracle's top
+        # coordinate, rest on how long health takes to come back
+        for nu, phi, mean in ((1.5, 1.4, -2.5), (2.0, 1.2, -2.0)):
+            base = NetParams(recovery_rate=nu, recovery_exponent=phi, stress_log_mean=mean,
+                             stress_log_sd=0.0, initial_backlog=0.05, initial_health=1.0)
+            for log_stress in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+                for grace in (200, 400, 600, 800, 1000, 1150):
+                    p = replace(base, initial_log_stress=log_stress, grace_seconds=grace * 0.05)
+                    noise = [0.0] * p.horizon_steps
+                    path = oracle_path(p, noise)
+                    assert min(snap[2] for snap, _, _ in path) < -1.0
+                    top = max(g for _, g, _ in path)
+                    for target in (top, math.nextafter(top, 3.0)):
+                        k, hit = run_window(p, noise, path, 0, target)
+                        assert hit == (target == top)
 
 
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)

@@ -18,13 +18,16 @@ single ``SeedSequence`` word, and one at the acceptance checks' cheap model,
 where a run's one stream is read in many short 40-step blocks.  Then
 splitting over levels above 1 up to 2.0 and plain Monte Carlo on a model
 whose grace window is most of its horizon, where the kernel ends most misses
-at an idle state with the target out of reach.  Last among them, shapes
-where the kernel's idle certificate is marginal or off: the agreement
-check's model (load 0.73) under splitting and Monte Carlo, where health sits
-close to the load's logit; lookahead runs whose strongest candidate rate
-lies just past the model's monotone bound, where no proof is made at that
-rate; and a model whose stress persistence is 0.3, where a proof sums its
-window in blocks.  Each digest is a
+at an idle state with the target out of reach.  Then shapes where the
+kernel's miss certificate is marginal or off: the agreement check's model
+(load 0.73) under splitting and Monte Carlo, where health sits close to the
+load's logit; lookahead runs whose strongest candidate rate lies just past
+the model's monotone bound, where no proof is made at that rate; and a
+model whose stress persistence is 0.3, where a proof sums its window in
+blocks.  Last, shapes where proofs start from a busy queue: plain Monte
+Carlo at the policy benchmark's noisy point, splitting and Monte Carlo on a
+model whose first state already holds a backlog, and splitting at the
+rare-regime check's model and levels under a short budget.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
@@ -55,7 +58,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 from workloads import WORKLOADS  # noqa: E402
 
 from resplit import mc, policy, smc  # noqa: E402
-from resplit.acceptance import _AGREE_PARAMS, _CHEAP_MODEL, _CHEAP_SMC  # noqa: E402
+from resplit.acceptance import (  # noqa: E402
+    _AGREE_PARAMS,
+    _CHEAP_MODEL,
+    _CHEAP_SMC,
+    _RARE_LEVELS,
+    _RARE_PARAMS,
+    _RARE_SMC,
+)
 from resplit.cli import run_single  # noqa: E402
 from resplit.config import config_from_dict  # noqa: E402
 from resplit.core import LevelSchedule, derive_seed  # noqa: E402
@@ -67,6 +77,7 @@ LONG_GRACE = replace(NOISY, horizon_seconds=6.0, grace_seconds=4.0)
 # candidate rates 1.13, 2.26 and 3.39, the last just past the monotone bound 3.375
 NEAR_BOUND = replace(NOISY, recovery_rate=1.13, stress_log_sd=1.2)
 FLEETING = replace(NOISY, stress_persistence=0.3, stress_log_sd=1.0)
+BUSY_START = NetParams(initial_backlog=0.3, initial_health=1.2, delay_threshold=0.2)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
            "classical_rel_var", "resolution_floor"}
@@ -97,6 +108,9 @@ def extra_shapes():
     agree = simulator_factory(_AGREE_PARAMS)
     near_bound_policies = policy.PolicySet.from_params(NEAR_BOUND, size=3, increment_fraction=1.0)
     fleeting = simulator_factory(FLEETING)
+    busy_start = simulator_factory(BUSY_START)
+    rare = simulator_factory(_RARE_PARAMS)
+    rare_short = replace(_RARE_SMC, budget_steps=400_000)
     return (
         ("ladder-4-stage", range(40), lambda s: smc.run_smc(ladder, rungs, SMALL, s)),
         ("three-state-smc", range(40), lambda s: smc.run_smc(chain, walk, SMALL, s)),
@@ -125,6 +139,14 @@ def extra_shapes():
         ("net-fleeting-smc", range(3), lambda s: smc.run_smc(fleeting, default_levels(), outer, s)),
         ("net-fleeting-mc", range(3),
          lambda s: mc.run_mc(fleeting, mc.McConfig(budget_steps=300_000), s)),
+        ("net-noisy-mc", range(3),
+         lambda s: mc.run_mc(noisy, mc.McConfig(budget_steps=300_000), s)),
+        ("net-busy-start-smc", range(4),
+         lambda s: smc.run_smc(busy_start, default_levels(), outer, s)),
+        ("net-busy-start-mc", range(3),
+         lambda s: mc.run_mc(busy_start, mc.McConfig(budget_steps=300_000), s)),
+        ("net-rare-short-smc", range(3),
+         lambda s: smc.run_smc(rare, _RARE_LEVELS, rare_short, s)),
     )
 
 
