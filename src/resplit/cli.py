@@ -188,8 +188,8 @@ def _sweep_row(task) -> list[str]:
     return [_cell(cells.get(column)) for column in header]
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[list[str]]]:
-    """Run the axis cross product and return (header, rows) in grid order."""
+def _sweep_tasks(cfg: ExperimentConfig) -> tuple[list[str], list[tuple]]:
+    """The header and one task per row in grid order; validates every point, runs none."""
     for axis in cfg.axes:
         if axis.name == "levels" or axis.name.startswith("levels."):
             raise ConfigError("levels cannot be swept: column layout must be stable")
@@ -204,6 +204,12 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[
         for coords, point_cfg in points
         for rep in range(point_cfg.replications)
     ]
+    return header, tasks
+
+
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[str], list[list[str]]]:
+    """Run the axis cross product and return (header, rows) in grid order."""
+    header, tasks = _sweep_tasks(cfg)
     return header, _map(_sweep_row, workers, tasks)
 
 
@@ -231,26 +237,38 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> str:
-    return cfg.output_dir if cfg.output_dir is not None else "out"
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, made now so that an unusable one fails before any run."""
+    out = Path(cfg.output_dir if cfg.output_dir is not None else "out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create '{out}': {exc.strerror}") from exc
+    return out
 
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
+    out = _out_dir(cfg)
     payload = run_single(cfg, workers=args.workers)
-    path = write_summary(payload, _out_dir(cfg))
+    path = write_summary(payload, out)
     print(f"{path}: engine={cfg.engine} "
           f"mean_estimate={payload['aggregate']['mean_estimate']:.6g} "
           f"({cfg.replications} replication(s))")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    header, rows = run_sweep(cfg, workers=args.workers)
-    path = write_sweep_csv(header, rows, _out_dir(cfg))
-    print(f"{path}: {len(rows)} rows x {len(header)} columns")
+def _sweep(cfg: ExperimentConfig, workers: int) -> int:
+    """Validate every point, make the output directory, then run and write the grid."""
+    header, tasks = _sweep_tasks(cfg)
+    out = _out_dir(cfg)
+    path = write_sweep_csv(header, _map(_sweep_row, workers, tasks), out)
+    print(f"{path}: {len(tasks)} rows x {len(header)} columns")
     return 0
+
+
+def _cmd_sweep(args) -> int:
+    return _sweep(_load(args), args.workers)
 
 
 def _cmd_policy(args) -> int:
@@ -265,10 +283,7 @@ def _cmd_policy(args) -> int:
                 SweepAxis("policy.size", (1, 5)),
             ),
         )
-    header, rows = run_sweep(cfg, workers=args.workers)
-    path = write_sweep_csv(header, rows, _out_dir(cfg))
-    print(f"{path}: {len(rows)} rows x {len(header)} columns")
-    return 0
+    return _sweep(cfg, args.workers)
 
 
 def _cmd_verify(args) -> int:

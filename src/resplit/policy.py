@@ -153,14 +153,14 @@ class PolicyEvaluation:
     :func:`evaluate_candidate`) and ``objectives`` its log plus cost, with a
     zero estimate scored as half a count (``1 / (2 * continuations)``) so the
     argmin stays finite.  ``steps`` holds the lookahead steps charged to
-    each candidate (empty when not recorded); a candidate the nesting made
-    free shows 0 steps with a zero estimate.
+    each candidate; a candidate the nesting made free shows 0 steps with a
+    zero estimate.
     """
 
     estimates: tuple[float, ...]
     objectives: tuple[float, ...]
     selected: int
-    steps: tuple[int, ...] = ()
+    steps: tuple[int, ...]
 
     @property
     def degenerate(self) -> bool:
@@ -172,7 +172,7 @@ def select_policy(
     estimates: Sequence[float],
     costs: Sequence[float],
     continuations: int,
-    steps: Sequence[int] = (),
+    steps: Sequence[int],
 ) -> PolicyEvaluation:
     """Score candidates and pick the argmin of log-probability-plus-cost.
 
@@ -186,7 +186,7 @@ def select_policy(
         raise ValueError("need at least one candidate to select from")
     if len(cost_row) != len(row):
         raise ValueError(f"{len(row)} candidates but {len(cost_row)} costs")
-    if step_row and len(step_row) != len(row):
+    if len(step_row) != len(row):
         raise ValueError(f"{len(row)} candidates but {len(step_row)} step counts")
     if continuations < 1:
         raise ValueError(f"continuations must be >= 1, got {continuations}")

@@ -429,6 +429,29 @@ class TestMain:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, raw, flag", [
+        ("run", cheap_dict(), True),
+        ("run", cheap_dict(), False),
+        ("sweep", cheap_dict(sweep={"axes": [{"name": "engine", "values": ["mc", "smc"]}]}), True),
+        ("policy", cheap_dict(), True),
+    ], ids=["run-out", "run-output_dir", "sweep-out", "policy-out"])
+    def test_unusable_output_dir_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
+                                                        command, raw, flag):
+        def never(cfg, seed):
+            raise AssertionError("an engine ran before the output directory was made")
+
+        monkeypatch.setattr("resplit.cli._execute", never)  # every run goes through it
+        (tmp_path / "afile").write_text("")  # a regular file where a directory must go
+        out = tmp_path / "afile" / "x"
+        if not flag:
+            raw = {**raw, "output_dir": str(out)}
+        (tmp_path / "exp.json").write_text(json.dumps(raw))
+        argv = [command, "--config", str(tmp_path / "exp.json")]
+        rc = main(argv + ["--out", str(out)] if flag else argv)
+        assert rc == 2
+        assert (f"config error: output_dir: cannot create '{out}': Not a directory"
+                in capsys.readouterr().err)
+
     def test_verify_runs_each_check_in_its_work_dir(self, tmp_path, monkeypatch, capsys):
         seen = []
 

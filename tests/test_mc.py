@@ -20,6 +20,7 @@ class TestConfig:
     def test_plan_accounting(self):
         count = mc_plan(McConfig(budget_steps=5_000_000), horizon_steps=1200)
         assert count == 4166
+        assert 1.0 / count == pytest.approx(2.4e-4, rel=0.02)  # the floor of resolution
 
     def test_plan_explicit_count(self):
         # a budget of exactly N horizons plans N trajectories

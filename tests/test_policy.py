@@ -179,21 +179,22 @@ class TestLookaheadConfig:
 class TestSelectPolicy:
     def test_worked_example(self):
         # kappa = 1/2, rho' = 1/2: costs (0, 0.25); J = (ln .5, ln .25 + .25)
-        ev = select_policy([0.5, 0.25], (0.0, 0.25), 25)
+        ev = select_policy([0.5, 0.25], (0.0, 0.25), 25, (900, 700))
         assert ev.objectives == pytest.approx((-0.693147, -1.136294), abs=1e-6)
         assert ev.selected == 1
         assert not ev.degenerate
         assert ev.estimates == (0.5, 0.25)
+        assert ev.steps == (900, 700)  # recorded, not scored
 
     def test_equal_estimates_pick_cheapest(self):
-        ev = select_policy([0.3, 0.3, 0.3], (0.0, 0.25, 0.5), 25)
+        ev = select_policy([0.3, 0.3, 0.3], (0.0, 0.25, 0.5), 25, (500, 500, 500))
         assert ev.selected == 0
 
     def test_zero_estimate_scored_as_half_count(self):
         # a candidate under which nothing crossed is the strongest mitigation
         # on the table; the half-count floor keeps its objective finite and it
         # wins the argmin when its price does not offset the advantage
-        ev = select_policy([0.0, 0.4], (0.0, 0.25), 25)
+        ev = select_policy([0.0, 0.4], (0.0, 0.25), 25, (400, 600))
         assert ev.estimates == (0.0, 0.4)
         assert ev.objectives == (math.log(1 / 50), math.log(0.4) + 0.25)
         assert not ev.degenerate
@@ -202,16 +203,16 @@ class TestSelectPolicy:
     def test_cost_can_override_a_zero_estimate(self):
         # same estimates, but the suppressing candidate is expensive enough
         # that the moderate one wins: ln(1/50) + 3.5 > ln(0.4)
-        ev = select_policy([0.0, 0.4], (3.5, 0.0), 25)
+        ev = select_policy([0.0, 0.4], (3.5, 0.0), 25, (400, 600))
         assert ev.selected == 1
 
     def test_all_zero_is_degenerate_baseline(self):
-        ev = select_policy([0.0, 0.0, 0.0], (0.0, 0.25, 0.5), 25)
+        ev = select_policy([0.0, 0.0, 0.0], (0.0, 0.25, 0.5), 25, (300, 0, 0))
         assert ev.degenerate
         assert ev.selected == 0
 
     def test_exact_tie_breaks_to_lower_index(self):
-        ev = select_policy([0.5, 0.5], (0.0, 0.0), 25)
+        ev = select_policy([0.5, 0.5], (0.0, 0.0), 25, (800, 800))
         assert ev.selected == 0
 
     def test_log_shift_invariance(self):
@@ -222,17 +223,22 @@ class TestSelectPolicy:
             n_cand = int(rng.integers(2, 6))
             estimates = rng.uniform(0.05, 1.0, size=n_cand)
             costs = rng.uniform(0.0, 0.5, size=n_cand)
-            base = select_policy(estimates.tolist(), costs.tolist(), 25)
-            scaled = select_policy((estimates * 0.37).tolist(), costs.tolist(), 25)
+            steps = [100] * n_cand
+            base = select_policy(estimates.tolist(), costs.tolist(), 25, steps)
+            scaled = select_policy((estimates * 0.37).tolist(), costs.tolist(), 25, steps)
             assert scaled.selected == base.selected
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            select_policy([], (), 25)
+            select_policy([], (), 25, ())
         with pytest.raises(ValueError):
-            select_policy([0.5], (0.0, 0.1), 25)
+            select_policy([0.5], (0.0, 0.1), 25, (0,))
         with pytest.raises(ValueError):
-            select_policy([0.5], (0.0,), 0)
+            select_policy([0.5], (0.0,), 0, (0,))
+        with pytest.raises(ValueError, match="^2 candidates but 1 step counts$"):
+            select_policy([0.5, 0.25], (0.0, 0.25), 25, (100,))
+        with pytest.raises(ValueError, match="^1 candidates but 0 step counts$"):
+            select_policy([0.5], (0.0,), 25, ())
 
 
 class TestEvaluateCandidate:
