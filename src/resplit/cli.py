@@ -237,9 +237,10 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, made now so that an unusable one fails before any run."""
-    out = Path(cfg.output_dir if cfg.output_dir is not None else "out")
+def _out_dir(path: str | None, *sub: str) -> Path:
+    """The output directory ``path`` (``out`` for None), or ``sub`` under it,
+    made now so that an unusable one fails before any run."""
+    out = Path("out" if path is None else path, *sub)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -249,7 +250,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     payload = run_single(cfg, workers=args.workers)
     path = write_summary(payload, out)
     print(f"{path}: engine={cfg.engine} "
@@ -261,7 +262,7 @@ def _cmd_run(args) -> int:
 def _sweep(cfg: ExperimentConfig, workers: int) -> int:
     """Validate every point, make the output directory, then run and write the grid."""
     header, tasks = _sweep_tasks(cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.output_dir)
     path = write_sweep_csv(header, _map(_sweep_row, workers, tasks), out)
     print(f"{path}: {len(tasks)} rows x {len(header)} columns")
     return 0
@@ -289,6 +290,7 @@ def _cmd_policy(args) -> int:
 def _cmd_verify(args) -> int:
     from resplit.acceptance import run_acceptance
 
+    _out_dir(args.out, "verify")  # where the checks write
     return run_acceptance(Path(args.out), quick=args.quick)
 
 

@@ -124,8 +124,9 @@ class ExperimentConfig:
 # the sections that are one dataclass each, built and echoed field by field
 _SECTIONS = {"model": NetParams, "smc": SmcConfig, "mc": McConfig, "policy": PolicyStudy,
              "lookahead": LookaheadConfig}
-_TOP_KEYS = ("engine", "master_seed", "replications", "output_dir", "levels", "sweep",
-             *_SECTIONS)
+# the top-level keys that hold one value each, not fields
+_SCALAR_KEYS = ("engine", "master_seed", "replications", "output_dir")
+_TOP_KEYS = (*_SCALAR_KEYS, "levels", "sweep", *_SECTIONS)
 
 
 def _reject_unknown(data: dict, allowed, path: str) -> None:
@@ -244,7 +245,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _reject_wrong_kind(ExperimentConfig, raw, "")
 
     kwargs: dict[str, Any] = {}
-    for key in ("engine", "master_seed", "replications", "output_dir"):
+    for key in _SCALAR_KEYS:
         if key in raw:
             kwargs[key] = raw[key]
     for key, cls in _SECTIONS.items():
@@ -304,6 +305,8 @@ def apply_axis_value(raw: dict, name: str, value) -> dict:
         section, leaf = name.split(".", 1)
         if "." in leaf:
             raise ConfigError(f"{name}: axis paths go at most one level deep")
+        if section in _SCALAR_KEYS:
+            raise ConfigError(f"{name}: '{section}' takes no fields")
         target = dict(out.get(section, {}))
         target[leaf] = value
         out[section] = target

@@ -169,18 +169,22 @@ class Simulator(Protocol):
     that draw nothing (a dead ladder).  Asking for more steps than remain to
     the horizon raises :class:`HorizonExceededError`.
 
-    A miss may stop at any state once proven, with a coordinate below the
-    target: once it is certain that no step left can reach the target.  The
-    network model stops at an idle state with too few steps left to fill its
-    exceedance counter, or at the call's first state or an idle one from
-    which bounds on health, backlog, delay and the counter, with slacks for
-    rounding, prove every coordinate to ``stop`` below the target.  Its
-    cursor is still ``stop`` and its coordinate that of the state it stopped
-    at, and ``step_index`` and the state are where it stopped.  So callers
-    charge a miss its whole window and read a missed trajectory's state only
-    by restoring a snapshot: the budget counts model steps, whether
-    simulated or not, and a report is the same whether a miss ran to
-    ``stop`` or not.
+    The early-stop rule: a miss may stop at any state once proven, the
+    call's first state included, with a coordinate below the target: once
+    it is certain that no step left in the window can reach the target.  It
+    still returns ``stop`` as its cursor, with the coordinate of the state
+    it stopped at, and ``step_index`` and the state are those of that state.
+    So callers charge a miss its whole window, never read its cost from
+    ``step_index``, and read a missed trajectory's state only by restoring a
+    snapshot: the budget counts model steps, whether simulated or not, and
+    a report is the same whether a miss ran to ``stop`` or not.  A proof,
+    whatever the last bits of its arithmetic, decides only whether the rest
+    of a miss is simulated, never a reported number.  The toys never stop
+    early.  The network model stops only at the call's first state or an
+    idle one (an empty queue whose capacity covers the load): there, when
+    too few steps are left to fill its exceedance counter, or when bounds on
+    health, backlog, delay and the counter, with slacks for rounding, prove
+    every coordinate to ``stop`` below the target (``NetSimulator.advance``).
 
     ``failure_value`` is the coordinate that marks the failure set: a
     trajectory has failed exactly when its coordinate is at or above it.

@@ -62,14 +62,9 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
     it fails early, so trajectory ``i`` reads block ``i``, values
     ``[i n, (i + 1) n)`` of the stream.
 
-    A hit costs the steps to its failure and a miss its whole ``n`` steps.
-    A miss may stop at any state once proven, with a coordinate below the
-    failure value: ``advance`` may end it before the horizon, once no step
-    left can reach the failure set (too few steps are left to fill the
-    exceedance counter, or bounds on health, backlog and the counter prove
-    it).  So a miss's cost is never read from ``step_index``: the budget
-    counts model steps, simulated or not, and the report is the one every
-    step would give.
+    A hit costs the steps to its failure and a miss its whole ``n`` steps,
+    also when ``advance`` ended it early under the early-stop rule of
+    ``core.Simulator``.
     """
     sim = factory()
     count = mc_plan(cfg, sim.horizon_steps)

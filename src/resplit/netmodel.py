@@ -429,22 +429,6 @@ class NetSimulator:
                                 load, self._dt, self._delta)
         return cert if cert.block >= 64 else None
 
-    def _prove(self, noise, i: int, stop: int, target: float, reach: int,
-               b: float, h: float, x: float, e: int) -> int:
-        """Try to prove that no state after ``(b, h, x, e)``, stepped on
-        ``noise[i:stop]``, reaches ``target``: 0 if a proof holds, else the
-        steps before which no proof is worth trying again (1 where none was
-        made: a health of ``_CERT_HEALTH_MAX`` or more, no certificate at this
-        rate, or too few steps left for one to pay)."""
-        if not h < _CERT_HEALTH_MAX:
-            return 1
-        cert = self._certs.get(self._nu, False)
-        if cert is False:
-            cert = self._certs[self._nu] = self._certificate(self._nu)
-        if cert is None or not cert.worth_trying(stop - i):
-            return 1
-        return cert.first_failure(noise, i, stop - i, target, reach, b, h, x, e)
-
     def set_policy(self, rate: float) -> None:
         """Switch the recovery rate in force (takes effect from the next step)."""
         if not 0.0 < rate * self._dt <= 1.0:
@@ -468,7 +452,8 @@ class NetSimulator:
     def advance(
         self, noise: Sequence[float], pos: int, stop: int, target: float
     ) -> tuple[int, float]:
-        """Step until the coordinate reaches ``target`` or ``stop``; see ``core.Simulator``.
+        """Step until the coordinate reaches ``target`` or ``stop``; see
+        ``core.Simulator``, whose early-stop rule says how a miss may end.
 
         Idle steps are exact without the queue.  When the pre-step backlog
         is 0 and capacity ``c >= load``, the backlog update gives
@@ -476,42 +461,42 @@ class NetSimulator:
         delay is 0, below the threshold, so the exceedance counter resets.
         The coordinate is then ``0 / c / delta + 0 = 0.0``, which misses
         every target above 0.  So while capacity covers the load, a step
-        changes only health and stress, and the inner loop updates only
+        changes only health and stress, and the idle loop updates only
         those until capacity falls below the load or ``stop`` is reached.
 
-        A miss may stop early, at an idle state from which no step left can
-        reach the target.  Below the failure set the coordinate is at most
-        ``1.0 + e / grace`` for a counter ``e < grace``, so a target in
-        ``(1, failure_value]`` needs the counter at ``reach``, the least
-        ``e`` with ``e == grace`` or ``1.0 + e / grace >= target``.  The
-        step after an idle state reads a pre-step delay of 0 and resets the
-        counter, so ``k`` steps from an idle state leave it at most
-        ``k - 1``; with at most ``reach`` steps left the target is out of
-        reach, and the idle loop stops there.  Targets at or below 1, and
-        above ``failure_value``, are never cut this way.
+        A miss ends early in one place: the call's first state, and each
+        idle state the busy loop reaches (an empty queue whose capacity
+        covers the load, with a coordinate below the target).  There, in
+        this order:
 
-        A miss may also stop once ``_MissCertificate`` proves it: bounds on
-        health, capacity, backlog, delay and the exceedance counter over the
-        rest of the window keep every coordinate left below the target, busy
-        excursions of the queue included.  This holds for any target in
-        ``(0, failure_value]``, where the recovery rate is at most
-        ``monotone_rate_bound`` and the load above 1/2, from a health under
-        ``_CERT_HEALTH_MAX``.  A proof is tried at the call's first state
-        when that state is busy and its coordinate is below the target (a
-        splitting attempt from a checkpoint), and at idle states.  It costs
-        about as much as ``_CERT_STEPS`` idle steps, so it is tried only
-        where the steps left, times the share of this rate's proofs on this
-        simulator that held, pay for it (``_MissCertificate.worth_trying``),
-        and, after a proof fails, not before the step at which its bound
-        fell short.
+        1. The reach cut, at an idle state.  Below the failure set the
+           coordinate is at most ``1.0 + e / grace`` for a counter
+           ``e < grace``, so a target in ``(1, failure_value]`` needs the
+           counter at ``reach``, the least ``e`` with ``e == grace`` or
+           ``1.0 + e / grace >= target``.  The step after an idle state
+           reads a pre-step delay of 0 and resets the counter, whatever it
+           was, so ``k`` steps from an idle state leave it at most
+           ``k - 1``: with at most ``reach`` steps left the target is out of
+           reach.  Targets at or below 1, and above ``failure_value``, are
+           never cut this way.
+        2. A proof by ``_MissCertificate`` from the state ``(b, h, x, e)``,
+           busy or idle: bounds on health, capacity, backlog, delay and the
+           exceedance counter over the rest of the window keep every
+           coordinate left below the target.  It holds for any target in
+           ``(0, failure_value]``, where the recovery rate is at most
+           ``monotone_rate_bound`` and the load above 1/2, from a health
+           under ``_CERT_HEALTH_MAX``.  It costs about as much as
+           ``_CERT_STEPS`` idle steps, so it is tried only where the steps
+           left, times the share of this rate's proofs on this simulator
+           that held, pay for it (``_MissCertificate.worth_trying``), and,
+           after a proof fails, not before the step at which its bound fell
+           short.
+        3. At an idle state, the idle loop, up to the last idle state from
+           which the target is still in reach.
 
-        Either way, a miss may stop at any state once proven, with a
-        coordinate below the target: it still returns ``stop`` as its
-        cursor, with the coordinate of the state it stopped at (an idle
-        state's ``0.0``, or the first state's own coordinate), and its
-        ``step_index`` and state are those of that state.  Callers charge a
-        miss its whole window and never read its state, so no result
-        changes: numpy's last bits decide only whether a proof holds.
+        Then the busy loop steps the queue until the coordinate reaches the
+        target, the window ends or an idle state comes, which goes back to
+        that place.
 
         The loops read one iterator over ``noise[pos:stop]``, in place, so
         setting up a call costs the same whatever the window's size, and the
@@ -533,40 +518,54 @@ class NetSimulator:
         exp, clip, floor = math.exp, _HEALTH_CLIP, -_HEALTH_CLIP
         b, h, x, e, c = self._backlog, self._health, self._log_stress, self._exceed, self._c
         r = b / c  # the pre-step delay, carried from each step into the next
+        g = self.coordinate()  # the loop's g is always the coordinate of its state
         zero_misses = target > 0.0  # an idle step's coordinate, 0.0, cannot reach the target
         reach = 0  # steps left at which an idle state is cut; 0 never cuts
-        # a miss may be proven (see _MissCertificate) only for a target that
-        # every idle state misses, up to the failure value
-        certify = zero_misses and target <= 2.0
-        wait = pos  # no proof before this index: the last proof's bound failed there
         if 1.0 < target <= 2.0:
             reach = self._reaches.get(target)
             if reach is None:
                 reach = self._reaches[target] = _reach(grace, target)
-        if certify and not (b == 0.0 and c >= load):
-            # a busy first state, a checkpoint say: prove the miss before any step
-            g = self.coordinate()
-            if g < target:
-                k = self._prove(noise, pos, stop, target, reach, b, h, x, e)
-                if not k:
-                    return stop, g
-                wait = pos + k
+        cert = None  # a miss may be proven only for a target up to the failure value
+        if zero_misses and target <= 2.0:
+            cert = self._certs.get(nu, False)
+            if cert is False:
+                cert = self._certs[nu] = self._certificate(nu)
+        wait = pos  # no proof before this index: the last proof's bound failed there
         # noise[pos:stop] read in place: a slice would copy stop - pos values per call;
         # each busy stretch and each idle stretch is one islice of this iterator
         unread = iter(noise)
         unread.__setstate__(pos)
         i = pos
         while True:
+            # the one place where a miss ends: the call's first state and each idle
+            # state; an idle first state at or above the target (a failed one, say)
+            # takes its first step in the busy loop, exact there too
+            idle = b == 0.0 and c >= load and g < target
+            if idle and stop - i <= reach:
+                break  # too few steps left to fill the counter to reach
+            if (cert is not None and i >= wait and g < target and h < _CERT_HEALTH_MAX
+                    and cert.worth_trying(stop - i)):
+                k = cert.first_failure(noise, i, stop - i, target, reach, b, h, x, e)
+                if not k:
+                    break  # no state left reaches the target
+                wait = i + k
+            if idle:
+                # the queue stays empty while capacity covers the load, and a step
+                # resets the counter, so every idle step's coordinate is 0.0
+                b, e, r, g = 0.0, 0, 0.0, 0.0
+                for z in islice(unread, stop - i - reach):
+                    h = h + nu * (1.0 - c) ** phi - exp(x)
+                    x = rho * x + mu_blend + z * sigma
+                    c = 1.0 / (1.0 + exp(clip if h < floor else -h))
+                    if not c >= load:  # a NaN capacity leaves too
+                        g = 0.0 / c  # the empty queue's coordinate: 0.0, or NaN
+                        break
+                else:
+                    break  # at stop, or cut with reach steps left
+                i = unread.__reduce__()[2]
             for z in islice(unread, stop - i):
                 h = h + nu * (1.0 - c) ** phi - exp(x)
                 x = rho * x + mu_blend + z * sigma
-                if b == 0.0 and zero_misses and c >= load:
-                    # idle queue: it stays empty while capacity covers the load
-                    b, e, r, g = 0.0, 0, 0.0, 0.0
-                    c = 1.0 / (1.0 + exp(clip if h < floor else -h))
-                    if c >= load:
-                        break
-                    continue
                 b = b + (load - c) * dt
                 if b < 0.0:
                     b = 0.0
@@ -587,35 +586,17 @@ class NetSimulator:
                     g = g + e / grace
                 if g >= target:
                     break
+                if b == 0.0 and zero_misses and c >= load:
+                    break  # an idle state
             else:
                 break  # every step of the window taken
             if g >= target:
                 break
-            # an idle state: step health and stress while capacity covers the load,
-            # up to the last idle state from which the target is still in reach
-            i = unread.__reduce__()[2]
-            if stop - i <= reach:
-                break
-            if certify and i >= wait:
-                k = self._prove(noise, i, stop, target, reach, 0.0, h, x, 0)
-                if not k:
-                    break  # no state left reaches the target
-                wait = i + k
-            for z in islice(unread, stop - i - reach):
-                h = h + nu * (1.0 - c) ** phi - exp(x)
-                x = rho * x + mu_blend + z * sigma
-                c = 1.0 / (1.0 + exp(clip if h < floor else -h))
-                if not c >= load:  # a NaN capacity leaves too
-                    break
-            else:
-                break  # at stop, or cut with reach steps left
             i = unread.__reduce__()[2]
         # the iterator's index; never exhausted, since every islice stops at or before stop
         i = unread.__reduce__()[2]
         self._j = j + (i - pos)
         self._backlog, self._health, self._log_stress, self._exceed, self._c = b, h, x, e, c
-        # the loop's g, where it stopped on one, is this same formula of the same state
-        g = self.coordinate()
         return (i if g >= target else stop), g
 
     # only benchmark/worker.py's l0_figures probe calls this

@@ -156,9 +156,8 @@ def run_attempts(
     crosses ``target`` (success: captured at ``next_level``), reaches the
     horizon (failure) or runs out of budget mid-flight (void: cost paid,
     counted as neither).  A failure or a void attempt costs its whole
-    window, also when ``advance`` ended it early: a miss may stop at any
-    state once proven, with a coordinate below the target, its checkpoint's
-    own state included, so the result is the one every step would give.
+    window, also when ``advance`` ended it early, at its checkpoint's own
+    state or later, under the early-stop rule of ``core.Simulator``.
     Targets and budget are checked before every attempt.  Returns the
     attempt count, the captures and the attempt index of each;
     ``ledger.used`` and ``noise.pos`` are written back on exit.

@@ -8,15 +8,13 @@ noise list, ``advance`` must reproduce the reference bit for bit, stop right
 after the first step at or above its target, take exactly ``stop - pos``
 steps otherwise and refuse to pass the horizon; the reference's failure set
 must be exactly the coordinates at or above ``failure_value``.  The network
-kernel may end a miss early: a miss may stop at any state once proven, with
-a coordinate below the target.  It may stop at an idle state on the
-reference's path from which the steps left cannot fill the exceedance
-counter to the least count the target needs, which the tests work out from
-the reference coordinate, or, for a target in ``(0, failure_value]``, at the
-call's first state or any later one on the path once its bounds on health,
-backlog, delay and the counter prove that no coordinate left in the window
-reaches the target; the reference must then miss the target over the whole
-window, and the call reports the state it stopped at.  Each
+kernel may end a miss early under the early-stop rule of ``core.Simulator``:
+the reference must then miss the target over the whole window, and the call
+must report the state it stopped at, its first state or a later one on the
+reference's path.  That state is either idle, with too few steps left to
+fill the exceedance counter to the least count the target needs (which the
+tests work out from the reference coordinate), or the target lies in
+``(0, failure_value]`` at a rate and load where a proof may hold.  Each
 simulator must satisfy the ``Simulator`` protocol, and the engines built on
 it must not depend on how their noise buffers are chunked.  The network
 kernel's idle-queue fast path is checked on paths that leave and re-enter
@@ -174,12 +172,12 @@ def check_contract_on(make, reference, seed, pack, targets, params):
     # a target stops the call right after the first step at or above it; a
     # miss either takes every step or, in the network model (``params``
     # given), may stop early with the window's end as its cursor: at an idle
-    # state on the reference's path (backlog 0, counter 0, capacity covering
-    # the load) with too few steps left to fill the counter to the target's
-    # least reach, or, for a target in (0, failure_value], at any state once
-    # proven, the call's first state (k = 0) included; no coordinate in the
-    # window reaches the target, and the call reports the coordinate of the
-    # state it stopped at
+    # state (backlog 0, capacity covering the load; the counter may still
+    # run) with too few steps left to fill the counter to the target's least
+    # reach, or, for a target in (0, failure_value], at any state once
+    # proven; either may be the call's first state (k = 0) or a later one on
+    # the reference's path.  No coordinate in the window reaches the target,
+    # and the call reports the coordinate of the state it stopped at
     for target in (*targets, value, coords[steps // 2], max(coords), max(coords) + 1.0):
         sim = make()
         pos, g = sim.advance(noise, 0, steps, target)
@@ -197,7 +195,7 @@ def check_contract_on(make, reference, seed, pack, targets, params):
                     assert snap == states[k - 1] and g == coords[k - 1]
                 else:
                     assert snap == make().snapshot() and g == make().coordinate()
-                idle = (snap[1], snap[4]) == (0.0, 0) and capacity(snap[2]) >= params.arrival_load
+                idle = snap[1] == 0.0 and capacity(snap[2]) >= params.arrival_load
                 reach_cut = (idle and 1.0 < target
                              and steps - k <= least_reach(params.grace_steps, target))
                 assert reach_cut or may_certify(params, snap[5])
@@ -380,6 +378,22 @@ class TestIdleQueue:
                 sim.advance(noise, pos, pos + size, math.inf)
                 assert repr(sim.snapshot()) == repr(path[pos + size - 1][0])
 
+    def test_nan_health_leaves_the_idle_loop(self):
+        # a NaN draw during an idle stretch makes health, and so capacity, NaN
+        # two steps on: the queue leaves idle, and a window that ends on that
+        # step reports the oracle's NaN coordinate
+        p = NetParams()
+        noise, path = self.path(p, 5)
+        m = next(k for k in range(1, len(path)) if path[k][2])
+        noise[m] = math.nan
+        path = oracle_path(p, noise)
+        for stop in (m + 2, m + 3, len(noise)):
+            sim = NetSimulator(p)
+            got = sim.advance(noise, 0, stop, math.inf)
+            assert repr((got, sim.snapshot())) == repr(((stop, path[stop - 1][1]),
+                                                         path[stop - 1][0]))
+        assert math.isnan(path[m + 1][1])
+
     @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 1e-300, 0.02])
     def test_targets_at_and_near_zero(self, target):
         p = NetParams()
@@ -415,9 +429,10 @@ def long_grace_params(rng):
 
 
 class TestIdleTailCut:
-    """A miss whose target is out of reach stops at an idle state: with ``k``
-    steps left from an idle state the counter ends at most ``k - 1``, and a
-    target in ``(1, 2]`` needs it at ``reach``."""
+    """A miss whose target is out of reach stops at an idle state, the call's
+    first state included: the step after an idle state resets the counter,
+    whatever it was, so with ``k`` steps left from one the counter ends at
+    most ``k - 1``, and a target in ``(1, 2]`` needs it at ``reach``."""
 
     def test_reach_is_the_least_count(self):
         for grace in range(1, 201):
@@ -431,7 +446,7 @@ class TestIdleTailCut:
 
     def test_random_models_from_random_starts(self):
         master = np.random.default_rng(23)
-        hits = cuts = 0
+        hits = cuts = firsts = 0
         for trial in range(40):
             p = long_grace_params(master)
             steps = p.horizon_steps
@@ -443,6 +458,7 @@ class TestIdleTailCut:
                     sim = NetSimulator(p)
                     if start:
                         sim.restore(path[start - 1][0])
+                    first = (sim.snapshot(), sim.coordinate())
                     pos, g = sim.advance(noise, start, steps, target)
                     hit = next((k for k in range(start, steps) if path[k][1] >= target), None)
                     if hit is not None:
@@ -451,17 +467,20 @@ class TestIdleTailCut:
                         assert (pos, g) == (hit + 1, path[hit][1])
                         assert repr(sim.snapshot()) == repr(path[hit][0])
                         continue
-                    # a miss is a state on the oracle's path, with the window's end as cursor
+                    # a miss is the call's first state or a later one on the oracle's
+                    # path, with the window's end as cursor
                     k = sim.step_index
-                    snap, coord, idle = path[k - 1]
+                    snap, coord = path[k - 1][:2] if k > start else first
                     assert (pos, g) == (steps, coord) and g < target
                     assert repr(sim.snapshot()) == repr(snap)
                     if k < steps:
                         cuts += 1
-                        assert 1.0 < target <= 2.0 and k > start
-                        assert idle and snap[4] == 0
+                        firsts += k == start
+                        assert 1.0 < target <= 2.0
+                        # idle: an empty queue whose capacity covers the load
+                        assert snap[1] == 0.0 and capacity(snap[2]) >= p.arrival_load
                         assert steps - k <= least_reach(p.grace_steps, target)
-        assert hits >= 100 and cuts >= 200
+        assert hits >= 100 and cuts >= 200 and firsts >= 30
 
 
 def near_threshold_params(rng):
@@ -616,10 +635,11 @@ class TestIdleCertificate:
     def test_most_fresh_misses_are_certified(self):
         # the positive control: from NetParams()'s fresh state, a failure-target
         # call over the whole horizon, a plain Monte Carlo trajectory, is proven
-        # a miss in nearly every trajectory
+        # a miss in nearly every trajectory, nearly always at that idle state
+        # itself, before any step
         p = NetParams()
         steps = p.horizon_steps
-        misses = certs = 0
+        misses = certs = firsts = 0
         for seed in range(100):
             sim = NetSimulator(p)
             noise = sim.draw_noise(stream(seed, "mc"), steps)
@@ -627,7 +647,8 @@ class TestIdleCertificate:
             if g < sim.failure_value:
                 misses += 1
                 certs += certified(p, 2.0, steps, sim.step_index)
-        assert misses >= 90 and certs >= 0.95 * misses
+                firsts += sim.step_index == 0
+        assert misses >= 90 and certs >= 0.95 * misses and firsts >= 0.95 * misses
 
 
 def busy_model(rng):

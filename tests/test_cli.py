@@ -434,22 +434,28 @@ class TestMain:
         ("run", cheap_dict(), False),
         ("sweep", cheap_dict(sweep={"axes": [{"name": "engine", "values": ["mc", "smc"]}]}), True),
         ("policy", cheap_dict(), True),
-    ], ids=["run-out", "run-output_dir", "sweep-out", "policy-out"])
+        ("verify", None, True),
+    ], ids=["run-out", "run-output_dir", "sweep-out", "policy-out", "verify-out"])
     def test_unusable_output_dir_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                         command, raw, flag):
-        def never(cfg, seed):
+        def never(*args):
             raise AssertionError("an engine ran before the output directory was made")
 
         monkeypatch.setattr("resplit.cli._execute", never)  # every run goes through it
+        monkeypatch.setattr(acceptance, "CHECKS", (acceptance.Check(10, "check 10", True, never),))
         (tmp_path / "afile").write_text("")  # a regular file where a directory must go
         out = tmp_path / "afile" / "x"
-        if not flag:
-            raw = {**raw, "output_dir": str(out)}
-        (tmp_path / "exp.json").write_text(json.dumps(raw))
-        argv = [command, "--config", str(tmp_path / "exp.json")]
-        rc = main(argv + ["--out", str(out)] if flag else argv)
+        if raw is None:
+            # verify takes no config; its checks write under <out>/verify
+            rc, made = main([command, "--quick", "--out", str(out)]), out / "verify"
+        else:
+            if not flag:
+                raw = {**raw, "output_dir": str(out)}
+            (tmp_path / "exp.json").write_text(json.dumps(raw))
+            argv = [command, "--config", str(tmp_path / "exp.json")]
+            rc, made = main(argv + ["--out", str(out)] if flag else argv), out
         assert rc == 2
-        assert (f"config error: output_dir: cannot create '{out}': Not a directory"
+        assert (f"config error: output_dir: cannot create '{made}': Not a directory"
                 in capsys.readouterr().err)
 
     def test_verify_runs_each_check_in_its_work_dir(self, tmp_path, monkeypatch, capsys):

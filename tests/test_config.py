@@ -341,6 +341,15 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="one level deep"):
             apply_axis_value({}, "model.sub.field", 1)
 
+    @pytest.mark.parametrize("key", ["engine", "master_seed", "replications", "output_dir"])
+    def test_path_through_a_scalar_key_rejected(self, key):
+        for raw in ({}, config_to_dict(ExperimentConfig())):
+            with pytest.raises(ConfigError, match=rf"^{key}\.x: '{key}' takes no fields$"):
+                apply_axis_value(raw, f"{key}.x", 1)
+        cfg = config_from_dict({"sweep": {"axes": [{"name": f"{key}.x", "values": [1]}]}})
+        with pytest.raises(ConfigError, match="takes no fields"):
+            list(sweep_points(cfg))
+
     def test_bogus_path_caught_at_rebuild(self):
         out = apply_axis_value({}, "model.not_a_field", 1)
         with pytest.raises(ConfigError, match=r"model\.not_a_field"):

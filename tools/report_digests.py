@@ -26,8 +26,12 @@ the model's monotone bound, where no proof is made at that rate; and a
 model whose stress persistence is 0.3, where a proof sums its window in
 blocks.  Last, shapes where proofs start from a busy queue: plain Monte
 Carlo at the policy benchmark's noisy point, splitting and Monte Carlo on a
-model whose first state already holds a backlog, and splitting at the
-rare-regime check's model and levels under a short budget.  Each digest is a
+model whose first state already holds a backlog, splitting at the
+rare-regime check's model and levels under a short budget, splitting and
+Monte Carlo on a model whose first step empties a queue with its exceedance
+counter running (an idle state whose counter is not 0), and Monte Carlo on
+that model over a horizon as long as its grace window, where every run is
+cut at that state.  Each digest is a
 hash of the report by field: dataclass fields and dict keys by name, in
 sorted order, recursively, leaving out the names in ``DROPPED``.  A change
 that retires a field lists its name there, so every line shows that the
@@ -78,6 +82,12 @@ LONG_GRACE = replace(NOISY, horizon_seconds=6.0, grace_seconds=4.0)
 NEAR_BOUND = replace(NOISY, recovery_rate=1.13, stress_log_sd=1.2)
 FLEETING = replace(NOISY, stress_persistence=0.3, stress_log_sd=1.0)
 BUSY_START = NetParams(initial_backlog=0.3, initial_health=1.2, delay_threshold=0.2)
+# the first step empties a queue whose delay is over the threshold: an idle state
+# whose exceedance counter still runs
+EMPTIED = NetParams(delay_threshold=0.01, initial_backlog=0.012, initial_health=3.0)
+# a horizon as long as the grace window: every run is cut at that idle state, a miss,
+# so one seed shows it
+EMPTIED_SHORT = replace(EMPTIED, horizon_seconds=5.0)
 # retired report fields and summary keys, absent from new reports and skipped in old ones
 DROPPED = {"inner_budget_exhausted", "min_resolvable", "rel_bias_first_order",
            "classical_rel_var", "resolution_floor"}
@@ -109,6 +119,7 @@ def extra_shapes():
     near_bound_policies = policy.PolicySet.from_params(NEAR_BOUND, size=3, increment_fraction=1.0)
     fleeting = simulator_factory(FLEETING)
     busy_start = simulator_factory(BUSY_START)
+    emptied = simulator_factory(EMPTIED)
     rare = simulator_factory(_RARE_PARAMS)
     rare_short = replace(_RARE_SMC, budget_steps=400_000)
     return (
@@ -147,6 +158,12 @@ def extra_shapes():
          lambda s: mc.run_mc(busy_start, mc.McConfig(budget_steps=300_000), s)),
         ("net-rare-short-smc", range(3),
          lambda s: smc.run_smc(rare, _RARE_LEVELS, rare_short, s)),
+        ("net-emptied-smc", range(4), lambda s: smc.run_smc(emptied, default_levels(), outer, s)),
+        ("net-emptied-mc", range(3),
+         lambda s: mc.run_mc(emptied, mc.McConfig(budget_steps=300_000), s)),
+        ("net-emptied-short-mc", (0,),
+         lambda s: mc.run_mc(simulator_factory(EMPTIED_SHORT), mc.McConfig(budget_steps=300_000),
+                             s)),
     )
 
 
