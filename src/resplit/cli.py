@@ -190,9 +190,6 @@ def _sweep_row(task) -> list[str]:
 
 def _sweep_tasks(cfg: ExperimentConfig) -> tuple[list[str], list[tuple]]:
     """The header and one task per row in grid order; validates every point, runs none."""
-    for axis in cfg.axes:
-        if axis.name == "levels" or axis.name.startswith("levels."):
-            raise ConfigError("levels cannot be swept: column layout must be stable")
     points = list(sweep_points(cfg))
     freq_width = 0
     for _, point_cfg in points:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -52,12 +52,15 @@ class PolicyStudy:
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter: a dotted key path and the grid of values."""
+    """One swept parameter: a dotted key path and the grid of values, kept as
+    a tuple.  Both default to empty, so an axis that leaves one out is refused
+    for its empty path or its empty grid."""
 
-    name: str
-    values: tuple
+    name: str = ""
+    values: tuple = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.name:
             raise ValueError("axis name must be a nonempty key path")
         if len(self.values) == 0:
@@ -123,10 +126,10 @@ class ExperimentConfig:
 
 # the sections that are one dataclass each, built and echoed field by field
 _SECTIONS = {"model": NetParams, "smc": SmcConfig, "mc": McConfig, "policy": PolicyStudy,
-             "lookahead": LookaheadConfig}
+             "lookahead": LookaheadConfig, "levels": LevelSchedule}
 # the top-level keys that hold one value each, not fields
 _SCALAR_KEYS = ("engine", "master_seed", "replications", "output_dir")
-_TOP_KEYS = (*_SCALAR_KEYS, "levels", "sweep", *_SECTIONS)
+_TOP_KEYS = (*_SCALAR_KEYS, "sweep", *_SECTIONS)
 
 
 def _reject_unknown(data: dict, allowed, path: str) -> None:
@@ -144,7 +147,7 @@ def _reject_non_finite(value, path: str) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{path}[{i}]")
 
@@ -158,59 +161,44 @@ _KINDS = {
 
 
 def _check_kind(value, kind: str, path: str) -> None:
-    types, name = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{path}: must be {name}, got {value!r}")
+    outer, _, inner = kind.partition("[")
+    if outer == "tuple":
+        # a list, or the tuple a rebuilt echo holds; ``tuple[K, ...]`` checks each item as K
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list")
+        for i, entry in enumerate(value):
+            _check_kind(entry, inner.partition(",")[0], f"{path}[{i}]")
+    elif kind in _KINDS:
+        types, name = _KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: must be {name}, got {value!r}")
 
 
 def _reject_wrong_kind(cls, data: dict, prefix: str) -> None:
     """Fields annotated ``int``, ``float`` or ``str`` (or ``... | None``, which also
     take null) take only JSON values of that kind: ``20.0`` is not a count and
-    ``true`` is not a number."""
+    ``true`` is not a number.  A field annotated ``tuple[K, ...]`` takes a list
+    whose every item is checked as ``K``, and a bare ``tuple`` a list of anything.
+    Other annotations, the sections, are left to their own builders."""
     for f in fields(cls):
         kind, _, rest = f.type.partition(" | ")
-        if kind not in _KINDS or f.name not in data:
-            continue
-        if data[f.name] is None and rest == "None":
-            continue
-        _check_kind(data[f.name], kind, f"{prefix}{f.name}")
+        if f.name in data and not (data[f.name] is None and rest == "None"):
+            _check_kind(data[f.name], kind, f"{prefix}{f.name}")
 
 
 def _build_section(cls, data: dict, path: str):
+    """One dataclass from a JSON object: unknown keys, missing required fields
+    and values of the wrong kind are refused with their full path."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    _reject_unknown(data, allowed, f"{path}.")
+    _reject_unknown(data, {f.name for f in fields(cls)}, f"{path}.")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
     _reject_wrong_kind(cls, data, f"{path}.")
     try:
         return cls(**data)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_levels(data: dict, path: str) -> LevelSchedule:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    _reject_unknown(data, {"thresholds", "labels"}, f"{path}.")
-    if "thresholds" not in data:
-        raise ConfigError(f"{path}.thresholds: required when levels are given")
-    thresholds = data["thresholds"]
-    if not isinstance(thresholds, list):
-        raise ConfigError(f"{path}.thresholds: expected a list")
-    for i, value in enumerate(thresholds):
-        _check_kind(value, "float", f"{path}.thresholds[{i}]")
-    labels = data.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list):
-            raise ConfigError(f"{path}.labels: expected a list of strings")
-        for i, value in enumerate(labels):
-            _check_kind(value, "str", f"{path}.labels[{i}]")
-    try:
-        return LevelSchedule(
-            thresholds=tuple(thresholds),
-            labels=tuple(labels) if labels is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -221,19 +209,8 @@ def _build_axes(data: dict, path: str) -> tuple[SweepAxis, ...]:
     raw_axes = data.get("axes", [])
     if not isinstance(raw_axes, list):
         raise ConfigError(f"{path}.axes: expected a list of axis objects")
-    axes = []
-    for i, entry in enumerate(raw_axes):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}.axes[{i}]: expected an object")
-        _reject_unknown(entry, {"name", "values"}, f"{path}.axes[{i}].")
-        values = entry.get("values", [])
-        if not isinstance(values, list):
-            raise ConfigError(f"{path}.axes[{i}].values: expected a list")
-        try:
-            axes.append(SweepAxis(entry.get("name", ""), tuple(values)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.axes[{i}]: {exc}") from exc
-    return tuple(axes)
+    return tuple(_build_section(SweepAxis, entry, f"{path}.axes[{i}]")
+                 for i, entry in enumerate(raw_axes))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -251,8 +228,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key, cls in _SECTIONS.items():
         if key in raw:
             kwargs[key] = _build_section(cls, raw[key], key)
-    if "levels" in raw:
-        kwargs["levels"] = _build_levels(raw["levels"], "levels")
     if "sweep" in raw:
         kwargs["axes"] = _build_axes(raw["sweep"], "sweep")
     try:
@@ -281,15 +256,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "replications": cfg.replications,
         **{key: asdict(getattr(cfg, key)) for key in _SECTIONS},
-        "levels": {
-            "thresholds": list(cfg.levels.thresholds),
-            "labels": list(cfg.levels.labels) if cfg.levels.labels else None,
-        },
-        "sweep": {
-            "axes": [
-                {"name": axis.name, "values": list(axis.values)} for axis in cfg.axes
-            ]
-        },
+        "sweep": {"axes": [asdict(axis) for axis in cfg.axes]},
     }
 
 
@@ -297,12 +264,15 @@ def apply_axis_value(raw: dict, name: str, value) -> dict:
     """Return a copy of the raw config with one dotted key path overridden.
 
     Top-level names ('engine') set a root key; 'section.field' sets one field
-    inside a section.  Whether the resulting key is valid is decided by the
-    rebuild, which reports the full path.
+    inside a section.  No path goes through ``levels`` or ``sweep``: either
+    would change the columns of the sweep's table.  Whether the resulting key
+    is valid is decided by the rebuild, which reports the full path.
     """
+    section, dot, leaf = name.partition(".")
+    if section in ("levels", "sweep"):
+        raise ConfigError(f"{section} cannot be swept: column layout must be stable")
     out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
-    if "." in name:
-        section, leaf = name.split(".", 1)
+    if dot:
         if "." in leaf:
             raise ConfigError(f"{name}: axis paths go at most one level deep")
         if section in _SCALAR_KEYS:

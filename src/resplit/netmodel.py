@@ -422,8 +422,10 @@ class NetSimulator:
                            + self._sigma ** 2 / (2.0 * (1.0 - rho * rho)))
         log_q = (log_mean_stress - math.log(nu)) / phi  # log(1 - c) there
         H = math.log(load / (1.0 - load))
-        if log_q < 0.0:
-            q = math.exp(log_q)
+        # q rounds to 1 under a huge exponent and to 0 under a vanishing stress; the
+        # balance point is then past float range, and any H >= 0 gives a valid tangent
+        q = math.exp(log_q) if log_q < 0.0 else 1.0  # a large log_q would overflow exp
+        if 0.0 < q < 1.0:
             H = max(H, 0.5 * (H + math.log((1.0 - q) / q)))
         cert = _MissCertificate(H, nu, phi, rho, self._mu_blend, self._sigma, self._horizon,
                                 load, self._dt, self._delta)

@@ -604,6 +604,19 @@ class TestIdleCertificate:
             k, hit = run_window(p, noise, path, 0, target)
             assert not hit and certified(p, target, p.horizon_steps, k)
 
+    @pytest.mark.parametrize("change", [
+        {"recovery_exponent": 1e17}, {"recovery_exponent": 1e308}, {"stress_log_mean": -2000.0},
+    ])
+    def test_balance_point_past_float_range(self, change):
+        # 1 - capacity at the balance point rounds to 1 under a huge exponent
+        # and to 0 under a vanishing stress: a proof then takes its tangent at logit(load)
+        p = replace(NetParams(), **change)
+        for seed in range(3):
+            noise = stream(seed, "noise").standard_normal(p.horizon_steps).tolist()
+            path = oracle_path(p, noise)
+            for target in (1e-300, 0.5, 1.5, 2.0):
+                run_window(p, noise, path, 0, target)
+
     @pytest.mark.parametrize("rho", [0.0, 1e-6, 0.05, 0.3])
     def test_small_persistence_emits_no_warning(self, rho):
         # rho ** -k overflows within the window: the bound sums in blocks, or not at all

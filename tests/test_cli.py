@@ -419,6 +419,10 @@ class TestMain:
          "levels.thresholds: top threshold 3.0 is above the failure value 2.0"),
         ("run", {"engine": "mc", "mc": {"budget_steps": 100}},
          "mc.budget_steps: budget of 100 steps is below one 1200-step trajectory"),
+        ("sweep", {"sweep": {"axes": [{"name": 5, "values": [1]}]}},
+         "sweep.axes[0].name: must be a string, got 5"),
+        ("sweep", {"sweep": {"axes": [{"name": "sweep.axes", "values": [[]]}]}},
+         "sweep cannot be swept"),
     ])
     def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                     command, raw, message):

@@ -148,6 +148,10 @@ class TestStrictLoading:
         with pytest.raises(ConfigError, match=r"levels\.thresholds"):
             config_from_dict({"levels": {"labels": ["a"]}})
 
+    def test_missing_required_field_named(self):
+        with pytest.raises(ConfigError, match=r"^levels\.thresholds: required$"):
+            config_from_dict({"levels": {}})
+
     def test_bad_schedule_wrapped_with_path(self):
         with pytest.raises(ConfigError, match="levels"):
             config_from_dict({"levels": {"thresholds": [1.0, 0.5]}})
@@ -291,7 +295,7 @@ class TestNumberFields:
             config_from_dict({"levels": {"thresholds": "01"}})
 
     def test_labels_must_be_a_list_of_strings(self):
-        with pytest.raises(ConfigError, match=r"^levels\.labels: expected a list of strings$"):
+        with pytest.raises(ConfigError, match=r"^levels\.labels: expected a list$"):
             config_from_dict({"levels": {"thresholds": [0, 1, 2], "labels": "abc"}})
         with pytest.raises(ConfigError, match=r"^levels\.labels\[0\]: must be a string, got 1$"):
             config_from_dict({"levels": {"thresholds": [0, 1, 2], "labels": [1, True, None]}})
@@ -340,6 +344,15 @@ class TestOverrides:
     def test_deep_paths_rejected(self):
         with pytest.raises(ConfigError, match="one level deep"):
             apply_axis_value({}, "model.sub.field", 1)
+
+    @pytest.mark.parametrize("name", ["levels", "levels.thresholds", "sweep", "sweep.axes"])
+    def test_levels_and_sweep_paths_rejected(self, name):
+        section = name.partition(".")[0]
+        with pytest.raises(ConfigError, match=rf"^{section} cannot be swept: "):
+            apply_axis_value({}, name, [])
+        cfg = config_from_dict({"sweep": {"axes": [{"name": name, "values": [[]]}]}})
+        with pytest.raises(ConfigError, match="cannot be swept"):
+            list(sweep_points(cfg))
 
     @pytest.mark.parametrize("key", ["engine", "master_seed", "replications", "output_dir"])
     def test_path_through_a_scalar_key_rejected(self, key):

@@ -46,8 +46,14 @@ acceptance checks' cheap operating point, with the ``DROPPED`` and
 ``RETIRED_KEYS`` names left out, so artifact identity is diffed the same
 way.  Every scored checkpoint there picks candidate 0, so a
 ``smc+policy-noisy-result`` line hashes a three-candidate run on the noisy
-model, where the candidates compete.  The script takes no options and
-imports ``resplit`` from the checkout it sits in.
+model, where the candidates compete.  Then one ``config-echo-<name>`` line
+per config document, a hash of the echo ``config_to_dict`` gives of the
+loaded document, the ``config`` that ``summary.json`` holds: the defaults,
+levels with and without labels, a policy study with its lookahead, and a
+two-axis sweep, followed by one ``config-echo-sweep-point-<i>`` line per
+point of that sweep, the echo of the config each point rebuilds.  The
+script takes no options and imports ``resplit`` from the checkout it sits
+in.
 """
 from __future__ import annotations
 
@@ -71,7 +77,7 @@ from resplit.acceptance import (  # noqa: E402
     _RARE_SMC,
 )
 from resplit.cli import run_single  # noqa: E402
-from resplit.config import config_from_dict  # noqa: E402
+from resplit.config import config_from_dict, config_to_dict, sweep_points  # noqa: E402
 from resplit.core import LevelSchedule, derive_seed  # noqa: E402
 from resplit.netmodel import NetParams, default_levels, simulator_factory  # noqa: E402
 from resplit.toys import ladder_factory, three_state_factory  # noqa: E402
@@ -182,6 +188,24 @@ def result_configs():
             ("smc+policy-noisy-result", config_from_dict(noisy)))
 
 
+def echo_configs():
+    """``(name, document)`` for the config-echo lines."""
+    levels = {"thresholds": [0.0, 0.1, 1.0, 2.0]}
+    return (
+        ("default", {}),
+        ("levels-labels",
+         {"levels": {**levels, "labels": ["calm", "onset", "critical", "failed"]}}),
+        ("levels", {"levels": levels}),
+        ("policy", {"engine": "smc+policy", "master_seed": 3,
+                    "policy": {"size": 3, "increment_fraction": 0.25},
+                    "lookahead": {"host_level": 1, "continuations": 5}}),
+        ("sweep", {"master_seed": 9, "levels": levels, "sweep": {"axes": [
+            {"name": "engine", "values": ["mc", "smc", "smc+policy"]},
+            {"name": "model.delay_threshold", "values": [0.1, 0.2]},
+        ]}}),
+    )
+
+
 def by_field(value, drop=DROPPED):
     """``value`` as plain data keyed by name: a dataclass becomes a dict of its
     fields, every dict is sorted by key, and the names in ``drop`` are left out."""
@@ -217,6 +241,12 @@ def main() -> None:
     for shape, cfg in result_configs():
         replications = run_single(cfg)["replications"]
         print(shape, cfg.master_seed, digest(replications, DROPPED | RETIRED_KEYS), flush=True)
+    echoes = {name: config_from_dict(doc) for name, doc in echo_configs()}
+    for name, cfg in echoes.items():
+        print(f"config-echo-{name}", cfg.master_seed, digest(config_to_dict(cfg)), flush=True)
+    for i, (_, point) in enumerate(sweep_points(echoes["sweep"])):
+        print(f"config-echo-sweep-point-{i}", point.master_seed, digest(config_to_dict(point)),
+              flush=True)
 
 
 if __name__ == "__main__":
