@@ -15,6 +15,7 @@ over ``g`` interpolate between "nominal" and "failed".
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _HEALTH_CLIP = 50.0  # logistic input clamp; capacity saturates far before this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
 
 # The miss certificate of NetSimulator.advance (see _MissCertificate).  Each
 # slack covers the rounding that separates the kernel's path from numpy's bound.
@@ -59,11 +61,15 @@ _HEALTH_CLIP = 50.0  # logistic input clamp; capacity saturates far before this
 # sums is the current one the bound is exactly 0 and so is the kernel's
 # backlog.  Past the bound on backlog and capacity every comparison is
 # IEEE-monotone: the delay, its flag, the counter and the coordinate the
-# kernel computes never exceed the bound's.
+# kernel computes never exceed the bound's.  The empty-queue test keeps 1e-9
+# of low in hand for np.exp, and the sum of rises is inflated past its own
+# rounding and divided in the kernel's order, B / C / delta.
 _CERT_SLACK = 1e-6  # health margin a proof takes off its bound before capacity
 _CERT_BACKLOG_SLACK = 2.0 ** -44  # backlog margin per step, times the block's largest backlog
 _CERT_HEALTH_MAX = 100.0  # no proof from a health this high, which keeps the rounding small
-_CERT_STEPS = 200  # a proof's cost in idle steps: ~50 us, a step ~0.24 us (2-core x86_64)
+# the gate's price of a proof in idle steps (~0.24 us each, 2-core x86_64), set when a
+# proof cost ~50 us; the cheap tests brought that to ~25-60 us, and the price stays
+_CERT_STEPS = 200
 _CERT_FORGET = 32  # refused proofs per proof made at which a rate's record halves
 _CERT_SCALE_LOG = 500.0 * math.log(2.0)  # log of the largest power a proof's sums scale by
 _CERT_LOG_STRESS_CAP = 300.0  # larger log-stress is capped: one such step fails any proof
@@ -112,6 +118,13 @@ class NetParams:
         if not self.stress_log_sd >= 0.0:
             # 0 is allowed: it freezes the stress at its mean, handy for exact tests
             raise ValueError(f"stress_log_sd must be >= 0, got {self.stress_log_sd}")
+        # exp(log-stress) in the health step must not overflow: 40 stationary
+        # standard deviations above the start and the mean bound every path drawn
+        top = (max(self.start_log_stress, self.stress_log_mean)
+               + 40.0 * self.stress_log_sd / math.sqrt(1.0 - self.stress_persistence ** 2))
+        if not top < _LOG_FLOAT_MAX:
+            raise ValueError(f"log-stress may reach {top:.6g}, where exp overflows past"
+                             f" {_LOG_FLOAT_MAX:.6g}")
         if not self.delay_threshold > 0.0:
             raise ValueError(f"delay_threshold must be > 0, got {self.delay_threshold}")
         if not self.grace_seconds > 0.0:
@@ -184,29 +197,39 @@ class _MissCertificate:
 
     From the health bound the proof bounds the queue, step by step of the
     kernel: capacity from below by ``C = c(L - _CERT_SLACK)``, the backlog
-    from above by Lindley's recursion ``B' = max(0, B + (load - C) * dt)``
-    from ``B = b``, which is ``S - min(0, S[:k + 1].min())`` for the sums
-    ``S`` of the increments from ``S[0] = b``, and the delay by ``B / C``.  A
+    from above by Lindley's recursion ``B' = max(0, B + d)`` from ``B = b``
+    on the increments ``d = (load - C) * dt``, and the delay by ``B / C``.  A
     state whose delay bound reaches ``delta`` may raise the exceedance
     counter, so the counter is at most the length of the run of such states
     just before it, plus ``e`` for a run from the window's first state.  A
     target at or below 1 is missed when every state's delay bound, over
     ``delta``, is below it (then no counter rises); a target in ``(1, 2]``
     when every counter bound is below ``reach``, since below the failure set
-    the coordinate is at most ``1 + e / grace``.  An idle queue that stays
-    idle is the case ``b = 0``, ``e = 0`` with every increment at most 0:
-    every ``B`` is 0, and so is every coordinate.  See ``_CERT_SLACK`` for
-    the rounding.
+    the coordinate is at most ``1 + e / grace``.
+
+    Each block of the window tries three tests, cheapest first, and stops at
+    the first that settles it; in exact arithmetic each one's premise makes
+    the next one pass, so the order changes only the cost.  The empty queue:
+    ``b = 0`` and every ``C`` covers the load plus the increments' slack,
+    read off the health check's ``max(_CERT_SLACK - L)``, so every ``B`` is
+    0.  The sum of rises: ``b + sum(max(d, 0))`` bounds every ``B``, and over
+    the least ``C`` it is below ``delta * min(target, 1)`` (tried only when
+    ``b / C_0`` is).  Lindley's recursion in closed form,
+    ``B = S - min(0, S[:k + 1].min())`` for the sums ``S`` of the increments
+    from ``S[0] = b``, with the counter runs.  See ``_CERT_SLACK`` for the
+    rounding.
 
     ``H`` lies halfway between ``logit(load)`` and the health at which
     recovery balances the stationary mean stress, where the tangent is tight
     on the paths that come near the load.  ``tries`` and ``wins`` count
-    the proofs made and those that held, and ``refused`` the proofs
-    ``worth_trying`` turned down since those counts last halved.
+    the proofs made and those that held, ``settled`` the proofs that held by
+    the costliest test a block of theirs needed (empty queue, rises,
+    Lindley), and ``refused`` the proofs ``worth_trying`` turned down since
+    ``tries`` and ``wins`` last halved.
     """
 
     __slots__ = ("mu_rinv", "sigma_rinv", "rpow", "log_ainv", "apow", "ageo", "block",
-                 "load", "dt", "delta", "tries", "wins", "refused")
+                 "load", "dt", "delta", "empty_low", "tries", "wins", "refused", "settled")
 
     def __init__(self, H, nu, phi, rho, mu_blend, sigma, horizon, load, dt, delta):
         c = 1.0 / (1.0 + math.exp(-H))
@@ -228,7 +251,12 @@ class _MissCertificate:
         np.cumsum(self.apow[:-1], out=self.ageo[1:])
         self.ageo *= alpha
         self.ageo -= _CERT_SLACK
+        # the largest low = _CERT_SLACK - L at which C = 1 / (1 + exp(low)) covers the
+        # load plus any block's increment slack, less a margin for np.exp's rounding
+        q = load + _CERT_BACKLOG_SLACK * (block + 1)
+        self.empty_low = math.log((1.0 - q) / q) - 1e-9 if q < 1.0 else math.nan
         self.tries = self.wins = self.refused = 0
+        self.settled = [0, 0, 0]
 
     def worth_trying(self, n: int) -> bool:
         """Whether a proof over ``n`` steps pays for itself: the steps it
@@ -251,13 +279,15 @@ class _MissCertificate:
         ``noise[i:i + n - 1]``, can reach ``target`` (``reach`` is the least
         counter a target in ``(1, 2]`` needs); else the number of steps, at
         least 1, to the first state the bound does not clear.  Counted in
-        ``tries`` and ``wins``."""
+        ``tries``, ``wins`` and ``settled``."""
         self.tries += 1
         if isinstance(noise, array):
             z = np.frombuffer(noise, count=n - 1, offset=noise.itemsize * i)
         else:
             z = np.array(noise[i:i + n - 1], dtype=float)
         block, load, dt, delta = self.block, self.load, self.dt, self.delta
+        level = min(target, 1.0)  # a delay bound under delta * level keeps every coordinate below
+        how = 0  # the costliest test a block needed: empty queue, sum of rises, Lindley
         done = 0
         while done < n:
             # states done .. done + m of the window are this block's 0 .. m
@@ -287,53 +317,65 @@ class _MissCertificate:
             np.add.accumulate(low, out=low)
             low *= self.apow[:m + 1]
             low -= self.ageo[:m + 1]
-            if not np.maximum.reduce(low) <= 0.0:  # L < _CERT_SLACK, or a NaN
+            worst = np.maximum.reduce(low)
+            if not worst <= 0.0:  # L < _CERT_SLACK, or a NaN
                 return done + max(1, int(np.argmin(low <= 0.0)))
             if more:
                 h = _CERT_SLACK - float(low[m])
+            if b == 0.0 and worst <= self.empty_low:
+                e = 0  # every capacity bound covers the load: the queue stays empty
+                done += m
+                continue
             # capacity C_k = c(L_k - _CERT_SLACK), in place
             np.exp(low, out=low)
             low += 1.0
             np.divide(1.0, low, out=low)
-            # the increments (load - C_k) * dt plus the slack, then their sums S from b
+            # the increments (load - C_k) * dt plus the slack
             d = xs[1:]
             np.multiply(low[:m], -dt, out=d)
             d += load * dt + _CERT_BACKLOG_SLACK * (b + (m + 1) * dt)
-            rising = not np.maximum.reduce(d) <= 0.0
-            if b == 0.0 and not rising:
-                e = 0  # the queue stays empty: every delay and coordinate is 0
+            # every B_k is at most b plus the sum of the rises max(d_j, 0), inflated
+            # here for the sum's rounding, over the least C the delay test reads
+            if b / low[0] / delta < level:
+                rises = (b + np.add.reduce(np.maximum(d, 0.0))) * (1.0 + (m + 2) * 2.0 ** -52)
+                if rises / np.minimum.reduce(low[:m + 1 if target <= 1.0 else m]) / delta < level:
+                    e = 0  # no delay bound reaches delta * level, so no counter rises
+                    if more:  # the block's last B, as Lindley's recursion below gives it
+                        xs[0] = b
+                        np.add.accumulate(xs, out=xs)
+                        b = float(xs[m]) - min(0.0, float(np.minimum.reduce(xs)))
+                    how = max(how, 1)
+                    done += m
+                    continue
+            how = 2
+            # their sums S from b, and B_k = S_k - min(0, S_0, ..., S_k)
+            xs[0] = b
+            np.add.accumulate(xs, out=xs)
+            top = np.fmin.accumulate(xs)  # no NaN gets here: the guard refused it
+            if b > 0.0:
+                np.minimum(top, 0.0, out=top)
+            np.subtract(xs, top, out=xs)
+            b = float(xs[m])
+            np.divide(xs, low, out=xs)  # the delay bound B_k / C_k
+            if target <= 1.0:
+                if not np.maximum.reduce(xs) / delta < target:  # a NaN fails too
+                    return done + max(1, int(np.argmin(xs / delta < target)))
+                e = 0
+            elif not np.maximum.reduce(xs[:m]) < delta:
+                # a flagged state k raises the counter at k + 1: the run of
+                # flags up to k, plus e for a run from state 0
+                k = np.arange(m)
+                runs = np.where(xs[:m] < delta, k, -1 - e)
+                np.maximum.accumulate(runs, out=runs)
+                np.subtract(k, runs, out=runs)
+                if not np.maximum.reduce(runs) < reach:
+                    return done + 1 + int(np.argmax(runs >= reach))
+                e = int(runs[-1])
             else:
-                xs[0] = b
-                np.add.accumulate(xs, out=xs)
-                # B_k = S_k - min(0, S_0, ..., S_k), which is max(S_k, 0) where
-                # the sums never rise
-                if rising:
-                    top = np.fmin.accumulate(xs)  # no NaN gets here: the guard refused it
-                    if b > 0.0:
-                        np.minimum(top, 0.0, out=top)
-                    np.subtract(xs, top, out=xs)
-                else:
-                    np.maximum(xs, 0.0, out=xs)
-                b = float(xs[m])
-                np.divide(xs, low, out=xs)  # the delay bound B_k / C_k
-                if target <= 1.0:
-                    if not np.maximum.reduce(xs) / delta < target:  # a NaN fails too
-                        return done + max(1, int(np.argmin(xs / delta < target)))
-                    e = 0
-                elif not np.maximum.reduce(xs[:m]) < delta:
-                    # a flagged state k raises the counter at k + 1: the run of
-                    # flags up to k, plus e for a run from state 0
-                    k = np.arange(m)
-                    runs = np.where(xs[:m] < delta, k, -1 - e)
-                    np.maximum.accumulate(runs, out=runs)
-                    np.subtract(k, runs, out=runs)
-                    if not np.maximum.reduce(runs) < reach:
-                        return done + 1 + int(np.argmax(runs >= reach))
-                    e = int(runs[-1])
-                else:
-                    e = 0
+                e = 0
             done += m
         self.wins += 1
+        self.settled[how] += 1
         return 0
 
 

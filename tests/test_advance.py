@@ -277,7 +277,7 @@ def oracle_path(p, noise):
             for snap, g in oracle_from(p, start, noise)]
 
 
-def run_window(p, noise, path, start, target, first=None, rate=None):
+def run_window(p, noise, path, start, target, first=None, rate=None, settled=None):
     """One fresh simulator's call from state ``start`` of ``path`` to the end
     of ``noise``, checked against ``path``: the oracle's ``(snapshot,
     coordinate, ...)`` after each step from ``first``, the model's initial
@@ -286,7 +286,8 @@ def run_window(p, noise, path, start, target, first=None, rate=None):
     call's first state or any later one on the path, with the window's end
     as its cursor and that state's coordinate, below the target.  Returns the
     index of the state it stopped at (``start`` for the first state, ``k``
-    for ``path[k - 1]``) and whether the call hit."""
+    for ``path[k - 1]``) and whether the call hit.  The proofs that held, by
+    the test that settled them, are added into the list ``settled``."""
     steps = len(path)
     sim = NetSimulator(p)
     if first is not None:
@@ -298,6 +299,9 @@ def run_window(p, noise, path, start, target, first=None, rate=None):
     before = (sim.snapshot(), sim.coordinate())
     pos, g = sim.advance(noise, start, steps, target)
     k = start + (sim.step_index - before[0][0])
+    if settled is not None:
+        for cert in filter(None, sim._certs.values()):
+            settled[:] = map(sum, zip(settled, cert.settled))
     hit = next((j for j in range(start, steps) if path[j][1] >= target), None)
     if hit is not None:
         assert (pos, g) == (hit + 1, path[hit][1])
@@ -307,6 +311,27 @@ def run_window(p, noise, path, start, target, first=None, rate=None):
     assert (pos, g) == (steps, coord) and g < target
     assert repr(sim.snapshot()) == repr(want)
     return k, False
+
+
+def settled_by(p, noise, first, target):
+    """The test that settled a proof from state ``first`` over ``noise`` at
+    ``p``'s rate (0 empty queue, 1 sum of rises, 2 Lindley), or None where
+    it did not hold."""
+    cert = NetSimulator(p)._certificate(p.recovery_rate)
+    reach = least_reach(p.grace_steps, target) if target > 1.0 else 0
+    if cert.first_failure(array("d", noise), 0, len(noise), target, reach, *first[1:5]):
+        return None
+    return cert.settled.index(1)
+
+
+def edge(holds, lo, hi):
+    """Adjacent floats ``lo < hi`` between which ``holds`` turns from true to
+    false, by bisection from a true ``lo`` and a false ``hi``."""
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
 
 
 class TestIdleQueue:
@@ -514,6 +539,7 @@ class TestIdleCertificate:
     def test_random_models_near_the_threshold(self):
         master = np.random.default_rng(25)
         certs = crossings = 0
+        settled = [0, 0, 0]
         for trial in range(48):
             p = near_threshold_params(master)
             steps = p.horizon_steps
@@ -524,18 +550,21 @@ class TestIdleCertificate:
             for start in (0, *master.choice(idle, size=min(5, len(idle)), replace=False).tolist()):
                 for target in (5e-324, 1e-300, float(master.uniform(0.0, 1.0)),
                                float(master.uniform(1.0, 2.0)), 2.0):
-                    k, hit = run_window(p, noise, path, start, target)
+                    k, hit = run_window(p, noise, path, start, target, settled=settled)
                     certs += not hit and certified(p, target, steps, k)
-        # the bound proves many misses, and many paths leave the idle regime
-        assert certs >= 250 and crossings >= 20
+        # the bound proves many misses, and many paths leave the idle regime;
+        # each of the proof's tests settles some
+        assert certs >= 250 and crossings >= 20 and min(settled) >= 10
 
     def test_loads_within_rounding_of_the_path(self):
         # frozen stress, health started 1e-9 above the point where recovery
         # balances it: the path creeps down, and each load sits a few ulps from
         # the capacity at its end, so the path stays idle or leaves it by one
-        # rounding; only the slack keeps the bound's own rounding from a false proof
+        # rounding; only the slack keeps the bound's own rounding from a false
+        # proof.  Loads at the edge of the empty-queue test, a slack below the
+        # path, are settled by that test on one side and by another on the other
         master = np.random.default_rng(2525)
-        leaves = 0
+        leaves = edges = 0
         for _ in range(20):
             nu, phi = float(master.uniform(0.1, 2.0)), float(master.uniform(1.2, 4.0))
             mean, rho = float(master.uniform(-9.0, -3.0)), float(master.uniform(0.0, 0.95))
@@ -545,8 +574,18 @@ class TestIdleCertificate:
                           stress_log_mean=mean, stress_log_sd=0.0, initial_health=start)
             noise = [0.0] * p.horizon_steps
             end = capacity(oracle_path(p, noise)[-1][0][2])
-            for j in range(-2, 5):
-                load = end + j * 2.0 ** -53
+            loads = [end + j * 2.0 ** -53 for j in range(-2, 5)]
+            # and loads within ulps of the empty-queue test's edge, where the
+            # bound's least capacity meets the load plus the increments' slack
+            first = (0, 0.0, start, mean, 0, nu)
+            def empty(load):
+                return settled_by(replace(p, arrival_load=load), noise, first, 2.0) == 0
+            lo = math.nextafter(0.5, 1.0)
+            if empty(lo):
+                flip = edge(empty, lo, capacity(start))
+                loads += [flip + j * math.ulp(flip) for j in range(-2, 4)]
+                edges += 1
+            for load in loads:
                 if not 0.5 < load <= capacity(start):
                     continue
                 q = replace(p, arrival_load=load)
@@ -554,7 +593,7 @@ class TestIdleCertificate:
                 leaves += not path[-1][2]
                 for target in (5e-324, 2.0):
                     run_window(q, noise, path, 0, target)
-        assert leaves >= 50
+        assert leaves >= 50 and edges >= 10
 
     def test_a_proof_keeps_its_slack(self):
         # frozen stress started at its balance point: health stays there, and
@@ -689,6 +728,7 @@ class TestBusyCertificate:
     def test_random_models_from_busy_starts(self):
         master = np.random.default_rng(26)
         proofs = busy = hits = 0
+        settled = [0, 0, 0]
         for trial in range(150):
             p = busy_model(master)
             steps = p.horizon_steps
@@ -707,13 +747,14 @@ class TestBusyCertificate:
                                2.0):
                     if not 0.0 < target <= 2.0:
                         continue
-                    k, hit = run_window(p, noise, path, start, target)
+                    k, hit = run_window(p, noise, path, start, target, settled=settled)
                     hits += hit
                     if not hit and certified(p, target, steps, k):
                         proofs += 1
                         busy += k == start and start > 0
-        # many proofs hold, many at a busy first state, and the rest of the calls hit
-        assert proofs >= 500 and busy >= 200 and hits >= 500
+        # many proofs hold, many at a busy first state, and the rest of the
+        # calls hit; each of the proof's tests settles some
+        assert proofs >= 500 and busy >= 200 and hits >= 500 and min(settled) >= 50
 
     def test_a_drain_across_the_threshold_within_rounding(self):
         # capacity 1.0 in both the kernel and the bound, so only the backlog's
@@ -749,6 +790,32 @@ class TestBusyCertificate:
                         proofs += not hit and k == 0
                 assert len(tops) == 2  # the crossing lies inside the ulps tried
         assert proofs >= 30
+
+    def test_a_backlog_at_the_edge_of_the_sum_of_rises(self):
+        # capacity 1.0 in the kernel and the bound, and a load 1e-14 below it:
+        # the kernel's backlog holds within ulps, while every bound increment
+        # is a rise of its slack, so b + sum(rises) lies ~1.8e-10 above b.
+        # Backlogs within ulps of where that sum, over the least capacity,
+        # meets delta * min(target, 1) are settled by the sum on one side and
+        # by Lindley's recursion on the other, and both must match the oracle
+        p = NetParams(arrival_load=1.0 - 1e-14, step_seconds=0.02, horizon_seconds=8.0,
+                      grace_seconds=0.2, stress_log_mean=-20.0, stress_log_sd=0.0,
+                      delay_threshold=0.05)
+        noise = [0.0] * p.horizon_steps
+        for target in (0.5, 1.0, 2.0):
+            def state(b):
+                return (0, b, 40.0, p.stress_log_mean, 0, p.recovery_rate)
+            def rises(b):
+                return settled_by(p, noise, state(b), target) == 1
+            b = edge(rises, 0.0, p.delay_threshold * min(target, 1.0))
+            outcomes = set()
+            for ulps in range(-3, 4):
+                first = state(b + ulps * math.ulp(b))
+                outcomes.add(settled_by(p, noise, first, target))
+                k, hit = run_window(p, noise, oracle_from(p, first, noise), 0, target,
+                                    first=first)
+                assert not hit and k == 0
+            assert outcomes == {1, 2}
 
     def test_a_plunge_below_the_tangent_range(self):
         # a stress spike sends health far below 0, where a strong recovery

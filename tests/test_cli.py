@@ -423,6 +423,8 @@ class TestMain:
          "sweep.axes[0].name: must be a string, got 5"),
         ("sweep", {"sweep": {"axes": [{"name": "sweep.axes", "values": [[]]}]}},
          "sweep cannot be swept"),
+        ("run", {"model": {"stress_log_mean": 709.0}},
+         "model: log-stress may reach 742.261, where exp overflows past 709.783"),
     ])
     def test_malformed_value_exits_2_before_running(self, tmp_path, monkeypatch, capsys,
                                                     command, raw, message):

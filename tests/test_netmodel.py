@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,25 @@ class TestParams:
         # engines reported 0 without a word
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             NetParams(**{name: value})
+
+    def test_log_stress_must_keep_exp_in_range(self):
+        # the health step takes exp of the log-stress, which overflows past
+        # log(float max): a mean of 709 ended a run in OverflowError.  The
+        # bound is 40 stationary standard deviations above the start and the mean
+        sd, rho = 0.55, 0.75
+        edge = math.log(sys.float_info.max) - 40.0 * sd / math.sqrt(1.0 - rho * rho)
+        for name in ("stress_log_mean", "initial_log_stress"):
+            with pytest.raises(ValueError, match="^log-stress may reach .*, where exp overflows"):
+                NetParams(**{name: edge + 1e-9})
+            with pytest.raises(ValueError, match="^log-stress may reach 742.261, where exp"):
+                NetParams(**{name: 709.0})
+        with pytest.raises(ValueError, match="^log-stress may reach"):
+            NetParams(stress_log_sd=20.0, stress_persistence=0.0)
+        # just inside, a whole horizon runs: health collapses and the model fails
+        p = NetParams(stress_log_mean=edge - 1e-9)
+        sim = NetSimulator(p)
+        noise = sim.draw_noise(np.random.default_rng(0), p.horizon_steps)
+        assert sim.advance(noise, 0, p.horizon_steps, math.inf)[1] == sim.failure_value
 
     def test_default_levels(self):
         sched = default_levels()

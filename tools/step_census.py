@@ -8,10 +8,13 @@
 from ``step_index`` before and after every call.  A miss that the kernel ends
 early is charged its whole window but simulated only up to where it stopped,
 so their ratio is the share of the charged work the kernel still does.  The
-script also counts the miss proofs made and those that held, and times each
-one.  It wraps ``advance`` and the network model's proof from outside, so it
-runs unchanged in an older checkout whose proof class has another name, and
-the two checkouts' lines can be compared.
+script also counts the miss proofs made and those that held, split by the
+test that settled them (``empty`` queue, sum of ``rises``, ``lindley``'s
+recursion, from the proof's ``settled`` counts), and times each one.  It
+wraps ``advance`` and the network model's proof from outside, so it runs
+unchanged in an older checkout whose proof class has another name, or keeps
+no ``settled`` counts (those columns then read ``-``), and the two
+checkouts' lines can be compared.
 
 The shapes are the four benchmark workloads (read from
 ``benchmark/workloads.py``), each over the first ``--runs`` seeds of its seed
@@ -49,6 +52,7 @@ class Census:
     def __init__(self) -> None:
         self.simulated = self.tries = self.held = 0
         self.proof_s = 0.0
+        self.settled: list[int] | None = [0, 0, 0]  # None where the proof keeps no counts
 
 
 def proof_class():
@@ -69,11 +73,17 @@ def wrap(census: Census) -> None:
     proof = proof_class()
 
     def first_failure(self, *args, _inner=proof.first_failure):
+        before = list(self.settled) if hasattr(self, "settled") else None
         t0 = time.perf_counter()
         k = _inner(self, *args)
         census.proof_s += time.perf_counter() - t0
         census.tries += 1
         census.held += k == 0
+        if before is None or census.settled is None:
+            census.settled = None
+        else:
+            census.settled = [s + now - then
+                              for s, now, then in zip(census.settled, self.settled, before)]
         return k
     proof.first_failure = first_failure
 
@@ -105,11 +115,13 @@ def main() -> None:
     args = parser.parse_args()
     census = Census()
     wrap(census)
-    print("shape runs charged simulated sim/charged proofs held held% us/proof wall_s")
+    print("shape runs charged simulated sim/charged proofs held held% empty rises lindley"
+          " us/proof wall_s")
     for shape, calls, steps in shapes(args.seed_list, args.runs):
         if args.shapes and shape not in args.shapes:
             continue
         before = (census.simulated, census.tries, census.held, census.proof_s)
+        settled_before = None if census.settled is None else list(census.settled)
         charged = 0
         t0 = time.perf_counter()
         for call in calls:
@@ -117,8 +129,10 @@ def main() -> None:
         wall = time.perf_counter() - t0
         simulated, tries, held, proof_s = (now - then for now, then in zip(
             (census.simulated, census.tries, census.held, census.proof_s), before))
+        settled = (("-",) * 3 if census.settled is None else
+                   (now - then for now, then in zip(census.settled, settled_before)))
         print(f"{shape} {len(calls)} {charged} {simulated} {simulated / max(charged, 1):.4f}"
-              f" {tries} {held} {100.0 * held / max(tries, 1):.1f}"
+              f" {tries} {held} {100.0 * held / max(tries, 1):.1f} {' '.join(map(str, settled))}"
               f" {1e6 * proof_s / max(tries, 1):.1f} {wall:.2f}", flush=True)
 
 
