@@ -1,17 +1,20 @@
 """Naive Monte Carlo baseline at a matched step budget.
 
-Runs as many full trajectories as the step budget affords, each from a fresh
-initial state, and reports the hit fraction.  The report carries the
-accounting needed to compare against splitting runs: the trajectory count
-``N``, whose inverse is the smallest resolvable probability, and the
-predicted relative variance ``(1 - p) / (p N)``.
+Runs as many full trajectories as the step budget affords, each from the
+initial state, and reports the hit fraction.  This is splitting with one
+level, the failure set: one pass of the attempt loop,
+:func:`resplit.smc.run_attempts`.  The report carries the accounting needed
+to compare against splitting runs: the trajectory count ``N``, whose inverse
+is the smallest resolvable probability, and the predicted relative variance
+``(1 - p) / (p N)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from resplit.core import Simulator, stream
+from resplit.core import BudgetLedger, Checkpoint, NoiseBuffer, Simulator, stream
+from resplit.smc import run_attempts
 
 __all__ = ["McConfig", "McReport", "mc_plan", "run_mc"]
 
@@ -53,39 +56,23 @@ class McReport:
 
 
 def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McReport:
-    """Run the planned trajectories; each stops at its first absorption or the horizon.
+    """Run the planned trajectories; each stops at its first failure or the horizon.
 
-    Every trajectory starts from the factory's initial state, which one
-    simulator captures once and restores before each trajectory.  The run
-    reads one stream, ``("mc",)``, and randomness enters only there: each
-    trajectory draws its whole ``n = horizon - start`` values whether or not
-    it fails early, so trajectory ``i`` reads block ``i``, values
-    ``[i n, (i + 1) n)`` of the stream.
-
-    A hit costs the steps to its failure and a miss its whole ``n`` steps,
-    also when ``advance`` ended it early under the early-stop rule of
-    ``core.Simulator``.
+    The trajectories are the attempts of one :func:`resplit.smc.run_attempts`
+    pass from a one-checkpoint pool, the factory's initial state, with the
+    failure set as target; its captures are the hits.  They read one
+    stream, ``("mc",)``, each on from where the last one stopped.  The
+    planned count affords every trajectory at full length, so the budget
+    never cuts one short.
     """
     sim = factory()
     count = mc_plan(cfg, sim.horizon_steps)
-    origin = sim.snapshot()
-    rng = stream(seed, "mc")
+    pool = [Checkpoint(sim.snapshot(), 0, sim.step_index, sim.coordinate())]
+    ledger = BudgetLedger(cfg.budget_steps)
+    noise = NoiseBuffer(sim, stream(seed, "mc"))
+    _, captures, _ = run_attempts(sim, pool, sim.failure_value, 1, 0, count, ledger, noise, None)
 
-    hits = 0
-    cost = 0
-    for _ in range(count):
-        sim.restore(origin)
-        start = sim.step_index
-        g = sim.coordinate()
-        if g < sim.failure_value:
-            # one bulk draw covers the horizon, so the next trajectory starts at its
-            # own block; draws past the failure step are never read
-            n = sim.horizon_steps - start
-            _, g = sim.advance(sim.draw_noise(rng, n), 0, n, sim.failure_value)
-            # a miss costs its whole window, however few steps advance took
-            cost += sim.step_index - start if g >= sim.failure_value else n
-        hits += g >= sim.failure_value
-
+    hits = len(captures)
     estimate = hits / count
     rel_var = None
     if hits > 0 and estimate < 1.0:
@@ -96,6 +83,6 @@ def run_mc(factory: Callable[[], Simulator], cfg: McConfig, seed: int) -> McRepo
         trajectories=count,
         hits=hits,
         estimate=estimate,
-        cost_steps_used=cost,
+        cost_steps_used=ledger.used,
         rel_var_pred=rel_var,
     )

@@ -336,9 +336,10 @@ class _MissCertificate:
             d += load * dt + _CERT_BACKLOG_SLACK * (b + (m + 1) * dt)
             # every B_k is at most b plus the sum of the rises max(d_j, 0), inflated
             # here for the sum's rounding, over the least C the delay test reads
-            if b / low[0] / delta < level:
-                rises = (b + np.add.reduce(np.maximum(d, 0.0))) * (1.0 + (m + 2) * 2.0 ** -52)
-                if rises / np.minimum.reduce(low[:m + 1 if target <= 1.0 else m]) / delta < level:
+            if b / float(low[0]) / delta < level:
+                rises = float(b + np.add.reduce(np.maximum(d, 0.0))) * (1.0 + (m + 2) * 2.0 ** -52)
+                least = float(np.minimum.reduce(low[:m + 1 if target <= 1.0 else m]))
+                if rises / least / delta < level:
                     e = 0  # no delay bound reaches delta * level, so no counter rises
                     if more:  # the block's last B, as Lindley's recursion below gives it
                         xs[0] = b

@@ -151,6 +151,10 @@ def run_attempts(
 ) -> tuple[int, list[Checkpoint], list[int]]:
     """Attempt from ``pool`` until both targets are met or the budget runs out.
 
+    This is the one attempt loop: a splitting stage (:func:`run_level`), a
+    candidate's lookahead (``policy.evaluate_candidate``) and a plain Monte
+    Carlo run (``mc.run_mc``) are each one pass of it.
+
     Each attempt restores a checkpoint drawn uniformly with ``select_rng``
     (None for a one-checkpoint pool) and steps it on ``noise`` until it
     crosses ``target`` (success: captured at ``next_level``), reaches the

@@ -837,6 +837,18 @@ class TestBusyCertificate:
                         k, hit = run_window(p, noise, path, 0, target)
                         assert hit == (target == top)
 
+    @pytest.mark.parametrize("change", [
+        {"initial_backlog": 1e300, "delay_threshold": 1e-10},
+        {"arrival_load": 0.9, "delay_threshold": 1e-307},
+    ])
+    def test_a_delay_bound_past_the_largest_float_emits_no_warning(self, change):
+        # b / C / delta overflows to inf, which the delay tests compare as it is
+        p = NetParams(**change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_mc(simulator_factory(p), McConfig(budget_steps=20 * p.horizon_steps), 1)
+        assert rep.hits == rep.trajectories == 20
+
 
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)
 
@@ -893,15 +905,14 @@ class TestEnginesIgnoreChunking:
     def test_run_mc_stops_at_first_failure(self, monkeypatch, factory):
         cfg = McConfig(budget_steps=40 * factory().horizon_steps)
         got = _same_under_chunk_sizes(monkeypatch, lambda: run_mc(factory, cfg, 5))
-        hits = cost = 0
-        rng = stream(5, "mc")
+        hits = cost = pos = 0
+        values = factory().draw_noise(stream(5, "mc"), cfg.budget_steps)
         for _ in range(40):
             sim = factory()
-            # trajectory i's block is the stream's next horizon of values, drawn
-            # whole; it steps one at a time, only as far as it needs
-            block, pos = sim.draw_noise(rng, sim.horizon_steps), 0
+            # each trajectory reads on from where the last one stopped, one
+            # step at a time, only as far as it needs
             while sim.coordinate() < sim.failure_value and sim.step_index < sim.horizon_steps:
-                pos, _ = sim.advance(block, pos, pos + 1, math.inf)
+                pos, _ = sim.advance(values, pos, pos + 1, math.inf)
                 cost += 1
             hits += sim.coordinate() >= sim.failure_value
         rep = run_mc(factory, cfg, 5)

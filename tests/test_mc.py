@@ -88,11 +88,36 @@ class TestRunMc:
         assert 0.0 < report.estimate <= 1.0
 
 
-class _BlockReader:
-    """Scalar draws read in order from one trajectory's block."""
+class _Reader:
+    """Scalar draws read in order from ``values``, from ``pos`` on."""
 
-    def __init__(self, block):
-        self.random = self.standard_normal = iter(block).__next__
+    def __init__(self, values, pos):
+        self.values, self.pos = values, pos
+
+    def random(self):
+        self.pos += 1
+        return self.values[self.pos - 1]
+
+    standard_normal = random
+
+
+def contiguous_reference(reference, values, count, n):
+    """``(hits, cost)`` of ``count`` trajectories reading ``values`` in turn.
+
+    A hit at step ``k`` has read ``k`` values and leaves the rest to the
+    next trajectory; a miss reads on to its horizon, where a dead ladder's
+    steps read nothing.
+    """
+    pos = hits = cost = 0
+    for _ in range(count):
+        reader = _Reader(values, pos)
+        failed = [f for _, _, f in reference(reader)]
+        if any(failed):
+            k = failed.index(True) + 1
+            hits, cost, pos = hits + 1, cost + k, pos + k
+        else:
+            cost, pos = cost + n, reader.pos
+    return hits, cost
 
 
 class TestOneStream:
@@ -111,21 +136,43 @@ class TestOneStream:
     @pytest.mark.parametrize("make, reference", [
         # a climb that fails leaves the ladder dead: its later steps read nothing
         (ladder_factory((0.5, 0.4, 0.3)), ladder_reference((0.5, 0.4, 0.3))),
-        # state 2 absorbs before the horizon, leaving the block's tail unread
+        # state 2 absorbs before the horizon, leaving the rest to the next trajectory
         (three_state_factory(0.3, 0.2, 0.3, 9), three_state_reference(0.3, 0.2, 0.3, 9)),
     ], ids=["ladder", "three-state"])
-    def test_trajectory_i_reads_block_i(self, make, reference):
+    def test_trajectories_read_the_stream_in_turn(self, make, reference):
         count, seed = 60, 11
         n = make().horizon_steps
         values = stream(seed, "mc").random(count * n).tolist()
-        hits = cost = 0
-        for i in range(count):
-            failed = [f for _, _, f in reference(_BlockReader(values[i * n:(i + 1) * n]))]
-            hits += any(failed)
-            cost += failed.index(True) + 1 if any(failed) else n
+        hits, cost = contiguous_reference(reference, values, count, n)
         assert 0 < hits < count
         report = run_mc(make, McConfig(budget_steps=count * n), seed)
         assert (report.trajectories, report.hits, report.cost_steps_used) == (count, hits, cost)
+
+    @pytest.mark.parametrize("seed, last_hits", [(0, False), (69, True)])
+    def test_trajectory_i_reads_block_i_until_a_hit(self, monkeypatch, seed, last_hits):
+        # no trajectory but the last hits, so each reads its whole window and
+        # trajectory i reads block i, values [i n, (i + 1) n) of the stream
+        p = NetParams(delay_threshold=0.05, stress_log_sd=0.6)
+        count, n = 10, p.horizon_steps
+        values = stream(seed, "mc").standard_normal(count * n).tolist()
+        hits = cost = 0
+        for i in range(count):
+            failed = [f for _, _, f in net_reference(p)(_Reader(values, i * n))]
+            hits += any(failed)
+            cost += failed.index(True) + 1 if any(failed) else n
+            assert any(failed) is (last_hits and i == count - 1)
+
+        firsts = []
+        advance = NetSimulator.advance
+
+        def first_read(sim, noise, pos, *args):
+            firsts.append(noise[pos])
+            return advance(sim, noise, pos, *args)
+
+        monkeypatch.setattr(NetSimulator, "advance", first_read)
+        report = run_mc(simulator_factory(p), McConfig(budget_steps=count * n), seed)
+        assert (report.trajectories, report.hits, report.cost_steps_used) == (count, hits, cost)
+        assert firsts == values[::n]
 
 
 class TestMissCost:
@@ -136,11 +183,8 @@ class TestMissCost:
                       grace_seconds=4.0)
         count, seed, n = 60, 3, p.horizon_steps
         values = stream(seed, "mc").standard_normal(count * n).tolist()
-        hits = cost = 0
-        for i in range(count):
-            failed = [f for _, _, f in net_reference(p)(_BlockReader(values[i * n:(i + 1) * n]))]
-            hits += any(failed)
-            cost += failed.index(True) + 1 if any(failed) else n
+        # a miss the kernel ends early still reads its whole window
+        hits, cost = contiguous_reference(net_reference(p), values, count, n)
         assert 0 < hits < count
 
         simulated = []

@@ -36,11 +36,13 @@ SMC_DEFAULT = {
 
 # seed: (estimate, cost_steps_used, hits).  Re-recorded when a run came to read
 # one stream ("mc",), trajectory i its block i, in place of one stream
-# ("mc-traj", i) per trajectory.
+# ("mc-traj", i) per trajectory; and again when Monte Carlo became one pass of
+# the attempt loop, where each trajectory reads on from where the last one
+# stopped, so that every trajectory after a hit reads other values.
 MC_NOISY = {
-    1: (0.66, 74997, 66),
-    2: (0.61, 80135, 61),
-    3: (0.73, 72300, 73),
+    1: (0.69, 72452, 69),
+    2: (0.69, 74045, 69),
+    3: (0.78, 67917, 78),
 }
 
 LADDER_ONE_STAGE = {

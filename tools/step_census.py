@@ -10,10 +10,17 @@ early is charged its whole window but simulated only up to where it stopped,
 so their ratio is the share of the charged work the kernel still does.  The
 script also counts the miss proofs made and those that held, split by the
 test that settled them (``empty`` queue, sum of ``rises``, ``lindley``'s
-recursion, from the proof's ``settled`` counts), and times each one.  It
-wraps ``advance`` and the network model's proof from outside, so it runs
-unchanged in an older checkout whose proof class has another name, or keeps
-no ``settled`` counts (those columns then read ``-``), and the two
+recursion, from the proof's ``settled`` counts), and times each one.  The
+counts are deterministic; ``us/proof`` and ``wall_s`` are wall-clock times
+from one pass over each shape, and a single pass moves by tens of percent on
+a shared host (one checkout read net-policy at 49, 56 and 87 us/proof in
+three runs minutes apart on a 2-core x86_64 host).  To compare two checkouts
+on them, repeat the runs, alternating the checkouts, as
+``tools/bench_pairs.py`` does for the benchmark.
+
+The script wraps ``advance`` and the network model's proof from outside, so
+it runs unchanged in an older checkout whose proof class has another name,
+or keeps no ``settled`` counts (those columns then read ``-``), and the two
 checkouts' lines can be compared.
 
 The shapes are the four benchmark workloads (read from
@@ -115,6 +122,8 @@ def main() -> None:
     args = parser.parse_args()
     census = Census()
     wrap(census)
+    print("# us/proof and wall_s: wall-clock, one pass; compare checkouts over"
+          " alternated repeats")
     print("shape runs charged simulated sim/charged proofs held held% empty rises lindley"
           " us/proof wall_s")
     for shape, calls, steps in shapes(args.seed_list, args.runs):
