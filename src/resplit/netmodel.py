@@ -67,8 +67,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
 _CERT_SLACK = 1e-6  # health margin a proof takes off its bound before capacity
 _CERT_BACKLOG_SLACK = 2.0 ** -44  # backlog margin per step, times the block's largest backlog
 _CERT_HEALTH_MAX = 100.0  # no proof from a health this high, which keeps the rounding small
-# the gate's price of a proof in idle steps (~0.24 us each, 2-core x86_64), set when a
-# proof cost ~50 us; the cheap tests brought that to ~25-60 us, and the price stays
+# the gate's price of a proof in idle steps (~0.24 us each, 2-core x86_64).  A proof
+# costs 26-47 us there, 110-200 idle steps (tools/step_census.py, median us/proof of 5
+# runs: net-mc 26, net-smc 36, net-policy 47); prices of 100 and 50 gave the same CPU
+# time on net-smc and net-policy as 200, so the price stays
 _CERT_STEPS = 200
 _CERT_FORGET = 32  # refused proofs per proof made at which a rate's record halves
 _CERT_SCALE_LOG = 500.0 * math.log(2.0)  # log of the largest power a proof's sums scale by
@@ -229,7 +231,8 @@ class _MissCertificate:
     """
 
     __slots__ = ("mu_rinv", "sigma_rinv", "rpow", "log_ainv", "apow", "ageo", "block",
-                 "load", "dt", "delta", "empty_low", "tries", "wins", "refused", "settled")
+                 "load", "dt", "delta", "empty_low", "tries", "wins", "refused", "settled",
+                 "xs", "low", "spare")
 
     def __init__(self, H, nu, phi, rho, mu_blend, sigma, horizon, load, dt, delta):
         c = 1.0 / (1.0 + math.exp(-H))
@@ -257,6 +260,8 @@ class _MissCertificate:
         self.empty_low = math.log((1.0 - q) / q) - 1e-9 if q < 1.0 else math.nan
         self.tries = self.wins = self.refused = 0
         self.settled = [0, 0, 0]
+        # the work arrays every proof writes block by block, in place of fresh ones
+        self.xs, self.low, self.spare = (np.empty(block + 1) for _ in range(3))
 
     def worth_trying(self, n: int) -> bool:
         """Whether a proof over ``n`` steps pays for itself: the steps it
@@ -296,7 +301,7 @@ class _MissCertificate:
             # one past the block when another follows
             more = done + m < n
             mx = m + 1 if more else m
-            xs = np.empty(m + 1)
+            xs = self.xs[:m + 1]
             xs[0] = x
             path = xs[:mx]
             t = path[1:]
@@ -308,7 +313,7 @@ class _MissCertificate:
                 x = float(xs[m])
             # low_k = _CERT_SLACK - L_k, where
             # L_k = a**k * (L_0 - sum_{j<k} a**-(j+1) * exp(x_j)) + alpha * (1 + ... + a**(k-1))
-            low = np.empty(m + 1)
+            low = self.low[:m + 1]
             low[0] = -h
             t = low[1:]
             np.minimum(xs[:m], _CERT_LOG_STRESS_CAP, out=t)
@@ -337,7 +342,8 @@ class _MissCertificate:
             # every B_k is at most b plus the sum of the rises max(d_j, 0), inflated
             # here for the sum's rounding, over the least C the delay test reads
             if b / float(low[0]) / delta < level:
-                rises = float(b + np.add.reduce(np.maximum(d, 0.0))) * (1.0 + (m + 2) * 2.0 ** -52)
+                np.maximum(d, 0.0, out=self.spare[:m])
+                rises = float(b + np.add.reduce(self.spare[:m])) * (1.0 + (m + 2) * 2.0 ** -52)
                 least = float(np.minimum.reduce(low[:m + 1 if target <= 1.0 else m]))
                 if rises / least / delta < level:
                     e = 0  # no delay bound reaches delta * level, so no counter rises
@@ -352,7 +358,7 @@ class _MissCertificate:
             # their sums S from b, and B_k = S_k - min(0, S_0, ..., S_k)
             xs[0] = b
             np.add.accumulate(xs, out=xs)
-            top = np.fmin.accumulate(xs)  # no NaN gets here: the guard refused it
+            top = np.fmin.accumulate(xs, out=self.spare[:m + 1])  # the guard refused any NaN
             if b > 0.0:
                 np.minimum(top, 0.0, out=top)
             np.subtract(xs, top, out=xs)
@@ -490,9 +496,12 @@ class NetSimulator:
         self._c = capacity(self._health)
 
     def draw_noise(self, rng: np.random.Generator, n: int) -> array:
-        """``n`` standard normals packed in an ``array('d')``: the kernel makes
-        a Python float of a value only when it reads it."""
-        return array("d", rng.standard_normal(n).tobytes())
+        """``n`` standard normals packed in a new ``array('d')``, drawn in
+        place into its buffer: the kernel makes a Python float of a value
+        only when it reads it."""
+        values = array("d", [0.0]) * n
+        rng.standard_normal(out=np.frombuffer(values))
+        return values
 
     def advance(
         self, noise: Sequence[float], pos: int, stop: int, target: float

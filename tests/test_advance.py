@@ -850,6 +850,58 @@ class TestBusyCertificate:
         assert rep.hits == rep.trajectories == 20
 
 
+class TestProofWorkArrays:
+    """A certificate writes every proof into the same work arrays, so nothing
+    one proof leaves there may reach the next: fed a shuffled mix of windows,
+    one certificate must give each the result, and add to ``settled`` the
+    count, that a fresh certificate gives it."""
+
+    # the default model on paths that leave idle, proven in one block, and a
+    # noisy model with stress persistence 0.3, whose windows span five blocks
+    MODELS = ((NetParams(), (5, 18, 43)),
+              (NetParams(stress_persistence=0.3, stress_log_mean=-4.5, stress_log_sd=0.8),
+               (0, 1, 2)))
+
+    def test_one_certificate_matches_fresh_ones(self):
+        master = np.random.default_rng(32)
+        held = failed = busy = 0
+        settled = [0, 0, 0]
+        for p, seeds in self.MODELS:
+            steps = p.horizon_steps
+            cert = NetSimulator(p)._certificate(p.recovery_rate)
+            first = (0, p.initial_backlog, p.initial_health, p.start_log_stress, 0,
+                     p.recovery_rate)
+            windows = []
+            for seed in seeds:
+                noise = stream(seed, "noise").standard_normal(steps).tolist()
+                path = oracle_path(p, noise)
+                packed = array("d", noise)
+                starts = [0]
+                for flag in (True, False):  # idle starts, then busy ones
+                    pick = [k + 1 for k in range(steps - 1) if path[k][2] == flag]
+                    starts += master.choice(pick, size=3, replace=False).tolist()
+                for start in starts:
+                    snap = path[start - 1][0] if start else first
+                    windows += [(packed, start, target, snap)
+                                for target in (0.1, 1.0, 1.5, 2.0)]
+            for w in master.permutation(len(windows)):
+                noise, start, target, snap = windows[w]
+                reach = least_reach(p.grace_steps, target) if target > 1.0 else 0
+                args = (noise, start, steps - start, target, reach, *snap[1:5])
+                fresh = NetSimulator(p)._certificate(p.recovery_rate)
+                before = list(cert.settled)
+                k = cert.first_failure(*args)
+                assert k == fresh.first_failure(*args)
+                assert [now - then for now, then in zip(cert.settled, before)] == fresh.settled
+                held += not k
+                failed += k > 0
+                busy += not k and snap[1] > 0.0
+                settled[:] = map(sum, zip(settled, fresh.settled))
+        assert cert.block * 4 < steps  # the last model's windows span several blocks
+        # proofs hold, some from a busy queue, and fail; each test settles some
+        assert held >= 100 and failed >= 30 and busy >= 20 and min(settled) >= 5
+
+
 CHUNK_SIZES = (1, 3, core.NOISE_CHUNK_MAX, 1 << 20)
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -341,3 +342,36 @@ class TestSimulatorContract:
         assert s1 is not s2
         assert s1.snapshot() == s2.snapshot()
         assert s1.step_index == 0 and s1.coordinate() == 0.0
+
+
+DRAW_SIZES = (0, 1, 16, 1200, 16384)
+
+
+class TestDrawNoise:
+    """``draw_noise`` draws each array's normals in place into its buffer;
+    that must give the values of one plain numpy draw, in stream order, in a
+    new array each call."""
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_equals_one_numpy_draw(self, n):
+        got = NetSimulator(NetParams()).draw_noise(stream(4, "noise"), n)
+        assert isinstance(got, array) and got.typecode == "d"
+        assert got == array("d", stream(4, "noise").standard_normal(n).tobytes())
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_draws_in_turn_equal_one_draw(self, n):
+        sim = NetSimulator(NetParams())
+        for m in DRAW_SIZES:
+            rng = stream(5, "noise", m)
+            first = sim.draw_noise(rng, n)
+            assert first + sim.draw_noise(rng, m) == sim.draw_noise(stream(5, "noise", m), n + m)
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    def test_each_call_returns_a_new_array(self, n):
+        sim = NetSimulator(NetParams())
+        rng = stream(6, "noise")
+        before = sim.draw_noise(rng, n)
+        kept = before.tolist()
+        after = sim.draw_noise(rng, n)
+        assert after is not before and before.tolist() == kept
+        assert not np.shares_memory(np.frombuffer(before), np.frombuffer(after))

@@ -10,18 +10,21 @@ early is charged its whole window but simulated only up to where it stopped,
 so their ratio is the share of the charged work the kernel still does.  The
 script also counts the miss proofs made and those that held, split by the
 test that settled them (``empty`` queue, sum of ``rises``, ``lindley``'s
-recursion, from the proof's ``settled`` counts), and times each one.  The
-counts are deterministic; ``us/proof`` and ``wall_s`` are wall-clock times
-from one pass over each shape, and a single pass moves by tens of percent on
-a shared host (one checkout read net-policy at 49, 56 and 87 us/proof in
-three runs minutes apart on a 2-core x86_64 host).  To compare two checkouts
-on them, repeat the runs, alternating the checkouts, as
-``tools/bench_pairs.py`` does for the benchmark.
+recursion, from the proof's ``settled`` counts), and times each one.  On
+the noise side it counts the ``draw_noise`` calls (``refills``, each one a
+top-up of a run's noise buffer) and the ``values`` they drew, and times each
+call (``us/refill``), so an attempt's draw cost shows next to its proof
+cost.  The counts are deterministic; ``us/proof``, ``us/refill`` and
+``wall_s`` are wall-clock times from one pass over each shape, and a single
+pass moves by tens of percent on a shared host (one checkout read net-policy
+at 49, 56 and 87 us/proof in three runs minutes apart on a 2-core x86_64
+host).  To compare two checkouts on them, repeat the runs, alternating the
+checkouts, as ``tools/bench_pairs.py`` does for the benchmark.
 
-The script wraps ``advance`` and the network model's proof from outside, so
-it runs unchanged in an older checkout whose proof class has another name,
-or keeps no ``settled`` counts (those columns then read ``-``), and the two
-checkouts' lines can be compared.
+The script wraps ``advance``, ``draw_noise`` and the network model's proof
+from outside, so it runs unchanged in an older checkout whose proof class
+has another name, or keeps no ``settled`` counts (those columns then read
+``-``), and the two checkouts' lines can be compared.
 
 The shapes are the four benchmark workloads (read from
 ``benchmark/workloads.py``), each over the first ``--runs`` seeds of its seed
@@ -57,8 +60,8 @@ class Census:
     """Running totals of the wrapped calls."""
 
     def __init__(self) -> None:
-        self.simulated = self.tries = self.held = 0
-        self.proof_s = 0.0
+        self.simulated = self.tries = self.held = self.refills = self.values = 0
+        self.proof_s = self.draw_s = 0.0
         self.settled: list[int] | None = [0, 0, 0]  # None where the proof keeps no counts
 
 
@@ -69,14 +72,22 @@ def proof_class():
 
 
 def wrap(census: Census) -> None:
-    """Count every ``advance`` step and every proof into ``census``."""
+    """Count every ``advance`` step, noise draw and proof into ``census``."""
     for cls in (netmodel.NetSimulator, LadderSim, ThreeStateSim):
         def advance(self, noise, pos, stop, target, _inner=cls.advance):
             j = self.step_index
             out = _inner(self, noise, pos, stop, target)
             census.simulated += self.step_index - j
             return out
-        cls.advance = advance
+
+        def draw_noise(self, rng, n, _inner=cls.draw_noise):
+            t0 = time.perf_counter()
+            values = _inner(self, rng, n)
+            census.draw_s += time.perf_counter() - t0
+            census.refills += 1
+            census.values += n
+            return values
+        cls.advance, cls.draw_noise = advance, draw_noise
     proof = proof_class()
 
     def first_failure(self, *args, _inner=proof.first_failure):
@@ -122,27 +133,30 @@ def main() -> None:
     args = parser.parse_args()
     census = Census()
     wrap(census)
-    print("# us/proof and wall_s: wall-clock, one pass; compare checkouts over"
+    print("# us/proof, us/refill and wall_s: wall-clock, one pass; compare checkouts over"
           " alternated repeats")
     print("shape runs charged simulated sim/charged proofs held held% empty rises lindley"
-          " us/proof wall_s")
+          " us/proof refills values us/refill wall_s")
     for shape, calls, steps in shapes(args.seed_list, args.runs):
         if args.shapes and shape not in args.shapes:
             continue
-        before = (census.simulated, census.tries, census.held, census.proof_s)
+        totals = attrgetter("simulated", "tries", "held", "proof_s", "refills", "values",
+                            "draw_s")
+        before = totals(census)
         settled_before = None if census.settled is None else list(census.settled)
         charged = 0
         t0 = time.perf_counter()
         for call in calls:
             charged += steps(call())
         wall = time.perf_counter() - t0
-        simulated, tries, held, proof_s = (now - then for now, then in zip(
-            (census.simulated, census.tries, census.held, census.proof_s), before))
+        simulated, tries, held, proof_s, refills, values, draw_s = (
+            now - then for now, then in zip(totals(census), before))
         settled = (("-",) * 3 if census.settled is None else
                    (now - then for now, then in zip(census.settled, settled_before)))
         print(f"{shape} {len(calls)} {charged} {simulated} {simulated / max(charged, 1):.4f}"
               f" {tries} {held} {100.0 * held / max(tries, 1):.1f} {' '.join(map(str, settled))}"
-              f" {1e6 * proof_s / max(tries, 1):.1f} {wall:.2f}", flush=True)
+              f" {1e6 * proof_s / max(tries, 1):.1f} {refills} {values}"
+              f" {1e6 * draw_s / max(refills, 1):.1f} {wall:.2f}", flush=True)
 
 
 if __name__ == "__main__":
